@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input or usage,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -73,6 +74,19 @@ def _load_mechanism(path: str, net: ParallelNetwork) -> Mechanism:
     return params, lats
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write `text` to a new file at `path`, replacing any file already there.
+
+    The old file is removed rather than truncated: ext4 writes a truncated
+    and rewritten file back to disk when it is closed, so every command
+    would wait on the device once per output.
+    """
+    with contextlib.suppress(OSError):
+        os.unlink(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -92,9 +106,7 @@ def _write_manifest(directory: str, argv: list[str], inputs: list[str],
         "tolerances": {"comparison": comparison_tolerance(), "identity": IDENTITY_RTOL},
     }
     path = os.path.join(directory or ".", "run_manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(manifest, indent=2) + "\n")
     return path
 
 
@@ -147,8 +159,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     for s in samples:
         lines.append(f"{s.r!r},{s.cost_num!r},{s.cost_den!r},{s.ratio!r},{s.regime}")
     lines.append(f"{INF!r},{INF!r},{INF!r},{tail!r},tail")
-    with open(args.csv, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(args.csv, "\n".join(lines) + "\n")
     outputs = [args.csv]
 
     if args.svg:
@@ -224,8 +235,7 @@ def _emit_svg(path: str, samples, breakpoints) -> None:
             )
             parts.append(f'<circle cx="{X(rb):.2f}" cy="{Y(vb):.2f}" r="3.5" fill="steelblue"/>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -418,9 +428,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "verify_report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump({"suite": args.suite, "seed": args.seed, "results": results}, fh, indent=2)
-        fh.write("\n")
+    report = {"suite": args.suite, "seed": args.seed, "results": results}
+    _write_text(report_path, json.dumps(report, indent=2) + "\n")
     _write_manifest(out_dir, args._argv, [], [report_path])
     print(f"{len(checks) - failures}/{len(checks)} checks passed")
     return 1 if failures else 0

@@ -14,11 +14,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-import numpy as np
-
 from .config import comparison_tolerance
-from .errors import InfeasibleRate, NegativeRate, SegmentMismatch, TooManyLinks
-from .model import INF, FlowProfile, ParallelNetwork
+from .errors import InfeasibleRate, SegmentMismatch, TooManyLinks
+from .model import INF, FlowProfile, ParallelNetwork, check_rate
 
 
 class LatencyLike(Protocol):
@@ -46,7 +44,7 @@ class EquilibriumResult:
 
 @dataclass(frozen=True)
 class EquilibriumCheck:
-    """Outcome of an equilibrium test, with the first violating pair if any."""
+    """Outcome of an equilibrium test, with a violating pair if any."""
 
     ok: bool
     violator: tuple[int, int] | None = None
@@ -76,8 +74,7 @@ def nash_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     A zero-slope final link pins the level at its intercept once demand
     reaches the last breakpoint.
     """
-    if rate < 0.0:
-        raise NegativeRate(f"rate must be >= 0, got {rate}")
+    check_rate(rate)
     k = net.k
     if net.has_flat_tail and rate >= net.breakpoints[-1]:
         bk = net.links[-1].intercept
@@ -91,9 +88,14 @@ def nash_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     eff_j = net.eff_prefix[j - 1]
     off_j = net.off_prefix[j - 1]
     level = (rate + off_j) / eff_j
+    # level - b_i, written as intercept gap plus the demand past the last
+    # breakpoint: subtracting b_i from a level that rounds near it would
+    # cancel, and a large efficiency multiplies the rounding error.
+    top = net.links[j - 1].intercept
+    past = (rate - net.breakpoints[j - 1]) / eff_j
     flows = [0.0] * k
     for i in range(j):
-        flows[i] = max(0.0, net.efficiency[i] * (level - net.links[i].intercept))
+        flows[i] = max(0.0, net.efficiency[i] * ((top - net.links[i].intercept) + past))
     profile = FlowProfile(rate=rate, flows=tuple(flows))
     cost = (rate * rate + off_j * rate) / eff_j
     return EquilibriumResult(profile, level=level, used_count=profile.used_count, cost=cost)
@@ -116,8 +118,7 @@ def opt_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     Link h opens at half its selfish breakpoint.  The reported level is the
     equalized marginal cost (2*slope*flow + intercept on used links).
     """
-    if rate < 0.0:
-        raise NegativeRate(f"rate must be >= 0, got {rate}")
+    check_rate(rate)
     k = net.k
     if net.has_flat_tail and 2.0 * rate >= net.breakpoints[-1]:
         bk = net.links[-1].intercept
@@ -135,9 +136,12 @@ def opt_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     eff_h = net.eff_prefix[h - 1]
     off_h = net.off_prefix[h - 1]
     level = (2.0 * rate + off_h) / eff_h  # marginal cost on used links
+    # Same difference form as nash_flow, at twice the rate.
+    top = net.links[h - 1].intercept
+    past = (2.0 * rate - net.breakpoints[h - 1]) / eff_h
     flows = [0.0] * k
     for i in range(h):
-        flows[i] = max(0.0, net.efficiency[i] * (level - net.links[i].intercept) / 2.0)
+        flows[i] = max(0.0, net.efficiency[i] * ((top - net.links[i].intercept) + past) / 2.0)
     profile = FlowProfile(rate=rate, flows=tuple(flows))
     cost = (rate * rate + off_h * rate) / eff_h - _pairwise_spread(net, h)
     return EquilibriumResult(profile, level=level, used_count=profile.used_count, cost=cost)
@@ -150,8 +154,8 @@ def cost_increment(net: ParallelNetwork, s: float, r: float, j: int,
     Equals ((r-s)^2 + (off_prefix_j + 2s)(r-s)) / eff_prefix_j.  Both rates
     must sit in the segment where the named flow uses exactly j links.
     """
-    if s < 0.0 or r < 0.0:
-        raise NegativeRate("rates must be >= 0")
+    check_rate(s)
+    check_rate(r)
     if which not in ("nash", "opt"):
         raise ValueError(f"which must be 'nash' or 'opt', got {which!r}")
     if s > r:
@@ -181,138 +185,136 @@ def is_user_equilibrium(lats: Sequence[LatencyLike], profile: FlowProfile,
 
     For every link i with positive flow and every other link g, the latency
     on i must not exceed the latency g would show just above its current
-    flow.  The comparison allows tol * max(1, level) slack, where level is
-    the largest used latency.
+    flow.  Comparing with the smallest of those right limits, or the second
+    smallest when i itself holds the smallest, covers every pair in O(k).
+    The comparison allows tol * max(1, level) slack, where level is the
+    largest used latency.  A failure reports link i and the link it envies
+    most.
     """
     if tol is None:
         tol = comparison_tolerance()
     flows = profile.flows
-    used = [i for i, f in enumerate(flows) if f > 0.0]
+    used = [(i, lats[i].value(f)) for i, f in enumerate(flows) if f > 0.0]
     if not used:
         return EquilibriumCheck(True)
-    level = max(lats[i].value(flows[i]) for i in used)
+    level = max(v for _, v in used)
     slack = tol * max(1.0, level) if math.isfinite(level) else 0.0
-    for i in used:
-        vi = lats[i].value(flows[i])
-        for g in range(len(flows)):
-            if g == i:
-                continue
-            edge = lats[g].right_liminf(flows[g])
-            if not vi <= edge + slack:
-                return EquilibriumCheck(False, violator=(i, g), lhs=vi, rhs=edge)
+    edges = [lats[g].right_liminf(f) for g, f in enumerate(flows)]
+    first = min(range(len(edges)), key=edges.__getitem__)
+    rest = [g for g in range(len(edges)) if g != first]
+    second = min(rest, key=edges.__getitem__) if rest else None
+    for i, vi in used:
+        g = second if i == first else first
+        if g is not None and not vi <= edges[g] + slack:
+            return EquilibriumCheck(False, violator=(i, g), lhs=vi, rhs=edges[g])
     return EquilibriumCheck(True)
 
 
-def _max_flow_at_level(lat, level: float) -> float:
-    """Largest flow whose latency stays <= level."""
-    starts = lat.starts
-    n = len(starts)
-    best = 0.0
-    for i in range(n):
-        lo = starts[i]
-        hi = starts[i + 1] if i + 1 < n else INF
-        hi = min(hi, lat.cap)
-        if hi < lo and i > 0:
-            continue
-        m, c = lat.slopes[i], lat.offsets[i]
-        if m == 0.0:
-            cand = hi if c <= level else None
-        else:
-            x = (level - c) / m
-            cand = min(x, hi)
-            floor = lo if i > 0 else 0.0
-            if cand < floor:
-                cand = None
-        if cand is not None and cand > best:
-            best = cand
-    return best
+def _flow_bounds(lat, level: float) -> tuple[float, float]:
+    """Least and greatest flow a link can carry in an equilibrium at `level`.
 
-
-def _min_flow_at_level(lat, level: float) -> float:
-    """Smallest flow the link must carry in an equilibrium at `level`.
-
-    Any flow below the returned value still shows a just-above latency
-    strictly under the level, so users on other links would move here; the
-    value is sup{x : right_liminf(x) < level}.
+    The greatest is the most flow whose latency stays <= level.  The least is
+    sup{x : right_liminf(x) < level}: below it the link still shows a latency
+    under the level just above its flow, so users elsewhere would move here.
+    Both come from comparing the level with segment corner levels, so a flow
+    at a segment end comes out as that end, never as a recomputed neighbour.
     """
-    starts = lat.starts
-    n = len(starts)
-    top = 0.0
-    for i in range(n):
-        lo = starts[i]
-        hi = starts[i + 1] if i + 1 < n else INF
-        hi = min(hi, lat.cap)
-        if hi < lo:
-            continue
-        m, c = lat.slopes[i], lat.offsets[i]
+    least = most = 0.0
+    for lo, hi, m, v_lo, v_hi in lat.segments:
+        if level < v_lo:
+            break
+        x = hi if level >= v_hi else min(hi, lo + (level - v_lo) / m)
+        most = x
+        if level > v_lo:
+            least = x
+    return least, most
+
+
+def _supply_events(lat):
+    # Supply S(L), the most flow a link takes at latency <= L, rises at rate
+    # 1/slope across a rising segment's corner levels and jumps by the width
+    # of a flat segment at its level.  Events are (level, jump, rate change).
+    for lo, hi, m, v_lo, v_hi in lat.segments:
         if m == 0.0:
-            if c < level and hi > top:
-                top = hi
+            yield v_lo, hi - lo, 0.0
         else:
-            x = (level - c) / m
-            if x > lo and min(x, hi) > top:
-                top = min(x, hi)
-    return top
+            yield v_lo, 0.0, 1.0 / m
+            if v_hi < INF:
+                yield v_hi, 0.0, -1.0 / m
+
+
+def _fill_level(lats: Sequence, rate: float) -> float:
+    """Least latency level at which the links together absorb `rate`.
+
+    Walks the sorted corner levels once, carrying the supply and its slope.
+    The walk stops at the last corner `prev` not past the answer; there the
+    supply is recomputed exactly.  If it already covers the rate (the rate
+    falls in a jump at `prev`, or on it) the level is `prev`, else the level
+    is prev + (rate - S(prev)) / sum(1/slope) on the piece that follows, kept
+    at or below the corner that ends the piece.
+    """
+    events = sorted(ev for lat in lats for ev in _supply_events(lat))
+    prev = min(lat.value(0.0) for lat in lats)
+    stop = INF
+    supplied = growth = 0.0
+    for level, jump, dgrowth in events:
+        if level > prev:
+            ahead = supplied + growth * (level - prev)
+            if ahead >= rate:
+                stop = level
+                break
+            supplied, prev = ahead, level
+        supplied += jump
+        growth += dgrowth
+    have = _supply(lats, prev)
+    if have >= rate:
+        return prev
+    growth = math.fsum(
+        1.0 / m
+        for lat in lats
+        for _, _, m, v_lo, v_hi in lat.segments
+        if m > 0.0 and v_lo <= prev < v_hi
+    )
+    level = min(stop, prev + (rate - have) / growth if growth > 0.0 else INF)
+    if level == INF:
+        raise InfeasibleRate(f"no finite level absorbs rate {rate}")
+    # The interpolated level is a rounded double: step up to the first one
+    # whose supply covers the rate, so every flow interval can be clipped to it.
+    while level < stop and _supply(lats, level) < rate:
+        level = math.nextafter(level, INF)
+    return level
+
+
+def _supply(lats: Sequence, level: float) -> float:
+    return math.fsum(_flow_bounds(lat, level)[1] for lat in lats)
 
 
 def water_fill(lats: Sequence, rate: float, *, latency_family: str = "original",
                tol: float | None = None) -> EquilibriumResult:
     """Equilibrium of piecewise latencies by filling links up to a common level.
 
-    Bisects the level L between the cheapest empty-link latency and a doubled
-    upper bound until the total flow absorbable at L reaches the rate, then
-    snaps L onto an exact segment-corner value when one sits inside the
-    bracket.  Per-link flow intervals at L are computed analytically from the
-    segments; the canonical profile spreads the rate across the intervals
-    proportionally to their widths and is verified to be an equilibrium.
+    The supply S(L), the most flow all links take at latency <= L, is
+    piecewise linear and non-decreasing in L, with jumps only at flat
+    segments.  One sweep over the sorted segment-corner levels finds the
+    least L with S(L) >= rate: exactly a corner level when the rate falls
+    inside a jump there, else by linear interpolation on the piece that holds
+    it.  Per-link flow intervals at L follow from comparing L with segment
+    corner levels.  The canonical profile spreads the rate across the
+    intervals proportionally to their widths and is verified to be an
+    equilibrium.  Cost is O(n log n) in the total number of segments.
     """
-    if rate < 0.0:
-        raise NegativeRate(f"rate must be >= 0, got {rate}")
+    check_rate(rate)
     lats = list(lats)
-
-    def supply(level: float) -> float:
-        return math.fsum(_max_flow_at_level(l, level) for l in lats)
-
     capacity = math.fsum(l.cap for l in lats)
     if capacity < rate:
         raise InfeasibleRate(f"total capacity {capacity} below rate {rate}")
 
-    lo_level = min(l.value(0.0) for l in lats)
-    if rate == 0.0 or supply(lo_level) >= rate:
-        level = lo_level
-    else:
-        step = max(1.0, abs(lo_level))
-        hi_level = lo_level + step
-        guard = 0
-        while supply(hi_level) < rate:
-            step *= 2.0
-            hi_level = lo_level + step
-            guard += 1
-            if guard > 200:
-                raise InfeasibleRate(f"no finite level absorbs rate {rate}")
-        lo, hi = lo_level, hi_level
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if supply(mid) >= rate:
-                hi = mid
-            else:
-                lo = mid
-        level = hi
-        # Snap onto an exact corner value (plateau constants, cap latencies)
-        # so interval endpoints come out exact at jump levels.
-        snap = 1e-9 * max(1.0, abs(level))
-        for lat in lats:
-            for c in lat.level_candidates():
-                if c < level and level - c <= snap and supply(c) >= rate:
-                    level = c
-
+    level = _fill_level(lats, rate)
     intervals = []
     for lat in lats:
-        hi_f = min(_max_flow_at_level(lat, level), rate)
-        lo_f = min(_min_flow_at_level(lat, level), hi_f)
-        intervals.append((lo_f, hi_f))
+        least, most = _flow_bounds(lat, level)
+        hi_f = min(most, rate)
+        intervals.append((min(least, hi_f), hi_f))
     total_lo = math.fsum(lo for lo, _ in intervals)
     total_hi = math.fsum(hi for _, hi in intervals)
     spread = total_hi - total_lo
@@ -339,15 +341,18 @@ def worst_equilibrium_cost_two_links(lats: Sequence, rate: float,
                                      tol: float | None = None) -> float:
     """Most expensive equilibrium split of `rate` over two links.
 
-    Candidate splits combine segment boundaries of both latencies, the
-    water-fill interval endpoints, per-piece analytic cost extrema and a
-    1e-4 * rate grid; the cost between boundaries is quadratic in the split,
-    so its extrema are explicit.  Exact within tolerance for two links.
+    With x on the first link, the equilibrium splits form one interval whose
+    ends are water-fill interval ends.  Between flow boundaries of the two
+    latencies the cost x*(s1*x + c1) + (r-x)*(s2*(r-x) + c2) has second
+    derivative 2*(s1 + s2) >= 0, so it is convex and its maximum over any
+    stretch of splits sits at an end of the stretch.  The candidates are
+    therefore 0, r, the four interval ends and the flow boundaries of both
+    latencies; each is certified with :func:`is_user_equilibrium` before its
+    cost counts.  Ties go to the smaller split.
     """
     if len(lats) != 2:
         raise TooManyLinks(f"worst-equilibrium search needs exactly 2 links, got {len(lats)}")
-    if rate < 0.0:
-        raise NegativeRate(f"rate must be >= 0, got {rate}")
+    check_rate(rate)
     if rate == 0.0:
         return 0.0
     if tol is None:
@@ -359,53 +364,15 @@ def worst_equilibrium_cost_two_links(lats: Sequence, rate: float,
     (m1, hi1), (m2, hi2) = wf.per_link_interval
 
     cands = {0.0, rate, m1, hi1, rate - m2, rate - hi2}
-    for b in lat1.flow_boundaries():
-        if 0.0 <= b <= rate:
-            cands.add(b)
-    for b in lat2.flow_boundaries():
-        x = rate - b
-        if 0.0 <= x <= rate:
-            cands.add(x)
+    cands.update(lat1.flow_boundaries())
+    cands.update(rate - b for b in lat2.flow_boundaries())
 
-    # Between candidate boundaries the total cost is quadratic in the split;
-    # add each piece's analytic vertex.
-    edges = sorted(c for c in cands if 0.0 <= c <= rate)
-    for p, q in zip(edges, edges[1:]):
-        if q - p <= 0.0:
-            continue
-        mid = 0.5 * (p + q)
-        i1 = max(0, int(np.searchsorted(lat1._starts_arr, mid, side="left")) - 1)
-        i2 = max(0, int(np.searchsorted(lat2._starts_arr, rate - mid, side="left")) - 1)
-        s1, c1 = lat1.slopes[i1], lat1.offsets[i1]
-        s2, c2 = lat2.slopes[i2], lat2.offsets[i2]
-        denom = 2.0 * (s1 + s2)
-        if denom > 0.0:
-            vertex = (2.0 * s2 * rate + c2 - c1) / denom
-            if p < vertex < q:
-                cands.add(vertex)
-
-    grid = np.linspace(0.0, rate, 10001)
-    xs = np.unique(np.concatenate([grid, np.asarray(sorted(cands))]))
-    xs = xs[(xs >= 0.0) & (xs <= rate)]
-
-    with np.errstate(invalid="ignore", over="ignore"):
-        v1 = lat1.value_many(xs)
-        rl1 = lat1.right_liminf_many(xs)
-        ys = rate - xs
-        v2 = lat2.value_many(ys)
-        rl2 = lat2.right_liminf_many(ys)
-        used1 = xs > 0.0
-        used2 = ys > 0.0
-        level = np.maximum(np.where(used1, v1, -INF), np.where(used2, v2, -INF))
-        slack = tol * np.maximum(1.0, np.where(np.isfinite(level), level, 1.0))
-        ok = (~used1 | (v1 <= rl2 + slack)) & (~used2 | (v2 <= rl1 + slack))
-        cost = np.where(used1, xs * v1, 0.0) + np.where(used2, ys * v2, 0.0)
-        cost = np.where(ok, cost, -INF)
-
-    best = int(np.argmax(cost))
-    if not ok[best]:
+    best = -INF
+    for x in sorted(c for c in cands if 0.0 <= c <= rate):
+        flows = (x, rate - x)
+        cost = profile_cost(lats, flows)
+        if cost > best and is_user_equilibrium(lats, FlowProfile(rate, flows), tol):
+            best = cost
+    if best == -INF:
         raise AssertionError("no equilibrium split found")
-    split = float(xs[best])
-    check = is_user_equilibrium(lats, FlowProfile(rate, (split, rate - split)), tol)
-    assert check, f"worst split failed re-verification: {check.violator}"
-    return float(cost[best])
+    return best

@@ -18,14 +18,13 @@ from .config import comparison_tolerance
 from .equilibrium import nash_flow
 from .errors import (
     BadParamCount,
-    NegativeRate,
     NotTwoLinks,
     ParamOutOfRange,
     ParamTooSmall,
     RatioTooSmall,
     SchemaError,
 )
-from .model import INF, FlowProfile, ParallelNetwork, PiecewiseLatency
+from .model import INF, FlowProfile, ParallelNetwork, PiecewiseLatency, check_rate
 
 # Below this slope ratio the unmodified two-link instance already meets the
 # plateau mechanism's 1.192 target, so the identity modification is used.
@@ -130,8 +129,7 @@ def mn_flow(net: ParallelNetwork, params: ThresholdParams, rate: float) -> FlowP
     spills into the next suffix; below the first freeze point this is the
     unmodified selfish flow.
     """
-    if rate < 0.0:
-        raise NegativeRate(f"rate must be >= 0, got {rate}")
+    check_rate(rate)
     flows = [0.0] * net.k
     remaining = rate
     for stage in params.stages:

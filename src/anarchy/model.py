@@ -9,6 +9,7 @@ downstream relies on.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -19,11 +20,18 @@ from .config import IDENTITY_RTOL
 from .errors import (
     EmptyNetwork,
     NegativeCoefficient,
+    NegativeRate,
     SchemaError,
     ZeroSlopeNotLast,
 )
 
 INF = math.inf
+
+
+def check_rate(rate: float) -> None:
+    """Reject a demand rate that is negative, infinite or NaN."""
+    if not 0.0 <= rate < INF:
+        raise NegativeRate(f"rate must be finite and >= 0, got {rate}")
 
 
 @dataclass(frozen=True)
@@ -286,18 +294,14 @@ class PiecewiseLatency:
         """Latency at flow x (the left limit at segment boundaries)."""
         if x > self.cap:
             return INF
-        idx = int(np.searchsorted(self._starts_arr, x, side="left")) - 1
-        if idx < 0:
-            idx = 0
+        idx = max(0, bisect_left(self.starts, x) - 1)
         return self.slopes[idx] * x + self.offsets[idx]
 
     def right_liminf(self, x: float) -> float:
         """Limit of the latency from the right of x."""
         if x >= self.cap:
             return INF
-        idx = int(np.searchsorted(self._starts_arr, x, side="right")) - 1
-        if idx < 0:
-            idx = 0
+        idx = max(0, bisect_right(self.starts, x) - 1)
         return self.slopes[idx] * x + self.offsets[idx]
 
     def value_many(self, xs: np.ndarray) -> np.ndarray:
@@ -317,17 +321,24 @@ class PiecewiseLatency:
             pts.append(self.cap)
         return tuple(sorted(set(pts)))
 
-    def level_candidates(self) -> tuple[float, ...]:
-        """Latency values attained at segment corners; used to snap levels."""
-        vals = set()
-        n = len(self.starts)
-        for i in range(n):
-            s = self.starts[i]
-            e = self.starts[i + 1] if i + 1 < n else self.cap
-            vals.add(self.slopes[i] * s + self.offsets[i])
-            if math.isfinite(e) and e > s:
-                vals.add(self.slopes[i] * min(e, self.cap) + self.offsets[i])
-        return tuple(sorted(v for v in vals if math.isfinite(v)))
+    @cached_property
+    def segments(self) -> tuple[tuple[float, float, float, float, float], ...]:
+        """Non-empty segments clipped to the cap, as (lo, hi, slope, v_lo, v_hi).
+
+        The latency runs linearly from its right limit ``v_lo`` at flow ``lo``
+        to its left limit ``v_hi`` at flow ``hi``; ``v_hi`` is infinite for an
+        unbounded rising segment.  These corner levels are the only places
+        where the flow a link absorbs at a given latency changes its form.
+        """
+        out = []
+        ends = self.starts[1:] + (INF,)
+        for lo, end, m, c in zip(self.starts, ends, self.slopes, self.offsets):
+            hi = min(end, self.cap)
+            if not hi > lo:
+                break
+            v_hi = m * hi + c if math.isfinite(hi) else (INF if m > 0.0 else c)
+            out.append((lo, hi, m, m * lo + c, v_hi))
+        return tuple(out)
 
     def is_monotone(self, samples: int = 1000) -> bool:
         """Re-check monotonicity on a sample grid (construction already enforces it)."""

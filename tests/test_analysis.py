@@ -29,6 +29,7 @@ from anarchy import (
     tail_ratio,
     two_link_simple_bound,
 )
+from anarchy.mechanisms import MIN_PLATEAU_RATIO, PLATEAU_TARGET
 
 
 def test_pigou_sup_four_thirds(pigou):
@@ -83,6 +84,20 @@ def test_threshold_curve_regimes(pigou):
     rows = ratio_curve(pigou, (params, lats), [0.25, 0.6, 1.2])
     assert [s.regime for s in rows] == ["stage0/opt1", "stage1/opt2", "stage1/opt2"]
     assert all(s.ratio == pytest.approx(1.0) for s in rows)
+
+
+def test_plateau_sup_across_random_scaled_instances():
+    # Slope ratio in (96/53, 200), first slope in [0.1, 5], intercept gap in
+    # [0.01, 3]: the sweep on which plateau water-filling used to crash.
+    rng = random.Random(1202)
+    for _ in range(300):
+        R = rng.uniform(MIN_PLATEAU_RATIO, 200.0)
+        a1 = rng.uniform(0.1, 5.0)
+        net = normalize_network([{"a": a1, "b": 0.0}, {"a": a1 / R, "b": rng.uniform(0.01, 3.0)}])
+        params = solve_plateau_params(net)
+        value, where = ratio_sup(net, (params, build_plateau_mechanism(net, params)))
+        assert 1.0 <= value <= PLATEAU_TARGET + 1e-3, (net.to_json_dict(), value)
+        assert 0.0 < where <= params.resume_rate
 
 
 class TestPlateauCurve:

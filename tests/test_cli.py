@@ -77,6 +77,18 @@ def test_curve_deterministic(pigou_file, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_curve_replaces_existing_outputs(pigou_file, tmp_path):
+    csv_path = tmp_path / "curve.csv"
+    csv_path.write_text("stale\n" * 10000)
+    kept = tmp_path / "kept.csv"
+    kept.hardlink_to(csv_path)
+    assert main(["curve", str(pigou_file), "--samples", "5", "--csv", str(csv_path)]) == 0
+    assert csv_path.read_text().startswith("r,cost_num,cost_den,ratio,regime\n")
+    assert "stale" not in csv_path.read_text()
+    # A new file, not the old one rewritten in place.
+    assert kept.read_text() == "stale\n" * 10000
+
+
 def test_curve_manifest(pigou_file, tmp_path):
     csv_path = tmp_path / "curve.csv"
     assert main(["curve", str(pigou_file), "--csv", str(csv_path)]) == 0
@@ -177,6 +189,44 @@ def test_exit_code_domain(pigou_file, capsys):
     path = pigou_file.parent / "neg.json"
     path.write_text(json.dumps({"links": [{"a": -1, "b": 0}, {"a": 1, "b": 1}]}))
     assert main(["solve", str(path), "--rate", "1"]) == 3
+
+
+def test_solve_mn_plateau_on_hold_window(tmp_path, capsys):
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"links": [
+        {"a": 3.0707272758427404, "b": 0}, {"a": 1.2323489005020785, "b": 0.40375230188526406},
+    ]}))
+    mech_path = tmp_path / "mech.json"
+    mech_path.write_text(json.dumps({"kind": "plateau"}))
+    rc = main([
+        "solve", str(net_path), "--rate", "0.2973144532611471",
+        "--which", "mn", "--mechanism", str(mech_path),
+    ])
+    assert rc == 0
+    assert "mn flow on 2 links" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "rate,which,tol,code,message",
+    [
+        ("nan", "nash", None, 3, "finite"),
+        ("inf", "opt", None, 3, "finite"),
+        ("-inf", "mn", None, 3, "finite"),
+        ("1.0", "mn", "abc", 2, "ANARCHY_TOL"),
+        ("1.0", "mn", "-1", 2, "ANARCHY_TOL"),
+        ("1.0", "mn", "inf", 2, "ANARCHY_TOL"),
+    ],
+)
+def test_exit_code_bad_numbers(pigou_file, mech_file, monkeypatch, capsys,
+                               rate, which, tol, code, message):
+    if tol is None:
+        monkeypatch.delenv("ANARCHY_TOL", raising=False)
+    else:
+        monkeypatch.setenv("ANARCHY_TOL", tol)
+    argv = ["solve", str(pigou_file), f"--rate={rate}", "--which", which,
+            "--mechanism", str(mech_file)]
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
 
 
 def test_exit_code_missing_file(tmp_path, capsys):

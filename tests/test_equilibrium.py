@@ -5,21 +5,35 @@ import numpy as np
 import pytest
 
 from anarchy import (
+    AffineLatency,
     FlowProfile,
     InfeasibleRate,
     NegativeRate,
     PiecewiseLatency,
     SegmentMismatch,
+    build_plateau_mechanism,
+    build_threshold_mechanism,
     cost_increment,
+    curve_breakpoints,
     is_user_equilibrium,
+    mechanism_from_dict,
     nash_flow,
+    network_from_dict,
     normalize_network,
     opt_flow,
     profile_cost,
+    solve_plateau_params,
     water_fill,
     worst_equilibrium_cost_two_links,
 )
+from anarchy.mechanisms import MIN_PLATEAU_RATIO
 from conftest import random_network
+
+# Two-link plateau instance whose water-fill once collapsed the first link's
+# interval: hold_end recomputed from the level came out one ulp off.
+PLATEAU_CRASH = {"links": [{"a": 3.0707272758427404, "b": 0},
+                           {"a": 1.2323489005020785, "b": 0.40375230188526406}]}
+PLATEAU_CRASH_RATE = 0.2973144532611471
 
 
 def as_pieces(net):
@@ -69,6 +83,24 @@ def test_negative_rate_rejected(pigou):
         nash_flow(pigou, -0.1)
     with pytest.raises(NegativeRate):
         opt_flow(pigou, -0.1)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_non_finite_rate_rejected(pigou, rate):
+    for solve in (nash_flow, opt_flow):
+        with pytest.raises(NegativeRate, match="finite"):
+            solve(pigou, rate)
+    with pytest.raises(NegativeRate, match="finite"):
+        water_fill(as_pieces(pigou), rate)
+
+
+def test_large_efficiency_keeps_flows_summing_to_rate():
+    # level - intercept cancels here: one ulp of the level is 1e-8 of flow.
+    net = normalize_network([{"a": 1e-8, "b": 0.5}])
+    rate = 1.4837132766842842e-07
+    assert nash_flow(net, rate).profile.flows == pytest.approx((rate,), rel=1e-12)
+    assert opt_flow(net, rate).profile.flows == pytest.approx((rate,), rel=1e-12)
+    assert water_fill(as_pieces(net), rate).profile.flows == pytest.approx((rate,), rel=1e-12)
 
 
 def test_zero_rate(pigou):
@@ -245,7 +277,70 @@ def test_water_fill_infeasible():
         water_fill(capped, 1.5)
 
 
+def test_water_fill_plateau_interval_is_hold_window():
+    net = network_from_dict(PLATEAU_CRASH)
+    params, lats = mechanism_from_dict(net, {"kind": "plateau"})
+    res = water_fill(lats, PLATEAU_CRASH_RATE)
+    assert res.level == lats[0].value(params.hold_end)
+    assert res.per_link_interval[0] == (params.hold_start, params.hold_end)
+    assert params.hold_start < res.profile.flows[0] < params.hold_end
+
+
+def test_water_fill_level_sits_on_jump_at_its_ends():
+    # At the rates that open and close the plateau the level is the plateau
+    # value itself, with the first link anywhere in the hold window.
+    net = normalize_network([{"a": 2, "b": 0}, {"a": 1, "b": 1}])
+    params = solve_plateau_params(net)
+    lats = build_plateau_mechanism(net, params)
+    plateau = lats[0].value(params.hold_end)
+    for rate in (params.jump_rate, params.resume_rate):
+        res = water_fill(lats, rate)
+        assert res.level == plateau
+        assert res.per_link_interval[0] == (params.hold_start, params.hold_end)
+
+
 # ----------------------------------------------------------- equilibrium check
+
+
+def pairwise_equilibrium(lats, flows, tol=1e-9):
+    """Reference certificate: every used link against every other link."""
+    used = [i for i, f in enumerate(flows) if f > 0.0]
+    if not used:
+        return True
+    level = max(lats[i].value(flows[i]) for i in used)
+    slack = tol * max(1.0, level) if math.isfinite(level) else 0.0
+    return all(
+        lats[i].value(flows[i]) <= lats[g].right_liminf(flows[g]) + slack
+        for i in used for g in range(len(flows)) if g != i
+    )
+
+
+def test_is_user_equilibrium_matches_pairwise_reference():
+    rng = random.Random(77)
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        rate = rng.uniform(0.1, 5.0)
+        lats = []
+        for _ in range(k):
+            cap = rng.choice([math.inf, rng.uniform(0.0, rate)])
+            lats.append(PiecewiseLatency.from_affine(
+                AffineLatency(rng.choice([0.0, rng.uniform(0.1, 3.0)]), rng.uniform(0.0, 2.0)),
+                cap=cap))
+        if rng.random() < 0.5 and sum(l.cap for l in lats) >= rate:
+            flows = water_fill(lats, rate).profile.flows
+        else:
+            cuts = sorted(rng.uniform(0.0, rate) for _ in range(k - 1))
+            flows = [b - a for a, b in zip([0.0, *cuts], [*cuts, rate])]
+            flows = [0.0 if rng.random() < 0.3 else f for f in flows]
+            rate = math.fsum(flows)
+        profile = FlowProfile(rate=rate, flows=tuple(flows))
+        check = is_user_equilibrium(lats, profile, 1e-9)
+        assert bool(check) == pairwise_equilibrium(lats, profile.flows)
+        if not check:
+            i, g = check.violator
+            assert check.lhs == lats[i].value(profile.flows[i])
+            assert check.rhs == lats[g].right_liminf(profile.flows[g])
+            assert check.lhs > check.rhs
 
 
 def test_is_user_equilibrium_flags_envy():
@@ -287,3 +382,77 @@ def test_worst_equilibrium_prefers_expensive_flat_link(pigou):
     lats = as_pieces(pigou)
     worst = worst_equilibrium_cost_two_links(lats, 1.0)
     assert worst == pytest.approx(1.0)
+
+
+def grid_worst_cost(lats, rate, tol=1e-9):
+    """Dense-grid reference for the worst equilibrium cost on two links.
+
+    Evaluates every split on a 10001-point grid, merged with the segment and
+    cap boundaries of both latencies, the water-fill interval ends and the
+    cost vertex of each piece between them, and keeps the costliest split
+    that passes the envy test.
+    """
+    lat1, lat2 = lats
+    wf = water_fill(lats, rate, tol=tol)
+    (m1, hi1), (m2, hi2) = wf.per_link_interval
+    cands = {0.0, rate, m1, hi1, rate - m2, rate - hi2}
+    cands.update(b for b in lat1.flow_boundaries() if b <= rate)
+    cands.update(rate - b for b in lat2.flow_boundaries() if b <= rate)
+    edges = sorted(c for c in cands if 0.0 <= c <= rate)
+    starts1, starts2 = np.asarray(lat1.starts), np.asarray(lat2.starts)
+    for p, q in zip(edges, edges[1:]):
+        mid = 0.5 * (p + q)
+        i1 = max(0, int(np.searchsorted(starts1, mid, side="left")) - 1)
+        i2 = max(0, int(np.searchsorted(starts2, rate - mid, side="left")) - 1)
+        s1, c1 = lat1.slopes[i1], lat1.offsets[i1]
+        s2, c2 = lat2.slopes[i2], lat2.offsets[i2]
+        if s1 + s2 > 0.0:
+            vertex = (2.0 * s2 * rate + c2 - c1) / (2.0 * (s1 + s2))
+            if p < vertex < q:
+                cands.add(vertex)
+
+    xs = np.unique(np.concatenate([np.linspace(0.0, rate, 10001), np.asarray(sorted(cands))]))
+    xs = xs[(xs >= 0.0) & (xs <= rate)]
+    ys = rate - xs
+    with np.errstate(invalid="ignore", over="ignore"):
+        v1, rl1 = lat1.value_many(xs), lat1.right_liminf_many(xs)
+        v2, rl2 = lat2.value_many(ys), lat2.right_liminf_many(ys)
+        used1, used2 = xs > 0.0, ys > 0.0
+        level = np.maximum(np.where(used1, v1, -math.inf), np.where(used2, v2, -math.inf))
+        slack = tol * np.maximum(1.0, np.where(np.isfinite(level), level, 1.0))
+        ok = (~used1 | (v1 <= rl2 + slack)) & (~used2 | (v2 <= rl1 + slack))
+        cost = np.where(used1, xs * v1, 0.0) + np.where(used2, ys * v2, 0.0)
+    return float(np.max(np.where(ok, cost, -math.inf)))
+
+
+def _oracle_instances(rng):
+    for _ in range(15):
+        R = rng.uniform(MIN_PLATEAU_RATIO, 200.0)
+        a1 = rng.uniform(0.1, 5.0)
+        net = normalize_network([{"a": a1, "b": 0.0}, {"a": a1 / R, "b": rng.uniform(0.01, 3.0)}])
+        params = solve_plateau_params(net)
+        yield net, (params, build_plateau_mechanism(net, params)), 2.0 * params.resume_rate
+    for _ in range(15):
+        a1 = rng.uniform(0.2, 4.0)
+        net = normalize_network([{"a": a1, "b": 0.0},
+                                 {"a": rng.uniform(0.05, a1), "b": rng.uniform(0.1, 3.0)}])
+        mech = build_threshold_mechanism(net, [rng.uniform(2.0, 8.0)])
+        yield net, mech, 3.0 * net.breakpoints[1]
+
+
+def test_worst_equilibrium_matches_grid_oracle():
+    rng = random.Random(1202)
+    compared = 0
+    for net, mech, top in _oracle_instances(rng):
+        marks = curve_breakpoints(net, mech)
+        for _ in range(12):
+            rate = rng.uniform(1e-3, 1.0) * top
+            # Across a jump the two sides differ by design; ratio_sup takes
+            # the right limit through its own jump candidate.
+            if any(abs(rate - b) <= 1e-9 * b for b in marks):
+                continue
+            want = grid_worst_cost(mech[1], rate)
+            got = worst_equilibrium_cost_two_links(mech[1], rate)
+            assert got == pytest.approx(want, rel=1e-9), (net.to_json_dict(), rate)
+            compared += 1
+    assert compared >= 300

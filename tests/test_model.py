@@ -153,11 +153,15 @@ class TestPiecewiseLatency:
         assert lat.dominates(AffineLatency(1.0, 0.0))
         assert not lat.dominates(AffineLatency(2.0, 0.0))
 
-    def test_level_candidates_include_corners(self):
+    def test_segments_carry_corner_levels(self):
         lat = self.plateau()
-        cands = lat.level_candidates()
-        assert 0.9 in cands
-        assert 1.3 in cands
+        levels = {v for seg in lat.segments for v in seg[3:]}
+        assert 0.9 in levels
+        assert 1.3 in levels
+        assert lat.segments[1] == (0.9, 1.2, 0.0, 1.3, 1.3)
+        assert lat.segments[2][4] == math.inf
+        capped = PiecewiseLatency(starts=(0.0, 1.0), slopes=(1.0, 2.0), offsets=(0.0, -1.0), cap=0.5)
+        assert capped.segments == ((0.0, 0.5, 1.0, 0.0, 0.5),)
 
 
 @given(
