@@ -1,11 +1,16 @@
 """Efficiency ratios and worst-case bounds.
 
 The central quantity is the ratio of equilibrium cost to optimal cost as a
-function of demand.  Between structural breakpoints both costs are quadratic
-in the rate, so the supremum of the ratio reduces to evaluating breakpoints,
-right limits at jumps, the analytic extrema inside each segment and the
-large-demand limit.  Closed-form worst-case bounds for the mechanisms live
-here as well.
+function of demand.  :func:`cost_pieces` cuts the demand axis, once per
+network and mechanism, wherever either cost changes its closed form: a
+selfish or optimal flow opening a link, a threshold stage freezing, a
+plateau mark.  On each piece both costs are exact quadratics in the local
+demand u = r - lo, so a curve sample is a lookup plus Horner evaluation, and
+the supremum is a scan over the pieces: both ends of each piece (the right
+limit at a jump comes from the piece that starts there), the roots of the
+quadratic where the ratio's derivative vanishes inside a piece, and the
+ratio of leading coefficients on the unbounded last piece.  Closed-form
+worst-case bounds for the mechanisms live here as well.
 """
 from __future__ import annotations
 
@@ -13,23 +18,18 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .config import comparison_tolerance
-from .equilibrium import (
-    nash_flow,
-    opt_flow,
-    profile_cost,
-    water_fill,
-    worst_equilibrium_cost_two_links,
-)
+from .equilibrium import nash_flow, opt_flow, water_fill
 from .errors import (
+    EmptyNetwork,
     NegativeRate,
     NotContinuousAtEquilibrium,
     ParamTooSmall,
     RatioOutOfRange,
 )
-from .mechanisms import PlateauParams, ThresholdParams, mn_flow
+from .mechanisms import PlateauParams, ThresholdParams
 from .model import INF, ParallelNetwork, PiecewiseLatency
 
 # A mechanism is carried around as (parameters, modified latencies).
@@ -63,82 +63,182 @@ class BoundReport:
             raise ValueError(f"bound {self.name} below 1: {self.value}")
 
 
-def _nash_links(net: ParallelNetwork, r: float) -> int:
-    if net.has_flat_tail and r >= net.breakpoints[-1]:
-        return net.k
-    return max(1, min(bisect_left(net.breakpoints, r), net.k))
+class CostPiece(NamedTuple):
+    """Demands from lo to hi on which both costs keep one quadratic form.
+
+    The piece holds the demands strictly between lo and hi, hi itself when
+    ``closed``, and lo when the piece before it is not closed (the first
+    piece starts open at 0).  A piece with lo == hi holds that one demand.
+    ``num`` and ``den`` are the coefficients (c0, c1, c2) of the equilibrium
+    and the optimal cost as c0 + c1*u + c2*u^2 in u = r - lo.
+    """
+
+    lo: float
+    hi: float
+    closed: bool
+    regime: str
+    num: tuple[float, float, float]
+    den: tuple[float, float, float]
+
+    def costs(self, u: float) -> tuple[float, float]:
+        """Equilibrium and optimal cost at demand lo + u on this piece."""
+        n0, n1, n2 = self.num
+        d0, d1, d2 = self.den
+        return n0 + u * (n1 + u * n2), d0 + u * (d1 + u * d2)
 
 
-def _opt_links(net: ParallelNetwork, r: float) -> int:
-    if net.has_flat_tail and 2.0 * r >= net.breakpoints[-1]:
-        return net.k
-    return max(1, min(bisect_left(net.opt_breakpoints, r), net.k))
+class _Seg(NamedTuple):
+    # One closed form of one cost: a0 + a1*(r - anchor) + a2*(r - anchor)^2
+    # up to demand hi, which it holds when closed.  The segment starts where
+    # the one before it ends.
+    hi: float
+    closed: bool
+    tag: str
+    anchor: float
+    a0: float
+    a1: float
+    a2: float
+
+    def at(self, lo: float) -> tuple[float, float, float]:
+        # The same quadratic in u = r - lo.  Every cost rises with r, so a1
+        # and a2 are >= 0 and the slope terms add without cancellation.
+        s = lo - self.anchor
+        return self.a0 + s * (self.a1 + s * self.a2), self.a1 + 2.0 * s * self.a2, self.a2
 
 
-def _num_cost(net: ParallelNetwork, mech: Mechanism | None, r: float) -> float:
-    if mech is None:
-        return nash_flow(net, r).cost
-    params, lats = mech
-    if isinstance(params, ThresholdParams):
-        prof = mn_flow(net, params, r)
-        # Modified latencies agree with the originals at in-cap flows.
-        return profile_cost(net.links, prof.flows)
-    return worst_equilibrium_cost_two_links(lats, r)
+def _nash_segs(net: ParallelNetwork) -> Iterator[_Seg]:
+    # Selfish cost (r^2 + off_j r) / E_j while j links are used; a zero-slope
+    # last link takes every demand from its breakpoint on at its intercept.
+    k, flat = net.k, net.has_flat_tail
+    for j in range(1, k + 1 - flat):
+        e, o = net.eff_prefix[j - 1], net.off_prefix[j - 1]
+        hi = net.breakpoints[j] if j < k else INF
+        yield _Seg(hi, not (flat and j == k - 1), f"nash{j}", 0.0, 0.0, o / e, 1.0 / e)
+    if flat:
+        yield _Seg(INF, False, f"nash{k}", 0.0, 0.0, net.links[-1].intercept, 0.0)
 
 
-def _den_cost(net: ParallelNetwork, r: float) -> float:
-    return opt_flow(net, r).cost
+def _opt_segs(net: ParallelNetwork) -> Iterator[_Seg]:
+    # Optimal cost (r^2 + off_h r) / E_h - W_h / 4 while h links are used,
+    # opening at half the selfish breakpoints; linear past a zero-slope tail.
+    k, flat = net.k, net.has_flat_tail
+    for h in range(1, k + 1 - flat):
+        e, o = net.eff_prefix[h - 1], net.off_prefix[h - 1]
+        hi = net.breakpoints[h] / 2.0 if h < k else INF
+        yield _Seg(hi, not (flat and h == k - 1), f"opt{h}", 0.0,
+                   -net.spread_prefix[h - 1] / 4.0, o / e, 1.0 / e)
+    if flat:
+        start = net.breakpoints[-1] / 2.0
+        bk = net.links[-1].intercept
+        yield _Seg(INF, False, f"opt{k}", start, opt_flow(net, start).cost, bk, 0.0)
 
 
-def _ratio_at(net: ParallelNetwork, mech: Mechanism | None, r: float) -> float:
-    return _num_cost(net, mech, r) / _den_cost(net, r)
+def _clip(segs: Iterable[_Seg], lo: float, hi: float, closed: bool, tag: str) -> Iterator[_Seg]:
+    # The segments that cover the demands between lo and hi, the last one cut
+    # at hi with the given closure, all tagged with the regime name.
+    if not hi > lo:
+        return
+    for seg in segs:
+        if seg.hi <= lo:
+            continue
+        if seg.hi >= hi:
+            yield seg._replace(hi=hi, closed=closed, tag=tag)
+            return
+        yield seg._replace(tag=tag)
 
 
-def _regime(net: ParallelNetwork, mech: Mechanism | None, r: float) -> str:
-    h = _opt_links(net, r)
-    if mech is None:
-        return f"nash{_nash_links(net, r)}/opt{h}"
-    params = mech[0]
-    if isinstance(params, ThresholdParams):
-        remaining = r
-        idx = len(params.stages) - 1
-        for i, stage in enumerate(params.stages):
-            if stage.local_freeze_rate is None or remaining <= stage.local_freeze_rate:
-                idx = i
-                break
-            remaining -= stage.local_freeze_rate
-        return f"stage{idx}/opt{h}"
-    if r <= params.hold_start:
-        tag = "pre"
-    elif r <= params.jump_rate:
-        tag = "hold"
-    elif r < params.resume_rate:
-        tag = "jump"
+def _threshold_segs(net: ParallelNetwork, params: ThresholdParams) -> Iterator[_Seg]:
+    # Stage s: the caps frozen by earlier stages cost a constant, and the
+    # leftover demand r - start_s routes selfishly over the stage's suffix.
+    frozen = 0.0
+    for idx, stage in enumerate(params.stages):
+        start = stage.global_start_rate
+        end = INF if stage.local_freeze_rate is None else params.stages[idx + 1].global_start_rate
+        inner = (seg._replace(hi=start + seg.hi, anchor=start, a0=frozen)
+                 for seg in _nash_segs(stage.suffix_net))
+        yield from _clip(inner, start, end, True, f"stage{idx}")
+        frozen += math.fsum(cap * net.links[stage.start + off].value(cap)
+                            for off, cap in enumerate(stage.caps))
+
+
+def _plateau_segs(net: ParallelNetwork, params: PlateauParams,
+                  lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
+    # The costliest equilibrium is the selfish split before the hold, keeps
+    # hold_start on the first link during it, and once the second link
+    # reaches the plateau level both links sit at that level, so the cost is
+    # r times it, until the selfish split resumes.  Identity latencies stay
+    # selfish throughout.
+    hs, jump, resume = params.hold_start, params.jump_rate, params.resume_rate
+    nash = list(_nash_segs(net))
+    hold = jumped = nash
+    if len(lats[0].starts) > 1:
+        second = net.links[1]
+        hold = [_Seg(INF, True, "", hs, hs * lats[0].value(hs), second.intercept, second.slope)]
+        jumped = [_Seg(INF, True, "", 0.0, 0.0, lats[0].value(params.hold_end), 0.0)]
+    yield from _clip(nash, 0.0, hs, True, "pre")
+    yield from _clip(hold, hs, jump, True, "hold")
+    yield from _clip(jumped, jump, resume, False, "jump")
+    yield from _clip(nash, resume, INF, False, "post")
+
+
+def cost_pieces(net: ParallelNetwork, mechanism: Mechanism | None = None) -> tuple[CostPiece, ...]:
+    """Cut the demand axis into pieces on which both costs are quadratics.
+
+    The numerator is the selfish cost, the threshold mechanism's equilibrium
+    cost or the plateau mechanism's costliest equilibrium; the denominator
+    is the optimal cost.  Pieces follow in demand order, cover every demand
+    > 0 exactly once and end with an unbounded piece.  A regime tag names
+    the numerator's closed form and the optimal link count; at a demand
+    where the two costs change form on different sides, a one-demand piece
+    carries the pair that holds there.  Built in O(k) plus the size of the
+    mechanism.
+    """
+    if mechanism is None:
+        num = _nash_segs(net)
+    elif isinstance(mechanism[0], ThresholdParams):
+        num = _threshold_segs(net, mechanism[0])
     else:
-        tag = "post"
-    return f"{tag}/opt{h}"
+        num = _plateau_segs(net, *mechanism)
+    nums, dens = list(num), list(_opt_segs(net))
+    pieces: list[CostPiece] = []
+
+    def add(lo: float, hi: float, closed: bool, n: _Seg, d: _Seg) -> None:
+        if hi > lo or closed:
+            pieces.append(CostPiece(lo, hi, closed, f"{n.tag}/{d.tag}", n.at(lo), d.at(lo)))
+
+    lo, i, j = 0.0, 0, 0
+    while True:
+        n, d = nums[i], dens[j]
+        hi = min(n.hi, d.hi)
+        if hi == INF:
+            add(lo, INF, False, n, d)
+            return tuple(pieces)
+        n_next = nums[i + 1] if n.hi == hi else n
+        d_next = dens[j + 1] if d.hi == hi else d
+        # The segments that hold the demand hi itself.
+        n_at = n if n.closed or n.hi > hi else n_next
+        d_at = d if d.closed or d.hi > hi else d_next
+        if n_at is n and d_at is d:
+            add(lo, hi, True, n, d)
+        else:
+            add(lo, hi, False, n, d)
+            if n_at is not n_next or d_at is not d_next:
+                add(hi, hi, True, n_at, d_at)
+        i, j, lo = i + (n.hi == hi), j + (d.hi == hi), hi
+
+
+def _tail(piece: CostPiece) -> float:
+    # Limit of the ratio on the unbounded last piece: the ratio of leading
+    # coefficients, quadratic unless a zero-slope link makes both linear.
+    (_, n1, n2), (_, d1, d2) = piece.num, piece.den
+    return n2 / d2 if d2 > 0.0 else n1 / d1
 
 
 def curve_breakpoints(net: ParallelNetwork, mech: Mechanism | None = None) -> tuple[float, ...]:
     """Demands where either cost changes its quadratic piece."""
-    pts: set[float] = set()
-    for r in net.breakpoints[1:]:
-        pts.add(r)
-        pts.add(r / 2.0)
-    if mech is not None:
-        params = mech[0]
-        if isinstance(params, ThresholdParams):
-            for stage in params.stages:
-                for off in range(stage.suffix_net.k):
-                    pts.add(stage.global_start_rate + stage.suffix_net.breakpoints[off])
-                if stage.local_freeze_rate is not None:
-                    pts.add(stage.global_start_rate + stage.local_freeze_rate)
-        else:
-            pts.update((params.hold_start, params.jump_rate, params.resume_rate))
     out: list[float] = []
-    for p in sorted(pts):
-        if p <= 0.0 or not math.isfinite(p):
-            continue
+    for piece in cost_pieces(net, mech)[:-1]:
+        p = piece.hi
         if out and p - out[-1] <= 1e-12 * max(1.0, p):
             continue
         out.append(p)
@@ -148,122 +248,68 @@ def curve_breakpoints(net: ParallelNetwork, mech: Mechanism | None = None) -> tu
 def ratio_curve(net: ParallelNetwork, mechanism: Mechanism | None,
                 r_grid: Sequence[float]) -> list[CurveSample]:
     """Evaluate the cost ratio on a grid of positive demands."""
+    pieces = cost_pieces(net, mechanism)
+    his = [p.hi for p in pieces]
     samples = []
     for raw in r_grid:
         r = float(raw)
         if not (r > 0.0) or not math.isfinite(r):
             raise NegativeRate(f"curve rates must be positive and finite, got {raw!r}")
-        num = _num_cost(net, mechanism, r)
-        den = _den_cost(net, r)
-        samples.append(CurveSample(r, num, den, num / den, _regime(net, mechanism, r)))
+        i = bisect_left(his, r)
+        if his[i] == r and not pieces[i].closed:
+            i += 1
+        num, den = pieces[i].costs(r - pieces[i].lo)
+        samples.append(CurveSample(r, num, den, num / den, pieces[i].regime))
     return samples
 
 
 def tail_ratio(net: ParallelNetwork, mechanism: Mechanism | None = None) -> float:
     """Limit of the cost ratio as demand grows without bound."""
-    if mechanism is None or isinstance(mechanism[0], PlateauParams):
-        return 1.0
-    if net.has_flat_tail:
-        return 1.0
-    final_suffix = mechanism[0].stages[-1].suffix_net
-    return net.eff_prefix[-1] / final_suffix.eff_prefix[-1]
-
-
-def _quad_through(s: float, y0: float, y1: float, y2: float) -> tuple[float, float, float]:
-    # Interpolate through (-s, y0), (0, y1), (s, y2); costs are quadratic per
-    # segment, so this recovers the true coefficients up to rounding.
-    a2 = (y0 - 2.0 * y1 + y2) / (2.0 * s * s)
-    a1 = (y2 - y0) / (2.0 * s)
-    return a2, a1, y1
+    return _tail(cost_pieces(net, mechanism)[-1])
 
 
 def _quad_roots(A: float, B: float, C: float) -> list[float]:
     if A == 0.0:
-        if B == 0.0:
-            return []
-        return [-C / B]
+        return [-C / B] if B != 0.0 else []
     disc = B * B - 4.0 * A * C
     if disc < 0.0:
         return []
-    sq = math.sqrt(disc)
-    return [(-B - sq) / (2.0 * A), (-B + sq) / (2.0 * A)]
-
-
-def _segment_candidates(net: ParallelNetwork, mech: Mechanism | None,
-                        p: float, q: float) -> list[float]:
-    # Candidate demands inside one segment: analytic extrema of the ratio of
-    # the two fitted quadratics, plus a coarse safety grid.
-    out = []
-    width = q - p
-    mid = 0.5 * (p + q)
-    step = 0.25 * width
-    fit_rs = [mid - step, mid, mid + step]
-    n2, n1, n0 = _quad_through(step, *[_num_cost(net, mech, r) for r in fit_rs])
-    d2, d1, d0 = _quad_through(step, *[_den_cost(net, r) for r in fit_rs])
-    A = n2 * d1 - n1 * d2
-    B = 2.0 * (n2 * d0 - n0 * d2)
-    C = n1 * d0 - n0 * d1
-    for u in _quad_roots(A, B, C):
-        r = u + mid
-        if p < r < q:
-            out.append(r)
-    for i in range(1, 9):
-        out.append(p + width * i / 9.0)
-    return out
-
-
-def _tail_candidates(net: ParallelNetwork, mech: Mechanism | None,
-                     p: float) -> list[float]:
-    delta = max(1.0, p)
-    mid = p + 2.0 * delta
-    fit_rs = [mid - delta, mid, mid + delta]
-    n2, n1, n0 = _quad_through(delta, *[_num_cost(net, mech, r) for r in fit_rs])
-    d2, d1, d0 = _quad_through(delta, *[_den_cost(net, r) for r in fit_rs])
-    A = n2 * d1 - n1 * d2
-    B = 2.0 * (n2 * d0 - n0 * d2)
-    C = n1 * d0 - n0 * d1
-    out = [r for u in _quad_roots(A, B, C) if (r := u + mid) > p]
-    out.extend(p * f for f in (1.5, 2.0, 3.0, 5.0, 8.0))
-    return out
+    # The root away from zero first, the other from the product C / A, so
+    # neither subtracts two nearly equal numbers.
+    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    return [q / A, C / q] if q != 0.0 else [0.0]
 
 
 def ratio_sup(net: ParallelNetwork, mechanism: Mechanism | None = None) -> tuple[float, float]:
     """Supremum of the cost ratio over all demands, with its location.
 
-    Enumerates segment breakpoints, right limits just past each breakpoint,
-    analytic per-segment extrema, the plateau jump limit and the tail limit.
+    Scans the pieces of :func:`cost_pieces`: each piece's value at both
+    ends, which covers the value at every piece boundary and the one-sided
+    limits of a jump, and the zeros of n'd - nd' inside the piece, a
+    quadratic in u.  The limit on the unbounded last piece counts last.
     Ties go to the smallest demand; a supremum attained only in the limit of
-    large demand reports location inf.
+    large demand reports location inf.  A single piece has a constant ratio,
+    reported at demand 1.
     """
-    bps = curve_breakpoints(net, mechanism)
-    cands: list[float] = [1.0] if not bps else []
-    edges = [0.0, *bps]
-    for b in bps:
-        cands.append(b)
-        cands.append(b * (1.0 + 1e-12))
-    for p, q in zip(edges, edges[1:]):
-        if q - p <= 1e-15 * max(1.0, q):
-            continue
-        cands.extend(_segment_candidates(net, mechanism, p, q))
-    if bps:
-        cands.extend(_tail_candidates(net, mechanism, bps[-1]))
-
-    best_val = -INF
-    best_r = INF
-    for r in sorted({c for c in cands if c > 0.0 and math.isfinite(c)}):
-        val = _ratio_at(net, mechanism, r)
-        if val > best_val:
-            best_val, best_r = val, r
-
-    if mechanism is not None and isinstance(mechanism[0], PlateauParams):
-        params, lats = mechanism
-        if len(lats[0].starts) > 1:  # plateau actually present
-            plateau_value = lats[0].value(params.hold_end)
-            jump_val = plateau_value * params.jump_rate / _den_cost(net, params.jump_rate)
-            if jump_val > best_val:
-                best_val, best_r = jump_val, params.jump_rate
-
-    tail = tail_ratio(net, mechanism)
+    pieces = cost_pieces(net, mechanism)
+    best_val, best_r = -INF, INF
+    if len(pieces) == 1:
+        num, den = pieces[0].costs(1.0)
+        best_val, best_r = num / den, 1.0
+    for p in pieces:
+        (n0, n1, n2), (d0, d1, d2) = p.num, p.den
+        width = p.hi - p.lo
+        roots = _quad_roots(n2 * d1 - n1 * d2, 2.0 * (n2 * d0 - n0 * d2), n1 * d0 - n0 * d1)
+        us = [0.0] if p.lo > 0.0 else []
+        us.extend(sorted(u for u in roots if 0.0 < u < width))
+        if width < INF:
+            us.append(width)
+        for u in us:
+            num, den = p.costs(u)
+            val = num / den
+            if val > best_val:
+                best_val, best_r = val, (p.hi if u == width else p.lo + u)
+    tail = _tail(pieces[-1])
     if tail > best_val:
         best_val, best_r = tail, INF
     return best_val, best_r
@@ -362,7 +408,7 @@ def greedy_parameters(k: int) -> list[int]:
     even when the integers get large.
     """
     if k < 1:
-        raise ValueError(f"need at least one link, got k={k}")
+        raise EmptyNetwork(f"need at least one link, got k={k}")
     Rs: list[Fraction] = []
     inner = Fraction(1)
     four_thirds = Fraction(4, 3)

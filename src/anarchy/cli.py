@@ -241,8 +241,8 @@ def _emit_svg(path: str, samples, breakpoints) -> None:
 def cmd_bounds(args: argparse.Namespace) -> int:
     kind = args.kind
     if kind == "greedy":
-        if args.links is None:
-            raise SchemaError("greedy bound needs --links")
+        if args.links is None or args.links < 1:
+            raise SchemaError("greedy bound needs --links N with N >= 1")
         Rs = greedy_parameters(args.links)
         report = recurrence_bound(Rs)
         print(f"multipliers for {args.links} links: {Rs}")

@@ -101,22 +101,13 @@ def nash_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     return EquilibriumResult(profile, level=level, used_count=profile.used_count, cost=cost)
 
 
-def _pairwise_spread(net: ParallelNetwork, h: int) -> float:
-    # sum over i < g <= h of (b_g - b_i)^2 eff_g eff_i / (4 eff_prefix_h):
-    # the fixed saving an optimal flow extracts from intercept spread.
-    terms = []
-    for g in range(1, h):
-        for i in range(g):
-            d = net.links[g].intercept - net.links[i].intercept
-            terms.append(d * d * net.efficiency[g] * net.efficiency[i])
-    return math.fsum(terms) / (4.0 * net.eff_prefix[h - 1])
-
-
 def opt_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     """System-optimal flow: used links share one marginal cost.
 
     Link h opens at half its selfish breakpoint.  The reported level is the
-    equalized marginal cost (2*slope*flow + intercept on used links).
+    equalized marginal cost (2*slope*flow + intercept on used links).  The
+    cost is (rate^2 + off_prefix_h * rate) / eff_prefix_h minus a quarter of
+    the intercept spread ``spread_prefix`` of the used links.
     """
     check_rate(rate)
     k = net.k
@@ -143,7 +134,7 @@ def opt_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     for i in range(h):
         flows[i] = max(0.0, net.efficiency[i] * ((top - net.links[i].intercept) + past) / 2.0)
     profile = FlowProfile(rate=rate, flows=tuple(flows))
-    cost = (rate * rate + off_h * rate) / eff_h - _pairwise_spread(net, h)
+    cost = (rate * rate + off_h * rate) / eff_h - net.spread_prefix[h - 1] / 4.0
     return EquilibriumResult(profile, level=level, used_count=profile.used_count, cost=cost)
 
 
@@ -210,20 +201,26 @@ def is_user_equilibrium(lats: Sequence[LatencyLike], profile: FlowProfile,
     return EquilibriumCheck(True)
 
 
-def _flow_bounds(lat, level: float) -> tuple[float, float]:
-    """Least and greatest flow a link can carry in an equilibrium at `level`.
+def _flow_bounds(lat, corner: float, past: float = 0.0) -> tuple[float, float]:
+    """Least and greatest flow a link can carry in an equilibrium at a level.
 
-    The greatest is the most flow whose latency stays <= level.  The least is
-    sup{x : right_liminf(x) < level}: below it the link still shows a latency
-    under the level just above its flow, so users elsewhere would move here.
-    Both come from comparing the level with segment corner levels, so a flow
-    at a segment end comes out as that end, never as a recomputed neighbour.
+    The level is ``corner + past``: a corner level plus, when the level lies
+    strictly between two corners, the part above the lower one.  The
+    greatest flow is the most flow whose latency stays <= level.  The least
+    is sup{x : right_liminf(x) < level}: below it the link still shows a
+    latency under the level just above its flow, so users elsewhere would
+    move here.  Both come from comparing the level with segment corner
+    levels, so a flow at a segment end comes out as that end, never as a
+    recomputed neighbour.  On a rising segment the flow is
+    lo + ((corner - v_lo) + past) / slope, which keeps the rounding of the
+    level itself out of it.
     """
+    level = corner + past
     least = most = 0.0
     for lo, hi, m, v_lo, v_hi in lat.segments:
         if level < v_lo:
             break
-        x = hi if level >= v_hi else min(hi, lo + (level - v_lo) / m)
+        x = hi if level >= v_hi else min(hi, lo + ((corner - v_lo) + past) / m)
         most = x
         if level > v_lo:
             least = x
@@ -243,15 +240,17 @@ def _supply_events(lat):
                 yield v_hi, 0.0, -1.0 / m
 
 
-def _fill_level(lats: Sequence, rate: float) -> float:
+def _fill_level(lats: Sequence, rate: float) -> tuple[float, float]:
     """Least latency level at which the links together absorb `rate`.
 
     Walks the sorted corner levels once, carrying the supply and its slope.
     The walk stops at the last corner `prev` not past the answer; there the
     supply is recomputed exactly.  If it already covers the rate (the rate
-    falls in a jump at `prev`, or on it) the level is `prev`, else the level
-    is prev + (rate - S(prev)) / sum(1/slope) on the piece that follows, kept
-    at or below the corner that ends the piece.
+    falls in a jump at `prev`, or on it) the level is `prev`.  Otherwise the
+    rest of the rate spreads over the rising segments: the level is `prev`
+    plus (rate - S(prev)) / sum(1/slope), or the next corner if that is
+    reached first.  Returns the level as (corner, part above the corner),
+    the form :func:`_flow_bounds` takes.
     """
     events = sorted(ev for lat in lats for ev in _supply_events(lat))
     prev = min(lat.value(0.0) for lat in lats)
@@ -268,21 +267,19 @@ def _fill_level(lats: Sequence, rate: float) -> float:
         growth += dgrowth
     have = _supply(lats, prev)
     if have >= rate:
-        return prev
+        return prev, 0.0
     growth = math.fsum(
         1.0 / m
         for lat in lats
         for _, _, m, v_lo, v_hi in lat.segments
         if m > 0.0 and v_lo <= prev < v_hi
     )
-    level = min(stop, prev + (rate - have) / growth if growth > 0.0 else INF)
-    if level == INF:
+    past = (rate - have) / growth if growth > 0.0 else INF
+    if prev + past < stop:
+        return prev, past
+    if stop == INF:
         raise InfeasibleRate(f"no finite level absorbs rate {rate}")
-    # The interpolated level is a rounded double: step up to the first one
-    # whose supply covers the rate, so every flow interval can be clipped to it.
-    while level < stop and _supply(lats, level) < rate:
-        level = math.nextafter(level, INF)
-    return level
+    return stop, 0.0
 
 
 def _supply(lats: Sequence, level: float) -> float:
@@ -299,9 +296,11 @@ def water_fill(lats: Sequence, rate: float, *, latency_family: str = "original",
     least L with S(L) >= rate: exactly a corner level when the rate falls
     inside a jump there, else by linear interpolation on the piece that holds
     it.  Per-link flow intervals at L follow from comparing L with segment
-    corner levels.  The canonical profile spreads the rate across the
-    intervals proportionally to their widths and is verified to be an
-    equilibrium.  Cost is O(n log n) in the total number of segments.
+    corner levels; on rising segments the flow past the last corner is the
+    rest of the rate shared in proportion to 1/slope, the difference form
+    :func:`nash_flow` uses, so the rounding of L stays out of the flows.
+    The canonical profile spreads the rate across the intervals
+    proportionally to their widths and is verified to be an equilibrium.  Cost is O(n log n) in the total number of segments.
     """
     check_rate(rate)
     lats = list(lats)
@@ -309,10 +308,11 @@ def water_fill(lats: Sequence, rate: float, *, latency_family: str = "original",
     if capacity < rate:
         raise InfeasibleRate(f"total capacity {capacity} below rate {rate}")
 
-    level = _fill_level(lats, rate)
+    corner, past = _fill_level(lats, rate)
+    level = corner + past
     intervals = []
     for lat in lats:
-        least, most = _flow_bounds(lat, level)
+        least, most = _flow_bounds(lat, corner, past)
         hi_f = min(most, rate)
         intervals.append((min(least, hi_f), hi_f))
     total_lo = math.fsum(lo for lo, _ in intervals)

@@ -102,6 +102,30 @@ class ParallelNetwork:
         """True when the last link has zero slope (unbounded capacity at fixed cost)."""
         return self.links[-1].slope == 0.0
 
+    @cached_property
+    def spread_prefix(self) -> tuple[float, ...]:
+        """Efficiency-weighted spread of the intercepts over links 0..h.
+
+        ``spread_prefix[h]`` is W = sum_i e_i (b_i - m)^2 over links 0..h,
+        with m the efficiency-weighted mean intercept, so that
+        ``eff_prefix[h] * W`` equals the sum over pairs i < g <= h of
+        e_i e_g (b_g - b_i)^2.  A weighted Welford update adds only
+        non-negative terms.  A zero-slope last link has no finite spread and
+        is left out.
+        """
+        out = []
+        total = mean = spread = 0.0
+        for e, link in zip(self.efficiency, self.links):
+            if not math.isfinite(e):
+                break
+            grown = total + e
+            delta = link.intercept - mean
+            spread += e * total / grown * delta * delta
+            mean += delta * e / grown
+            total = grown
+            out.append(spread)
+        return tuple(out)
+
     @property
     def opt_breakpoints(self) -> tuple[float, ...]:
         """Demands at which a system-optimal flow first touches each link."""
@@ -169,13 +193,14 @@ def normalize_network(raw_links: Iterable[AffineLatency | Mapping[str, float]]) 
         eff_prefix.append(se)
         off_prefix.append(so)
 
-    # breakpoints[j] = sum_{i<j} (b_j - b_i) * efficiency_i, finite even for a
-    # zero-slope final link because only earlier efficiencies enter.
-    intercepts = [l.intercept for l in merged]
-    breakpoints = []
-    for j in range(k):
-        bj = intercepts[j]
-        breakpoints.append(math.fsum((bj - intercepts[i]) * eff[i] for i in range(j)))
+    # breakpoints[j] = sum_{i<j} (b_j - b_i) * efficiency_i, built by the
+    # recurrence bp[j] = bp[j-1] + (b_j - b_{j-1}) * eff_prefix[j-1], which
+    # adds only non-negative terms.  Finite even for a zero-slope final link
+    # because only earlier efficiencies enter.
+    breakpoints = [0.0]
+    for j in range(1, k):
+        gap = merged[j].intercept - merged[j - 1].intercept
+        breakpoints.append(breakpoints[-1] + gap * eff_prefix[j - 1])
 
     net = ParallelNetwork(
         links=tuple(merged),

@@ -17,19 +17,25 @@ from anarchy import (
     build_plateau_mechanism,
     build_threshold_mechanism,
     continuity_no_improvement_check,
+    cost_pieces,
     curve_breakpoints,
     greedy_parameters,
     lower_bound_value,
+    mn_flow,
     nash_flow,
     normalize_network,
+    opt_flow,
+    profile_cost,
     ratio_curve,
     ratio_sup,
     recurrence_bound,
     solve_plateau_params,
     tail_ratio,
     two_link_simple_bound,
+    worst_equilibrium_cost_two_links,
 )
-from anarchy.mechanisms import MIN_PLATEAU_RATIO, PLATEAU_TARGET
+from anarchy.mechanisms import MIN_PLATEAU_RATIO, PLATEAU_TARGET, PlateauParams, ThresholdParams
+from conftest import random_network
 
 
 def test_pigou_sup_four_thirds(pigou):
@@ -64,6 +70,61 @@ def test_curve_breakpoints_pigou(pigou):
     params, lats = build_threshold_mechanism(pigou, [2.0])
     pts = curve_breakpoints(pigou, (params, lats))
     assert 0.5 in pts  # the freeze point survives deduplication
+
+
+def test_threshold_tags_at_freeze_point(pigou):
+    # The capped stage holds its freeze point while the optimum already uses
+    # the flat link there: a one-demand piece carries that pair.
+    params, lats = build_threshold_mechanism(pigou, [2.0])
+    rows = ratio_curve(pigou, (params, lats), [0.5 * (1 - 1e-12), 0.5, 0.5 * (1 + 1e-12)])
+    assert [s.regime for s in rows] == ["stage0/opt1", "stage0/opt2", "stage1/opt2"]
+    pieces = cost_pieces(pigou, (params, lats))
+    assert [(p.lo, p.hi, p.closed) for p in pieces] == [
+        (0.0, 0.5, False), (0.5, 0.5, True), (0.5, math.inf, False)]
+
+
+def _solver_costs(net, mech, r):
+    den = opt_flow(net, r).cost
+    if mech is None:
+        return nash_flow(net, r).cost, den
+    if isinstance(mech[0], ThresholdParams):
+        return profile_cost(net.links, mn_flow(net, mech[0], r).flows), den
+    return worst_equilibrium_cost_two_links(mech[1], r), den
+
+
+def test_cost_pieces_match_flow_solvers():
+    rng = random.Random(31)
+    cases = []
+    for _ in range(30):
+        net = random_network(rng, kmax=7, allow_flat=True)
+        cases.append((net, None))
+        if net.k >= 2:
+            cases.append((net, build_threshold_mechanism(net, [rng.uniform(2.0, 4.0)] * (net.k - 1))))
+    for _ in range(15):
+        R = rng.uniform(1.2, 150.0)
+        net = normalize_network([{"a": 1.0, "b": 0.0}, {"a": 1.0 / R, "b": rng.uniform(0.1, 2.0)}])
+        r2 = net.breakpoints[1]
+        # At or below 96/53 the latencies stay affine but the marks still set the regimes.
+        params = (solve_plateau_params(net) if R > MIN_PLATEAU_RATIO
+                  else PlateauParams.from_flows(net, 0.7 * r2, 1.5 * r2))
+        cases.append((net, (params, list(build_plateau_mechanism(net, params)))))
+    for net, mech in cases:
+        pieces = cost_pieces(net, mech)
+        assert pieces[0].lo == 0.0 and math.isinf(pieces[-1].hi)
+        for a, b in zip(pieces, pieces[1:]):
+            assert b.lo == a.hi and b.lo <= b.hi
+            assert b.lo < b.hi or b.closed  # a one-demand piece holds its demand
+        marks = curve_breakpoints(net, mech)
+        rates = [rng.uniform(0.0, 3.0 * max(marks, default=1.0)) for _ in range(40)] + list(marks)
+        jump = mech[0].jump_rate if mech is not None and isinstance(mech[0], PlateauParams) else None
+        for sample in ratio_curve(net, mech, rates):
+            num, den = _solver_costs(net, mech, sample.r)
+            assert sample.cost_den == pytest.approx(den, rel=1e-9), (net.to_json_dict(), sample)
+            # Within 1e-9 below a plateau jump the certificate's slack admits a
+            # split just past hold_start, worth the jump's cost.
+            if jump is not None and abs(sample.r - jump) <= 1e-9 * jump:
+                continue
+            assert sample.cost_num == pytest.approx(num, rel=1e-9), (net.to_json_dict(), sample)
 
 
 def test_tail_ratios():

@@ -229,6 +229,12 @@ def test_exit_code_bad_numbers(pigou_file, mech_file, monkeypatch, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("links", ["0", "-3"])
+def test_exit_code_bad_link_count(links, capsys):
+    assert main(["bounds", "greedy", "--links", links]) == 2
+    assert "--links" in capsys.readouterr().err
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.json"), "--rate", "1"]) == 4
 

@@ -103,10 +103,43 @@ def test_large_efficiency_keeps_flows_summing_to_rate():
     assert water_fill(as_pieces(net), rate).profile.flows == pytest.approx((rate,), rel=1e-12)
 
 
+@pytest.mark.parametrize("gaps", [(0.0, 1e-12), (0.0, 1e-12, 2e-12)])
+@pytest.mark.parametrize("rate", [1e-3, 1.0])
+def test_water_fill_large_efficiencies_on_several_links(gaps, rate):
+    # Each flow used to be recomputed from the rounded level, where one ulp
+    # is 1e-8 of flow; the flows then missed the rate by more than 1e-9.
+    net = normalize_network([{"a": 1e-8, "b": 0.5 + g} for g in gaps])
+    res = water_fill(as_pieces(net), rate)
+    assert math.fsum(res.profile.flows) == pytest.approx(rate, rel=1e-12)
+    assert res.profile.flows == pytest.approx(nash_flow(net, rate).profile.flows, rel=1e-9)
+    assert res.cost == pytest.approx(nash_flow(net, rate).cost, rel=1e-12)
+
+
 def test_zero_rate(pigou):
     res = nash_flow(pigou, 0.0)
     assert res.cost == 0.0
     assert res.used_count == 0
+
+
+def pairwise_spread(net, h):
+    # sum over pairs i < g < h of (b_g - b_i)^2 eff_g eff_i / (4 eff_prefix_h),
+    # the fixed saving an optimal flow on h links extracts from intercept spread.
+    terms = [
+        (net.links[g].intercept - net.links[i].intercept) ** 2 * net.efficiency[g] * net.efficiency[i]
+        for g in range(1, h) for i in range(g)
+    ]
+    return math.fsum(terms) / (4.0 * net.eff_prefix[h - 1])
+
+
+def test_spread_prefix_matches_pairwise_sum():
+    rng = random.Random(44)
+    for _ in range(200):
+        net = random_network(rng, kmax=9, allow_flat=True)
+        finite = net.k - net.has_flat_tail
+        assert len(net.spread_prefix) == finite
+        for h in range(1, finite + 1):
+            want = pairwise_spread(net, h)
+            assert net.spread_prefix[h - 1] / 4.0 == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 # ------------------------------------------------------------------ increments

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -82,6 +83,18 @@ def test_prefix_identities_hold():
             assert net.off_prefix[j - 1] + net.breakpoints[j] == pytest.approx(
                 b * net.eff_prefix[j - 1], rel=1e-12
             )
+
+
+def test_breakpoints_match_direct_sum():
+    rng = random.Random(17)
+    for _ in range(100):
+        k = rng.randint(1, 40)
+        links = [{"a": 10 ** rng.uniform(-6, 6), "b": 10 ** rng.uniform(-6, 6)} for _ in range(k)]
+        net = normalize_network(links)
+        for j in range(net.k):
+            b = net.links[j].intercept
+            want = math.fsum((b - net.links[i].intercept) * net.efficiency[i] for i in range(j))
+            assert net.breakpoints[j] == pytest.approx(want, rel=1e-12)
 
 
 def test_network_from_dict_schema_errors():
