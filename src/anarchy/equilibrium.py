@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .config import comparison_tolerance
-from .errors import InfeasibleRate, SegmentMismatch, TooManyLinks
+from .errors import InfeasibleRate, NotTwoLinks, SegmentMismatch
 from .model import INF, FlowProfile, ParallelNetwork, check_rate
 
 
@@ -351,7 +351,7 @@ def worst_equilibrium_cost_two_links(lats: Sequence, rate: float,
     cost counts.  Ties go to the smaller split.
     """
     if len(lats) != 2:
-        raise TooManyLinks(f"worst-equilibrium search needs exactly 2 links, got {len(lats)}")
+        raise NotTwoLinks(f"worst-equilibrium search needs exactly 2 links, got {len(lats)}")
     check_rate(rate)
     if rate == 0.0:
         return 0.0

@@ -33,12 +33,8 @@ class InfeasibleRate(AnarchyError):
     """Total link capacity cannot absorb the requested rate."""
 
 
-class TooManyLinks(AnarchyError):
-    """Operation is defined for exactly two links."""
-
-
 class NotTwoLinks(AnarchyError):
-    """Mechanism is defined for exactly two links."""
+    """Operation or mechanism is defined for exactly two links."""
 
 
 class BadParamCount(AnarchyError):
@@ -53,13 +49,18 @@ class ParamOutOfRange(AnarchyError):
     """Mechanism parameter outside its feasible range."""
 
 
-class RatioTooSmall(AnarchyError):
-    """Slope ratio too small for the plateau construction."""
-
-
 class RatioOutOfRange(AnarchyError):
-    """Slope ratio outside the supported range."""
+    """Slope ratio outside the supported range, e.g. too small for a plateau."""
+
+
+class InvalidModelValue(AnarchyError, ValueError):
+    """A piecewise latency or flow profile built from inconsistent values."""
 
 
 class NotContinuousAtEquilibrium(AnarchyError):
     """Modified latency is discontinuous at the equilibrium point."""
+
+
+# Former names of the merged types.
+TooManyLinks = NotTwoLinks
+RatioTooSmall = RatioOutOfRange

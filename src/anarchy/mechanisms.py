@@ -11,6 +11,7 @@ a better worst-case ratio.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,10 +22,17 @@ from .errors import (
     NotTwoLinks,
     ParamOutOfRange,
     ParamTooSmall,
-    RatioTooSmall,
+    RatioOutOfRange,
     SchemaError,
 )
-from .model import INF, FlowProfile, ParallelNetwork, PiecewiseLatency, check_rate
+from .model import (
+    INF,
+    AffineLatency,
+    FlowProfile,
+    ParallelNetwork,
+    PiecewiseLatency,
+    check_rate,
+)
 
 # Below this slope ratio the unmodified two-link instance already meets the
 # plateau mechanism's 1.192 target, so the identity modification is used.
@@ -131,17 +139,14 @@ def mn_flow(net: ParallelNetwork, params: ThresholdParams, rate: float) -> FlowP
     """
     check_rate(rate)
     flows = [0.0] * net.k
-    remaining = rate
-    for stage in params.stages:
-        if stage.local_freeze_rate is None or remaining <= stage.local_freeze_rate:
-            inner = nash_flow(stage.suffix_net, remaining)
-            for off, f in enumerate(inner.profile.flows):
-                flows[stage.start + off] = f
-            remaining = 0.0
-            break
-        for off, cap in enumerate(stage.caps):
-            flows[stage.start + off] = cap
-        remaining -= stage.local_freeze_rate
+    # Stage s holds the demands in (freeze_points[s-1], freeze_points[s]],
+    # the same cut that cost_pieces makes.
+    idx = bisect_left(params.freeze_points, rate)
+    for frozen in params.stages[:idx]:
+        flows[frozen.start:frozen.start + len(frozen.caps)] = frozen.caps
+    stage = params.stages[idx]
+    inner = nash_flow(stage.suffix_net, rate - stage.global_start_rate)
+    flows[stage.start:] = inner.profile.flows
     return FlowProfile(rate=rate, flows=tuple(flows), latency_family="modified")
 
 
@@ -181,6 +186,16 @@ def mn_uses_links_no_earlier_than_opt(
     return LinkUsageCheck(True)
 
 
+def _two_links(net: ParallelNetwork) -> tuple[AffineLatency, AffineLatency]:
+    # The plateau construction needs exactly two links, the second one rising.
+    if net.k != 2:
+        raise NotTwoLinks(f"plateau mechanism needs 2 links, got {net.k}")
+    first, second = net.links
+    if second.slope <= 0.0:
+        raise ParamOutOfRange("plateau mechanism needs a positive second slope")
+    return first, second
+
+
 @dataclass(frozen=True)
 class PlateauParams:
     """Two-link plateau marks and the rates they induce.
@@ -212,12 +227,11 @@ class PlateauParams:
     @classmethod
     def from_flows(cls, net: ParallelNetwork, hold_start: float,
                    hold_end: float) -> "PlateauParams":
-        if net.k != 2:
-            raise NotTwoLinks(f"plateau mechanism needs 2 links, got {net.k}")
-        a1, b1 = net.links[0].slope, net.links[0].intercept
-        a2, b2 = net.links[1].slope, net.links[1].intercept
-        if a2 <= 0.0:
-            raise ParamOutOfRange("plateau mechanism needs a positive second slope")
+        first, second = _two_links(net)
+        a1, b1 = first.slope, first.intercept
+        a2, b2 = second.slope, second.intercept
+        if not (math.isfinite(hold_start) and math.isfinite(hold_end)):
+            raise ParamOutOfRange(f"plateau marks must be finite, got {hold_start}, {hold_end}")
         r2 = net.breakpoints[1]
         tol = 1e-9 * max(1.0, r2)
         if not (r2 / 2.0 - tol <= hold_start <= r2 + tol):
@@ -250,12 +264,8 @@ def build_plateau_mechanism(
     When the slope ratio is at most 96/53 the unmodified instance already
     meets the target, so both latencies are returned as-is.
     """
-    if net.k != 2:
-        raise NotTwoLinks(f"plateau mechanism needs 2 links, got {net.k}")
-    first, second = net.links
+    first, second = _two_links(net)
     identity = (PiecewiseLatency.from_affine(first), PiecewiseLatency.from_affine(second))
-    if second.slope <= 0.0:
-        raise ParamOutOfRange("plateau mechanism needs a positive second slope")
     ratio = first.slope / second.slope
     if ratio <= MIN_PLATEAU_RATIO:
         return identity
@@ -303,15 +313,10 @@ def solve_plateau_params(net: ParallelNetwork) -> PlateauParams:
     (minimized over the jump rate), which only lowers the maximum.  Requires
     a slope ratio above 96/53.
     """
-    if net.k != 2:
-        raise NotTwoLinks(f"plateau mechanism needs 2 links, got {net.k}")
-    a1 = net.links[0].slope
-    a2 = net.links[1].slope
-    if a2 <= 0.0:
-        raise ParamOutOfRange("plateau mechanism needs a positive second slope")
-    R = a1 / a2
+    first, second = _two_links(net)
+    R = first.slope / second.slope
     if R <= MIN_PLATEAU_RATIO:
-        raise RatioTooSmall(
+        raise RatioOutOfRange(
             f"slope ratio {R} is at most {MIN_PLATEAU_RATIO}; no modification needed"
         )
     hold_peak, beta_for, jump_peak = _plateau_terms(R)

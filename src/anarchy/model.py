@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .config import IDENTITY_RTOL
 from .errors import (
     EmptyNetwork,
+    InvalidModelValue,
     NegativeCoefficient,
     NegativeRate,
     SchemaError,
@@ -273,47 +272,35 @@ class PiecewiseLatency:
 
     def __post_init__(self) -> None:
         if not self.starts or len(self.starts) != len(self.slopes) or len(self.starts) != len(self.offsets):
-            raise ValueError("segments need matching starts/slopes/offsets")
+            raise InvalidModelValue("segments need matching starts/slopes/offsets")
         object.__setattr__(self, "starts", tuple(float(s) for s in self.starts))
         object.__setattr__(self, "slopes", tuple(float(s) for s in self.slopes))
         object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
         object.__setattr__(self, "cap", float(self.cap))
         if self.starts[0] != 0.0:
-            raise ValueError("first segment must start at 0")
+            raise InvalidModelValue("first segment must start at 0")
         for a, b in zip(self.starts, self.starts[1:]):
             if not b > a:
-                raise ValueError("segment starts must be strictly increasing")
+                raise InvalidModelValue("segment starts must be strictly increasing")
         for m in self.slopes:
             if not math.isfinite(m) or m < 0.0:
-                raise ValueError("segment slopes must be finite and >= 0")
+                raise InvalidModelValue("segment slopes must be finite and >= 0")
         for c in self.offsets:
             if not math.isfinite(c):
-                raise ValueError("segment offsets must be finite")
+                raise InvalidModelValue("segment offsets must be finite")
         if math.isnan(self.cap) or self.cap < 0.0:
-            raise ValueError("cap must be >= 0")
+            raise InvalidModelValue("cap must be >= 0")
         # Non-decreasing across boundaries: left value <= right value.
         for i in range(1, len(self.starts)):
             s = self.starts[i]
             left = self.slopes[i - 1] * s + self.offsets[i - 1]
             right = self.slopes[i] * s + self.offsets[i]
-            if right < left - 1e-12 * max(1.0, abs(left)):
-                raise ValueError(f"value drops at boundary {s}: {left} -> {right}")
+            if not _at_least(right, left):
+                raise InvalidModelValue(f"value drops at boundary {s}: {left} -> {right}")
 
     @classmethod
     def from_affine(cls, lat: AffineLatency, cap: float = INF) -> "PiecewiseLatency":
         return cls(starts=(0.0,), slopes=(lat.slope,), offsets=(lat.intercept,), cap=cap)
-
-    @cached_property
-    def _starts_arr(self) -> np.ndarray:
-        return np.asarray(self.starts)
-
-    @cached_property
-    def _slopes_arr(self) -> np.ndarray:
-        return np.asarray(self.slopes)
-
-    @cached_property
-    def _offsets_arr(self) -> np.ndarray:
-        return np.asarray(self.offsets)
 
     def value(self, x: float) -> float:
         """Latency at flow x (the left limit at segment boundaries)."""
@@ -328,16 +315,6 @@ class PiecewiseLatency:
             return INF
         idx = max(0, bisect_right(self.starts, x) - 1)
         return self.slopes[idx] * x + self.offsets[idx]
-
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.searchsorted(self._starts_arr, xs, side="left") - 1, 0, None)
-        out = self._slopes_arr[idx] * xs + self._offsets_arr[idx]
-        return np.where(xs > self.cap, INF, out)
-
-    def right_liminf_many(self, xs: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.searchsorted(self._starts_arr, xs, side="right") - 1, 0, None)
-        out = self._slopes_arr[idx] * xs + self._offsets_arr[idx]
-        return np.where(xs >= self.cap, INF, out)
 
     def flow_boundaries(self) -> tuple[float, ...]:
         """Finite flow values where the description changes (segment starts, cap)."""
@@ -365,20 +342,32 @@ class PiecewiseLatency:
             out.append((lo, hi, m, m * lo + c, v_hi))
         return tuple(out)
 
-    def is_monotone(self, samples: int = 1000) -> bool:
-        """Re-check monotonicity on a sample grid (construction already enforces it)."""
-        span = max(1.0, 2.0 * self.starts[-1], 2.0 * self.cap if math.isfinite(self.cap) else 0.0)
-        xs = np.linspace(0.0, span, samples)
-        vals = self.value_many(xs)
-        return bool(np.all(np.diff(vals) >= -1e-12 * np.maximum(1.0, np.abs(vals[:-1]))))
+    def is_monotone(self) -> bool:
+        """Re-check monotonicity at the segment corners (construction enforces it)."""
+        segs = self.segments
+        return all(_at_least(nxt[3], prev[4]) for prev, nxt in zip(segs, segs[1:]))
 
-    def dominates(self, base: AffineLatency, samples: int = 1000) -> bool:
-        """True when this latency never undercuts the base affine latency."""
-        span = max(1.0, 2.0 * self.starts[-1], 2.0 * self.cap if math.isfinite(self.cap) else 0.0)
-        xs = np.linspace(0.0, span, samples)
-        vals = self.value_many(xs)
-        ref = base.slope * xs + base.intercept
-        return bool(np.all(vals >= ref - 1e-12 * np.maximum(1.0, np.abs(ref))))
+    def dominates(self, base: AffineLatency) -> bool:
+        """True when this latency never undercuts the base affine latency.
+
+        Both are affine on each segment, so comparing them at the segment ends
+        decides it; an unbounded last segment must also rise at least as fast.
+        Flow past a finite cap costs inf and needs no check.
+        """
+        for lo, hi, m, v_lo, v_hi in self.segments:
+            if not _at_least(v_lo, base.value(lo)):
+                return False
+            if math.isfinite(hi):
+                if not _at_least(v_hi, base.value(hi)):
+                    return False
+            elif m < base.slope:
+                return False
+        return True
+
+
+def _at_least(v: float, ref: float) -> bool:
+    # v >= ref up to the 1e-12 relative slack that construction allows.
+    return v >= ref - 1e-12 * max(1.0, abs(ref))
 
 
 @dataclass(frozen=True)
@@ -400,12 +389,12 @@ class FlowProfile:
         scale = max(1.0, abs(rate))
         for i, f in enumerate(flows):
             if f < -1e-9 * scale:
-                raise ValueError(f"flow {i} is negative: {f}")
+                raise InvalidModelValue(f"flow {i} is negative: {f}")
             if f < 0.0:
                 flows[i] = 0.0
         total = math.fsum(flows)
         if abs(total - rate) > 1e-9 * scale:
-            raise ValueError(f"flows sum to {total}, expected {rate}")
+            raise InvalidModelValue(f"flows sum to {total}, expected {rate}")
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "flows", tuple(flows))
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -227,6 +230,35 @@ def test_exit_code_bad_numbers(pigou_file, mech_file, monkeypatch, capsys,
             "--mechanism", str(mech_file)]
     assert main(argv) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mark", ["1e400", "Infinity", "NaN"])
+def test_exit_code_non_finite_plateau_mark(tmp_path, capsys, mark):
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"links": [{"a": 4, "b": 0}, {"a": 1, "b": 1}]}))
+    mech_path = tmp_path / "mech.json"
+    mech_path.write_text('{"kind": "plateau", "x1": 0.2, "x2": %s}' % mark)
+    solve = ["solve", str(net_path), "--rate", "1", "--which", "mn",
+             "--mechanism", str(mech_path)]
+    curve = ["curve", str(net_path), "--mechanism", str(mech_path),
+             "--csv", str(tmp_path / "curve.csv")]
+    for argv in (solve, curve):
+        assert main(argv) == 3
+        assert "finite" in capsys.readouterr().err
+
+
+def test_package_runs_without_numpy(tmp_path):
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from anarchy.cli import main\n"
+        f"sys.exit(main(['verify', '--suite', 'core', '--out', {str(tmp_path)!r}]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("links", ["0", "-3"])

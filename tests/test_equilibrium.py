@@ -417,6 +417,14 @@ def test_worst_equilibrium_prefers_expensive_flat_link(pigou):
     assert worst == pytest.approx(1.0)
 
 
+def grid_latency(lat, xs, side):
+    """Values (side="left") or right limits (side="right") of lat at every x in xs."""
+    idx = np.clip(np.searchsorted(np.asarray(lat.starts), xs, side=side) - 1, 0, None)
+    out = np.asarray(lat.slopes)[idx] * xs + np.asarray(lat.offsets)[idx]
+    past_cap = xs > lat.cap if side == "left" else xs >= lat.cap
+    return np.where(past_cap, math.inf, out)
+
+
 def grid_worst_cost(lats, rate, tol=1e-9):
     """Dense-grid reference for the worst equilibrium cost on two links.
 
@@ -448,8 +456,8 @@ def grid_worst_cost(lats, rate, tol=1e-9):
     xs = xs[(xs >= 0.0) & (xs <= rate)]
     ys = rate - xs
     with np.errstate(invalid="ignore", over="ignore"):
-        v1, rl1 = lat1.value_many(xs), lat1.right_liminf_many(xs)
-        v2, rl2 = lat2.value_many(ys), lat2.right_liminf_many(ys)
+        v1, rl1 = grid_latency(lat1, xs, "left"), grid_latency(lat1, xs, "right")
+        v2, rl2 = grid_latency(lat2, ys, "left"), grid_latency(lat2, ys, "right")
         used1, used2 = xs > 0.0, ys > 0.0
         level = np.maximum(np.where(used1, v1, -math.inf), np.where(used2, v2, -math.inf))
         slack = tol * np.maximum(1.0, np.where(np.isfinite(level), level, 1.0))

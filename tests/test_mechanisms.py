@@ -3,14 +3,17 @@ import random
 
 import pytest
 
+import anarchy
 from anarchy import (
     BadParamCount,
     NotTwoLinks,
     ParamOutOfRange,
     ParamTooSmall,
     PlateauParams,
+    RatioOutOfRange,
     RatioTooSmall,
     SchemaError,
+    TooManyLinks,
     build_plateau_mechanism,
     build_threshold_mechanism,
     is_user_equilibrium,
@@ -20,6 +23,7 @@ from anarchy import (
     mn_uses_links_no_earlier_than_opt,
     nash_flow,
     normalize_network,
+    ratio_curve,
     solve_plateau_params,
 )
 from anarchy.mechanisms import MIN_PLATEAU_RATIO, _plateau_terms
@@ -97,6 +101,40 @@ def test_mn_flow_is_equilibrium_seeded():
             prof = mn_flow(net, params, rate)
             check = is_user_equilibrium(lats, prof)
             assert check, (net.to_json_dict(), R, rate, check.violator)
+
+
+def _threshold_instances(rng):
+    # One rate an ulp above the second freeze point once went to stage 1.
+    yield (normalize_network([
+        {"a": 6.76864638324956, "b": 0},
+        {"a": 1.2725182035795188, "b": 0.27741912543487923},
+        {"a": 0.12992632503245596, "b": 1.0751116566651102},
+    ]), [3.890794643031237, 4.985793238188558])
+    for _ in range(80):
+        net = random_network(rng, kmax=6, allow_flat=True)
+        if net.k >= 2:
+            yield net, [rng.uniform(2.0, 8.0) for _ in range(net.k - 1)]
+
+
+def test_mn_flow_stage_matches_curve_regime():
+    rng = random.Random(4242)
+    checked = 0
+    for net, R in _threshold_instances(rng):
+        params, lats = build_threshold_mechanism(net, R)
+        for point in params.freeze_points:
+            for rate in (math.nextafter(point, 0.0), point, math.nextafter(point, math.inf)):
+                regime = ratio_curve(net, (params, lats), [rate])[0].regime
+                idx = int(regime.split("/")[0][len("stage"):])
+                stage = params.stages[idx]
+                want = [0.0] * net.k
+                for frozen in params.stages[:idx]:
+                    want[frozen.start:frozen.start + len(frozen.caps)] = frozen.caps
+                inner = nash_flow(stage.suffix_net, rate - stage.global_start_rate)
+                want[stage.start:] = inner.profile.flows
+                assert mn_flow(net, params, rate).flows == tuple(want), (
+                    net.to_json_dict(), R, rate, regime)
+                checked += 1
+    assert checked >= 100
 
 
 def test_usage_order_seeded():
@@ -179,6 +217,9 @@ def test_plateau_validation():
         PlateauParams.from_flows(net, 0.3 * r2, r2)  # hold starts too early
     with pytest.raises(ParamOutOfRange):
         PlateauParams.from_flows(net, 0.9 * r2, 0.5 * r2)  # exits before breakpoint
+    for mark in (math.inf, math.nan):
+        with pytest.raises(ParamOutOfRange):
+            PlateauParams.from_flows(net, 0.9 * r2, mark)
     three = normalize_network([{"a": 1, "b": 0}, {"a": 1, "b": 1}, {"a": 1, "b": 2}])
     with pytest.raises(NotTwoLinks):
         solve_plateau_params(three)
@@ -189,6 +230,12 @@ def test_plateau_validation():
     params = solve_plateau_params(other)
     with pytest.raises(ParamOutOfRange):
         build_plateau_mechanism(net, params)
+
+
+def test_merged_error_aliases():
+    assert TooManyLinks is NotTwoLinks
+    assert RatioTooSmall is RatioOutOfRange
+    assert {"TooManyLinks", "RatioTooSmall"} <= set(anarchy.__all__)
 
 
 # ----------------------------------------------------------------- persistence

@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 
 from anarchy import (
     AffineLatency,
+    AnarchyError,
     EmptyNetwork,
     FlowProfile,
+    InvalidModelValue,
     NegativeCoefficient,
     PiecewiseLatency,
     SchemaError,
@@ -140,15 +142,14 @@ class TestPiecewiseLatency:
         assert lat.right_liminf(0.4) == pytest.approx(0.4)
 
     def test_vectorized_matches_scalar(self):
-        import numpy as np
-
+        # Values and right limits at the corners and just past them, by hand.
         lat = self.plateau()
-        xs = np.array([0.0, 0.45, 0.9, 0.91, 1.2, 1.21, 3.0])
-        vals = lat.value_many(xs)
-        rls = lat.right_liminf_many(xs)
-        for x, v, r in zip(xs, vals, rls):
-            assert v == pytest.approx(lat.value(float(x)))
-            assert r == pytest.approx(lat.right_liminf(float(x)))
+        xs = (0.0, 0.45, 0.9, 0.91, 1.2, 1.21, 3.0)
+        values = (0.0, 0.45, 0.9, 1.3, 1.3, 1.31, 3.1)
+        right_limits = (0.0, 0.45, 1.3, 1.3, 1.3, 1.31, 3.1)
+        for x, v, r in zip(xs, values, right_limits):
+            assert lat.value(x) == pytest.approx(v)
+            assert lat.right_liminf(x) == pytest.approx(r)
 
     def test_rejects_dropping_boundary(self):
         with pytest.raises(ValueError):
@@ -165,6 +166,16 @@ class TestPiecewiseLatency:
         assert lat.is_monotone()
         assert lat.dominates(AffineLatency(1.0, 0.0))
         assert not lat.dominates(AffineLatency(2.0, 0.0))
+
+    def test_dominates_checks_past_the_last_corner(self):
+        # 2x up to 10, then 0.5x + 15: undercuts x from x = 30 on.
+        lat = PiecewiseLatency(starts=(0.0, 10.0), slopes=(2.0, 0.5), offsets=(0.0, 15.0))
+        assert lat.value(40.0) < AffineLatency(1.0, 0.0).value(40.0)
+        assert not lat.dominates(AffineLatency(1.0, 0.0))
+        assert lat.dominates(AffineLatency(0.5, 0.0))
+        capped = PiecewiseLatency(starts=(0.0, 10.0), slopes=(2.0, 0.5), offsets=(0.0, 15.0), cap=30.0)
+        assert capped.dominates(AffineLatency(1.0, 0.0))
+        assert lat.is_monotone() and capped.is_monotone()
 
     def test_segments_carry_corner_levels(self):
         lat = self.plateau()
@@ -198,3 +209,12 @@ def test_flow_profile_validation():
         FlowProfile(rate=1.0, flows=(0.4, 0.4))
     with pytest.raises(ValueError):
         FlowProfile(rate=1.0, flows=(1.5, -0.5))
+
+
+def test_bad_values_raise_one_typed_error():
+    assert issubclass(InvalidModelValue, AnarchyError)
+    assert issubclass(InvalidModelValue, ValueError)
+    with pytest.raises(InvalidModelValue):
+        PiecewiseLatency(starts=(0.0,), slopes=(1.0,), offsets=(math.inf,))
+    with pytest.raises(InvalidModelValue):
+        FlowProfile(rate=1.0, flows=(0.4, 0.4))
