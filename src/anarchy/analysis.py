@@ -23,13 +23,14 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 from .config import comparison_tolerance
 from .equilibrium import nash_flow, opt_flow, water_fill
 from .errors import (
+    CostUnderflow,
     EmptyNetwork,
     NegativeRate,
     NotContinuousAtEquilibrium,
     ParamTooSmall,
     RatioOutOfRange,
 )
-from .mechanisms import PlateauParams, ThresholdParams
+from .mechanisms import PlateauParams, ThresholdParams, _plateau_terms, balanced_alpha
 from .model import INF, ParallelNetwork, PiecewiseLatency
 
 # A mechanism is carried around as (parameters, modified latencies).
@@ -153,7 +154,7 @@ def _threshold_segs(net: ParallelNetwork, params: ThresholdParams) -> Iterator[_
     frozen = 0.0
     for idx, stage in enumerate(params.stages):
         start = stage.global_start_rate
-        end = INF if stage.local_freeze_rate is None else params.stages[idx + 1].global_start_rate
+        end = INF if stage.trigger is None else params.stages[idx + 1].global_start_rate
         inner = (seg._replace(hi=start + seg.hi, anchor=start, a0=frozen)
                  for seg in _nash_segs(stage.suffix_net))
         yield from _clip(inner, start, end, True, f"stage{idx}")
@@ -259,13 +260,20 @@ def ratio_curve(net: ParallelNetwork, mechanism: Mechanism | None,
         if his[i] == r and not pieces[i].closed:
             i += 1
         num, den = pieces[i].costs(r - pieces[i].lo)
-        samples.append(CurveSample(r, num, den, num / den, pieces[i].regime))
+        samples.append(CurveSample(r, num, den, _ratio(num, den, r), pieces[i].regime))
     return samples
 
 
 def tail_ratio(net: ParallelNetwork, mechanism: Mechanism | None = None) -> float:
     """Limit of the cost ratio as demand grows without bound."""
     return _tail(cost_pieces(net, mechanism)[-1])
+
+
+def _ratio(num: float, den: float, r: float) -> float:
+    # Both costs are positive at every positive demand but can underflow.
+    if den == 0.0:
+        raise CostUnderflow(f"the optimal cost underflows to 0 at demand {r!r}")
+    return num / den
 
 
 def _quad_roots(A: float, B: float, C: float) -> list[float]:
@@ -294,8 +302,7 @@ def ratio_sup(net: ParallelNetwork, mechanism: Mechanism | None = None) -> tuple
     pieces = cost_pieces(net, mechanism)
     best_val, best_r = -INF, INF
     if len(pieces) == 1:
-        num, den = pieces[0].costs(1.0)
-        best_val, best_r = num / den, 1.0
+        best_val, best_r = _ratio(*pieces[0].costs(1.0), 1.0), 1.0
     for p in pieces:
         (n0, n1, n2), (d0, d1, d2) = p.num, p.den
         width = p.hi - p.lo
@@ -305,10 +312,10 @@ def ratio_sup(net: ParallelNetwork, mechanism: Mechanism | None = None) -> tuple
         if width < INF:
             us.append(width)
         for u in us:
-            num, den = p.costs(u)
-            val = num / den
+            r = p.hi if u == width else p.lo + u
+            val = _ratio(*p.costs(u), r)
             if val > best_val:
-                best_val, best_r = val, (p.hi if u == width else p.lo + u)
+                best_val, best_r = val, r
     tail = _tail(pieces[-1])
     if tail > best_val:
         best_val, best_r = tail, INF
@@ -425,61 +432,27 @@ def greedy_parameters(k: int) -> list[int]:
     return [int(x) for x in Rs]
 
 
-def lower_bound_value(R: float, alpha_grid: int = 512) -> BoundReport:
+def lower_bound_value(R: float) -> BoundReport:
     """Best ratio any latency modification can reach on a hard two-link family.
 
     The family has unit first slope, second slope 1/R and unit intercept gap,
-    2 <= R <= 4.  Minimizes, over the demand x1 at which the first link is
-    held, the larger of the hold peak and the best achievable jump peak, and
-    caps the result at 6/5 (the unmodified ratio at the breakpoint).  Grid
-    scan plus golden-section refinement.
+    2 <= R <= 4.  Holding the first link from demand x1 on, the ratio peaks
+    just before the second link opens and just after the flow jumps onto
+    it; the bound is the larger peak at the x1 that balances them, the one
+    the plateau mechanism uses (:func:`~anarchy.mechanisms.balanced_alpha`),
+    capped at 6/5 (the unmodified ratio at the breakpoint).
     """
     R = float(R)
     if not 2.0 <= R <= 4.0:
         raise RatioOutOfRange(f"slope ratio must be in [2, 4], got {R}")
-
-    def opt_cost_norm(x: float) -> float:
-        return x * x if x <= 0.5 else (x * x + R * x - R / 4.0) / (1.0 + R)
-
-    def hold_term(x1: float) -> float:
-        return x1 * x1 / opt_cost_norm(x1)
-
-    def jump_rate(x1: float) -> float:
-        root = math.sqrt(R * R + 4.0 * R * R * x1 - 4.0 * R * x1 * x1)
-        return max(1.0, (R + root) / (4.0 * x1))
-
-    def jump_term(x1: float) -> float:
-        rs = jump_rate(x1)
-        return 4.0 * rs * (R + 1.0) * (rs - x1 + R) / (R * (4.0 * rs * rs + 4.0 * R * rs - R))
-
-    def worst(x1: float) -> float:
-        return max(hold_term(x1), jump_term(x1))
-
-    n = max(3, int(alpha_grid))
-    xs = [0.5 + 0.5 * i / (n - 1) for i in range(n)]
-    best = min(range(n), key=lambda i: worst(xs[i]))
-    a = xs[max(0, best - 1)]
-    b = xs[min(n - 1, best + 1)]
-    shrink = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - shrink * (b - a)
-    d = a + shrink * (b - a)
-    for _ in range(200):
-        if worst(c) < worst(d):
-            b = d
-        else:
-            a = c
-        c = b - shrink * (b - a)
-        d = a + shrink * (b - a)
-        if b - a < 1e-15:
-            break
-    x1 = 0.5 * (a + b)
-    value = min(1.2, worst(x1))
+    x1 = balanced_alpha(R)
+    hold_peak, beta_for, jump_peak = _plateau_terms(R)
     return BoundReport(
         name="two_link_lower",
-        value=value,
+        value=min(1.2, max(hold_peak(x1), jump_peak(x1))),
         inputs=(R,),
         formula="min(6/5, min over hold flow of max(hold peak, jump peak))",
-        details={"x1": x1, "jump_rate": jump_rate(x1)},
+        details={"x1": x1, "jump_rate": max(1.0, beta_for(x1))},
     )
 
 

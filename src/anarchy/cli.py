@@ -281,23 +281,29 @@ def _random_network(rng: random.Random, kmax: int = 5) -> ParallelNetwork:
     return normalize_network(links)
 
 
+def _require(cond: object, msg: object) -> None:
+    """Fail a verify check; unlike ``assert``, this also runs under ``python -O``."""
+    if not cond:
+        raise AssertionError(msg)
+
+
 def _checks_core():
     def pigou_peak():
         net = normalize_network([{"a": 1, "b": 0}, {"a": 0, "b": 1}])
         val, where = ratio_sup(net)
-        assert abs(val - 4.0 / 3.0) <= 1e-12, f"peak {val}"
-        assert abs(where - 1.0) <= 1e-9, f"peak location {where}"
+        _require(abs(val - 4.0 / 3.0) <= 1e-12, f"peak {val}")
+        _require(abs(where - 1.0) <= 1e-9, f"peak location {where}")
 
     def pigou_cap_flat():
         net = normalize_network([{"a": 1, "b": 0}, {"a": 0, "b": 1}])
         mech = build_threshold_mechanism(net, [2.0])
         rows = [0.01 + 2.99 * i / 200 for i in range(201)]
         for s in ratio_curve(net, mech, rows):
-            assert abs(s.ratio - 1.0) <= 1e-12, f"ratio {s.ratio} at r={s.r}"
+            _require(abs(s.ratio - 1.0) <= 1e-12, f"ratio {s.ratio} at r={s.r}")
 
     def bound_meets_at_four():
         rep = two_link_simple_bound(4.0)
-        assert abs(rep.value - 1.25) <= 1e-12, rep.value
+        _require(abs(rep.value - 1.25) <= 1e-12, rep.value)
 
     def water_fill_closed_form():
         nets = [
@@ -309,9 +315,8 @@ def _checks_core():
             for rate in (0.0, 0.3, 1.0, 2.7, 9.0):
                 wf = water_fill(lats, rate)
                 cf = nash_flow(net, rate)
-                assert abs(wf.cost - cf.cost) <= 1e-9 * max(1.0, cf.cost), (
-                    f"{wf.cost} vs {cf.cost} at rate {rate}"
-                )
+                _require(abs(wf.cost - cf.cost) <= 1e-9 * max(1.0, cf.cost),
+                         f"{wf.cost} vs {cf.cost} at rate {rate}")
 
     return [
         ("pigou_peak_four_thirds", pigou_peak),
@@ -324,30 +329,30 @@ def _checks_core():
 def _checks_known():
     def recurrence_pair():
         rep = recurrence_bound([7.0])
-        assert rep.details is not None
+        _require(rep.details is not None, "no exact value")
         got = Fraction(int(rep.details["exact_numerator"]),
                        int(rep.details["exact_denominator"]))
-        assert got == Fraction(256, 193), got
+        _require(got == Fraction(256, 193), got)
 
     def benign_pair():
         rep = benign_bound([2.0, 2.0])
-        assert abs(rep.value - 324.0 / 244.0) <= 1e-12, rep.value
+        _require(abs(rep.value - 324.0 / 244.0) <= 1e-12, rep.value)
 
     def plateau_target():
         net = normalize_network([{"a": 2, "b": 0}, {"a": 1, "b": 1}])
         params = solve_plateau_params(net)
         lats = list(build_plateau_mechanism(net, params))
         val, _ = ratio_sup(net, (params, lats))
-        assert val <= 1.192 + 1e-3, val
+        _require(val <= 1.192 + 1e-3, val)
 
     def lower_at_two_point_one():
         rep = lower_bound_value(2.1)
-        assert rep.value >= 1.191, rep.value
+        _require(rep.value >= 1.191, rep.value)
 
     def greedy_below_four_thirds():
         for k in (2, 3, 4):
             rep = recurrence_bound(greedy_parameters(k))
-            assert rep.strictly_below_four_thirds, (k, rep.value)
+            _require(rep.strictly_below_four_thirds, (k, rep.value))
 
     return [
         ("recurrence_single_seven", recurrence_pair),
@@ -367,9 +372,8 @@ def _checks_random(seed: int):
             rate = rng.uniform(0.0, 4.0 * (net.breakpoints[-1] + 1.0))
             wf = water_fill(lats, rate)
             cf = nash_flow(net, rate)
-            assert abs(wf.cost - cf.cost) <= 1e-9 * max(1.0, cf.cost), (
-                f"{wf.cost} vs {cf.cost} at rate {rate}"
-            )
+            _require(abs(wf.cost - cf.cost) <= 1e-9 * max(1.0, cf.cost),
+                     f"{wf.cost} vs {cf.cost} at rate {rate}")
 
     def two_link_bound_holds():
         rng = random.Random(seed + 1)
@@ -385,7 +389,7 @@ def _checks_random(seed: int):
                 r = rng.uniform(1e-3, 4.0 * net.breakpoints[1])
                 num = worst_equilibrium_cost_two_links(lats, r)
                 den = opt_flow(net, r).cost
-                assert num <= bound * den * (1.0 + 1e-9), (r, num / den, bound)
+                _require(num <= bound * den * (1.0 + 1e-9), (r, num / den, bound))
 
     def usage_order():
         rng = random.Random(seed + 2)
@@ -396,7 +400,7 @@ def _checks_random(seed: int):
             R = [rng.uniform(2.0, 10.0) for _ in range(net.k - 1)]
             params, _ = build_threshold_mechanism(net, R)
             check = mn_uses_links_no_earlier_than_opt(net, params)
-            assert check, f"link {check.link} opens at {check.first_used_rate}"
+            _require(check, f"link {check.link} opens at {check.first_used_rate}")
 
     return [
         ("random_water_fill_agrees", water_fill_agrees),

@@ -53,6 +53,10 @@ class RatioOutOfRange(AnarchyError):
     """Slope ratio outside the supported range, e.g. too small for a plateau."""
 
 
+class CostUnderflow(AnarchyError):
+    """The optimal cost rounds to zero at a positive demand, so no ratio exists."""
+
+
 class InvalidModelValue(AnarchyError, ValueError):
     """A piecewise latency or flow profile built from inconsistent values."""
 

@@ -44,14 +44,15 @@ PLATEAU_TARGET = 1.192
 class FreezeStage:
     """One step of the threshold recursion.
 
-    Links start..start+len(caps)-1 are frozen at ``caps`` once the suffix
-    that begins at ``start`` has absorbed ``local_freeze_rate``; a final
-    stage (no trigger) has empty caps and absorbs everything that remains.
+    The stage fills the suffix that begins at ``start`` from total demand
+    ``global_start_rate`` on.  When total demand reaches half the breakpoint
+    of link ``trigger``, links start..start+len(caps)-1 freeze at ``caps``
+    and the next stage begins; a final stage (no trigger) has empty caps
+    and absorbs everything that remains.
     """
 
     start: int
     caps: tuple[float, ...]
-    local_freeze_rate: float | None
     global_start_rate: float
     suffix_net: ParallelNetwork
     trigger: int | None
@@ -102,13 +103,13 @@ def build_threshold_mechanism(
                 trigger = t
                 break
         if trigger is None:
-            stages.append(FreezeStage(s, (), None, global_start, suffix, None))
+            stages.append(FreezeStage(s, (), global_start, suffix, None))
             break
         freeze_total = net.breakpoints[trigger + 1] / 2.0
         local_freeze = freeze_total - global_start
         frozen = nash_flow(suffix, local_freeze)
         caps = frozen.profile.flows[: trigger - s + 1]
-        stages.append(FreezeStage(s, caps, local_freeze, global_start, suffix, trigger + 1))
+        stages.append(FreezeStage(s, caps, global_start, suffix, trigger + 1))
         for off, cap in enumerate(caps):
             thresholds[s + off] = cap
         freeze_points.append(freeze_total)
@@ -305,21 +306,14 @@ def _plateau_terms(ratio: float) -> tuple:
     return hold_peak, beta_for, jump_peak
 
 
-def solve_plateau_params(net: ParallelNetwork) -> PlateauParams:
-    """Pick plateau marks that balance the two worst-case peaks.
+def balanced_alpha(R: float) -> float:
+    """Hold mark, in breakpoint units, that balances the two plateau peaks.
 
     The closed-form alpha0 makes the pre-opening peak exactly 1.192; the
     balanced alpha in [1/2, alpha0] equates it with the post-jump peak
-    (minimized over the jump rate), which only lowers the maximum.  Requires
-    a slope ratio above 96/53.
+    (minimized over the jump rate), which only lowers the maximum.
     """
-    first, second = _two_links(net)
-    R = first.slope / second.slope
-    if R <= MIN_PLATEAU_RATIO:
-        raise RatioOutOfRange(
-            f"slope ratio {R} is at most {MIN_PLATEAU_RATIO}; no modification needed"
-        )
-    hold_peak, beta_for, jump_peak = _plateau_terms(R)
+    hold_peak, _, jump_peak = _plateau_terms(R)
     alpha0 = (149.0 * R + 2.0 * math.sqrt(894.0 * R * (R + 1.0))) / (2.0 * (125.0 * R - 24.0))
 
     def gap(alpha: float) -> float:
@@ -327,20 +321,36 @@ def solve_plateau_params(net: ParallelNetwork) -> PlateauParams:
 
     lo, hi = 0.5, alpha0
     if gap(hi) < 0.0:
-        alpha = hi
-    elif gap(lo) > 0.0:
-        alpha = lo
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if gap(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        alpha = 0.5 * (lo + hi)
+        return hi
+    if gap(lo) > 0.0:
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
+
+def solve_plateau_params(net: ParallelNetwork) -> PlateauParams:
+    """Pick plateau marks that balance the two worst-case peaks.
+
+    The hold start is :func:`balanced_alpha` times the second link's
+    breakpoint; the jump rate minimizes the post-jump peak for it, and the
+    hold end follows from the jump rate.  Requires a slope ratio above
+    96/53.
+    """
+    first, second = _two_links(net)
+    R = first.slope / second.slope
+    if R <= MIN_PLATEAU_RATIO:
+        raise RatioOutOfRange(
+            f"slope ratio {R} is at most {MIN_PLATEAU_RATIO}; no modification needed"
+        )
+    alpha = balanced_alpha(R)
+    _, beta_for, _ = _plateau_terms(R)
     r2 = net.breakpoints[1]
     beta = beta_for(alpha)
     hold_start = alpha * r2

@@ -8,6 +8,7 @@ import pytest
 
 from anarchy import (
     BoundReport,
+    CostUnderflow,
     NegativeRate,
     NotContinuousAtEquilibrium,
     ParamTooSmall,
@@ -362,3 +363,12 @@ def test_continuity_check_rejects_jump_at_equilibrium():
     flat = PiecewiseLatency.from_affine(net.links[1])
     with pytest.raises(NotContinuousAtEquilibrium):
         continuity_no_improvement_check(net, [jumpy, flat], 1.0)
+
+
+def test_underflowing_costs_raise_typed_error():
+    tiny_gap = normalize_network([{"a": 1, "b": 0}, {"a": 1, "b": 1e-200}])
+    with pytest.raises(CostUnderflow, match="demand 5e-201"):
+        ratio_sup(tiny_gap)
+    unit_gap = normalize_network([{"a": 1, "b": 0}, {"a": 1, "b": 1}])
+    with pytest.raises(CostUnderflow, match="demand 1e-170"):
+        ratio_curve(unit_gap, None, [1e-170])

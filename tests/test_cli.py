@@ -261,6 +261,51 @@ def test_package_runs_without_numpy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_verify_fails_under_optimize_flag(tmp_path):
+    # A broken ratio_sup must fail verify even when python -O strips asserts.
+    code = (
+        "import sys\n"
+        "import anarchy.cli as cli\n"
+        "cli.ratio_sup = lambda *args, **kwargs: (1.0, 0.0)\n"
+        f"sys.exit(cli.main(['verify', '--suite', 'core', '--out', {str(tmp_path)!r}]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "FAIL pigou_peak_four_thirds" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "links,extra",
+    [
+        ([{"a": 1, "b": 0}, {"a": 1, "b": 1e-200}], []),
+        ([{"a": 1, "b": 0}, {"a": 1, "b": 1}], ["--rmax", "1e-165"]),
+    ],
+)
+def test_exit_code_cost_underflow(tmp_path, capsys, links, extra):
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"links": links}))
+    argv = ["curve", str(net_path), "--csv", str(tmp_path / "curve.csv"), *extra]
+    assert main(argv) == 3
+    assert "underflows to 0 at demand" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "curve"])
+def test_exit_code_coinciding_plateau_marks(tmp_path, capsys, command):
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"links": [{"a": 1, "b": 0}, {"a": 0.25, "b": 1e-12}]}))
+    mech_path = tmp_path / "mech.json"
+    mech_path.write_text(json.dumps({"kind": "plateau", "x1": 0, "x2": 1e-12}))
+    if command == "solve":
+        argv = ["solve", str(net_path), "--rate", "1", "--which", "mn"]
+    else:
+        argv = ["curve", str(net_path), "--csv", str(tmp_path / "curve.csv")]
+    assert main([*argv, "--mechanism", str(mech_path)]) == 3
+    assert "segment starts must be strictly increasing" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("links", ["0", "-3"])
 def test_exit_code_bad_link_count(links, capsys):
     assert main(["bounds", "greedy", "--links", links]) == 2
