@@ -15,6 +15,7 @@ worst-case bounds for the mechanisms live here as well.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,7 @@ from .errors import (
     EmptyNetwork,
     NegativeRate,
     NotContinuousAtEquilibrium,
+    ParamOutOfRange,
     ParamTooSmall,
     RatioOutOfRange,
 )
@@ -359,39 +361,49 @@ def benign_bound(R_values: Sequence[float]) -> BoundReport:
     )
 
 
-def _exact_benign(Rs: Sequence[Fraction]) -> Fraction:
-    P = Fraction(1)
-    for x in Rs:
-        P *= 1 + x
-    return 4 * P * P / (3 * P * P + 1)
+def _prepend(P: Fraction, value: Fraction, R: Fraction | int) -> tuple[Fraction, Fraction]:
+    """One step of the exact recurrence: put multiplier R in front of a suffix.
+
+    P is the product of (1 + R_j) over the suffix and ``value`` its
+    recurrence value (both 1 for the empty suffix); returns both for the
+    longer suffix.
+    """
+    P *= 1 + R
+    return P, max(4 * P * P / (3 * P * P + 1), (1 + Fraction(1) / R) ** 2 * value)
 
 
 def _exact_recurrence(Rs: Sequence[Fraction]) -> Fraction:
-    m = len(Rs)
-    memo: list[Fraction] = [Fraction(1)] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        best = _exact_benign(Rs[i:])
-        for j in range(i, m):
-            term = max(_exact_benign(Rs[i:j]), (1 + Fraction(1, 1) / Rs[j]) ** 2 * memo[j + 1])
-            if term > best:
-                best = term
-        memo[i] = best
-    return memo[0]
+    P = value = Fraction(1)
+    for R in reversed(Rs):
+        P, value = _prepend(P, value, R)
+    return value
 
 
 def recurrence_bound(R_values: Sequence[float]) -> BoundReport:
     """Worst-case ratio of the threshold mechanism via downward recursion.
 
-    The value for multipliers R_i..R_{k-1} is the max of the all-benign bound
-    and, over every position j that could host the first super-efficient
-    link, max(benign bound of R_i..R_{j-1}, (1+1/R_j)^2 times the value of
-    the remaining suffix).  Evaluated in exact rational arithmetic so the
-    strict comparison against 4/3 stays meaningful when doubles saturate.
+    The value V_i for multipliers R_i..R_{k-1} is the max of the all-benign
+    bound and, over every position j that could host the first
+    super-efficient link, max(benign bound of R_i..R_{j-1}, (1+1/R_j)^2
+    V_{j+1}).  With every multiplier >= 2 two dominance facts reduce this to
+    one backward pass, V_i = max(4P_i^2/(3P_i^2+1), (1+1/R_i)^2 V_{i+1}) with
+    P_i = prod_{j>=i}(1+R_j) and V_k = 1:
+
+    - the benign bound 4P^2/(3P^2+1) grows with P, and P grows with every
+      factor 1+R_j > 1, so no prefix's benign bound exceeds the suffix's;
+    - V_{i+1} is at least every later jump term (1+1/R_j)^2 V_{j+1}, j > i,
+      and (1+1/R_i)^2 > 1, so the jump term at j = i dominates them all.
+
+    Evaluated in exact rational arithmetic so the strict comparison against
+    4/3 stays meaningful when doubles saturate.  Multipliers beyond the
+    float range raise ParamOutOfRange.
     """
-    Rs = [Fraction(x) for x in R_values]
-    for x in Rs:
-        if x < 2:
+    for x in R_values:
+        if not x >= 2:
             raise ParamTooSmall(f"multipliers must be >= 2, got {float(x)}")
+        if x > sys.float_info.max:
+            raise ParamOutOfRange("multipliers must be finite and within the float range")
+    Rs = [Fraction(x) for x in R_values]
     exact = _exact_recurrence(Rs)
     return BoundReport(
         name="recurrence",
@@ -411,13 +423,16 @@ def greedy_parameters(k: int) -> list[int]:
 
     Works bottom-up: each new multiplier R is the smallest integer >= 2 with
     (1 + 1/R)^2 times the already-built suffix value below 4/3.  The suffix
-    value is re-evaluated exactly after each step, so the guarantee is exact
-    even when the integers get large.
+    value advances by one exact recurrence step per multiplier, so the
+    guarantee is exact even when the integers get large.  The multipliers'
+    digit counts roughly triple per link and leave the float range, which
+    the threshold mechanism needs, from 8 links on; such k raise
+    ParamOutOfRange.
     """
     if k < 1:
         raise EmptyNetwork(f"need at least one link, got k={k}")
-    Rs: list[Fraction] = []
-    inner = Fraction(1)
+    Rs: list[int] = []
+    P = inner = Fraction(1)
     four_thirds = Fraction(4, 3)
     for _ in range(k - 1):
         p, q = inner.numerator, inner.denominator
@@ -427,9 +442,14 @@ def greedy_parameters(k: int) -> list[int]:
         R = max(2, (6 * p + math.isqrt(disc)) // (2 * lead) + 1)
         while not Fraction(R + 1, R) ** 2 * inner < four_thirds:
             R += 1
-        Rs.insert(0, Fraction(R))
-        inner = _exact_recurrence(Rs)
-    return [int(x) for x in Rs]
+        if R > sys.float_info.max:
+            raise ParamOutOfRange(
+                f"greedy multipliers exceed the float range from {len(Rs) + 2} links on, "
+                f"got k={k}"
+            )
+        Rs.append(R)
+        P, inner = _prepend(P, inner, R)
+    return Rs[::-1]
 
 
 def lower_bound_value(R: float) -> BoundReport:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -52,12 +53,20 @@ from .model import (
     normalize_network,
 )
 
-try:
+
+@functools.cache
+def _version() -> str:
+    """Installed package version, looked up once, when the first manifest is written.
+
+    Importing ``importlib.metadata`` costs more than the rest of this module,
+    and each lookup scans the installed distributions.
+    """
     from importlib.metadata import PackageNotFoundError, version
 
-    _VERSION = version("anarchy")
-except PackageNotFoundError:  # running from a source tree
-    _VERSION = "0.1.0"
+    try:
+        return version("anarchy")
+    except PackageNotFoundError:  # running from a source tree
+        return "0.1.0"
 
 
 def _load_json(path: str):
@@ -99,7 +108,7 @@ def _write_manifest(directory: str, argv: list[str], inputs: list[str],
                     outputs: list[str]) -> str:
     manifest = {
         "command": ["anarchy", *argv],
-        "version": _VERSION,
+        "version": _version(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "inputs": {p: _sha256(p) for p in inputs},
         "outputs": outputs,
@@ -140,7 +149,7 @@ def _curve_rows(net: ParallelNetwork, mech: Mechanism | None,
     bps = curve_breakpoints(net, mech)
     if rmax is None:
         rmax = max(1.0, 2.0 * max(bps, default=0.5))
-    rows = {rmax * i / samples for i in range(1, samples + 1)}
+    rows = {rmax * (i / samples) for i in range(1, samples + 1)}
     for b in bps:
         if b <= rmax:
             rows.add(b)
@@ -149,6 +158,8 @@ def _curve_rows(net: ParallelNetwork, mech: Mechanism | None,
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise SchemaError(f"--samples must be at least 1, got {args.samples}")
     net = _load_network(args.network)
     mech = _load_mechanism(args.mechanism, net) if args.mechanism else None
     rows, bps = _curve_rows(net, mech, args.rmax, args.samples)
@@ -477,10 +488,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process: ``parse_args`` leaves it unchanged, so commands share it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     args._argv = argv
     try:
         return args.func(args)

@@ -5,9 +5,11 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import anarchy.cli as cli
 from anarchy.cli import main
 
 PIGOU = {"links": [{"a": 1, "b": 0}, {"a": 0, "b": 1}]}
@@ -118,6 +120,80 @@ def test_curve_svg(pigou_file, tmp_path):
     assert "stroke-dasharray" in svg
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_curve_rejects_nonpositive_samples(pigou_file, tmp_path, capsys, samples):
+    csv_path = tmp_path / "curve.csv"
+    argv = ["curve", str(pigou_file), "--samples", samples, "--csv", str(csv_path)]
+    assert main(argv) == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_curve_rmax_at_float_max(pigou_file, tmp_path):
+    csv_path = tmp_path / "curve.csv"
+    argv = ["curve", str(pigou_file), "--rmax", "1e308", "--samples", "7",
+            "--csv", str(csv_path)]
+    assert main(argv) == 0
+    rows = csv_path.read_text().strip().splitlines()
+    assert float(rows[-2].split(",")[0]) == 1e308
+
+
+def test_parser_reused_across_calls(pigou_file, mech_file, tmp_path, capsys, monkeypatch):
+    assert main(["solve", str(pigou_file), "--rate", "1", "--which", "mn",
+                 "--mechanism", str(mech_file)]) == 0
+    assert "mn flow" in capsys.readouterr().out
+
+    def no_rebuild():
+        raise AssertionError("main rebuilt its parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_rebuild)
+    assert main(["solve", str(pigou_file), "--rate", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("nash flow on 2 links")
+
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(pigou_file), "--which", "bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    svg_path = tmp_path / "first.svg"
+    csv_path = tmp_path / "curve.csv"
+    base = ["curve", str(pigou_file), "--samples", "5", "--csv", str(csv_path)]
+    assert main([*base, "--svg", str(svg_path)]) == 0
+    svg_path.unlink()
+    assert main(base) == 0
+    assert not svg_path.exists()
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["outputs"] == [str(csv_path)]
+
+
+def test_import_leaves_package_metadata_unloaded(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.abspath(src)!r})\n"
+        "import anarchy.cli\n"
+        "assert 'importlib.metadata' not in sys.modules, 'importlib.metadata imported'\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_manifest_version_matches_package_metadata(pigou_file, tmp_path):
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        expected = version("anarchy")
+    except PackageNotFoundError:
+        expected = "0.1.0"
+    for name in ("a.csv", "b.csv"):
+        assert main(["curve", str(pigou_file), "--samples", "5",
+                     "--csv", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["version"] == expected
+
+
 def test_curve_svg_marks_jump(tmp_path):
     net_path = tmp_path / "two.json"
     net_path.write_text(json.dumps(TWO))
@@ -158,6 +234,16 @@ def test_bounds_greedy(capsys):
     out = capsys.readouterr().out
     assert "multipliers for 3 links" in out
     assert "strictly below 4/3: True" in out
+
+
+@pytest.mark.parametrize("links", ["8", "1000"])
+def test_bounds_greedy_beyond_float_range(links, capsys):
+    start = time.perf_counter()
+    assert main(["bounds", "greedy", "--links", links]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"k={links}" in err
 
 
 def test_bounds_lower(capsys):
