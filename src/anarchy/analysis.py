@@ -328,13 +328,16 @@ def two_link_simple_bound(R: float) -> BoundReport:
     """Worst-case ratio of the two-link threshold mechanism with multiplier R.
 
     max(1 + 1/R, (4+4R)/(4+3R)); the two sides meet at R = 4 where the bound
-    is 5/4.
+    is 5/4.  Where 4R overflows the benign side is its limit 4/3.
     """
     R = float(R)
     if not R >= 2.0:
         raise ParamTooSmall(f"multiplier must be >= 2, got {R}")
+    if R > sys.float_info.max:
+        raise ParamOutOfRange("multiplier must be finite")
     freeze_side = 1.0 + 1.0 / R
-    benign_side = (4.0 + 4.0 * R) / (4.0 + 3.0 * R)
+    top = 4.0 + 4.0 * R
+    benign_side = top / (4.0 + 3.0 * R) if top < INF else 4.0 / 3.0
     return BoundReport(
         name="two_link_threshold",
         value=max(freeze_side, benign_side),
@@ -345,13 +348,19 @@ def two_link_simple_bound(R: float) -> BoundReport:
 
 
 def benign_bound(R_values: Sequence[float]) -> BoundReport:
-    """Ratio bound when no link is super-efficient: 4P^2/(3P^2+1), P = prod(1+R_i)."""
+    """Ratio bound when no link is super-efficient: 4P^2/(3P^2+1), P = prod(1+R_i).
+
+    Where 4P^2 overflows the bound is its limit 4/3.
+    """
     Rs = tuple(float(x) for x in R_values)
     for x in Rs:
         if not x >= 2.0:
             raise ParamTooSmall(f"multipliers must be >= 2, got {x}")
+        if x > sys.float_info.max:
+            raise ParamOutOfRange("multipliers must be finite")
     P = math.prod(1.0 + x for x in Rs)
-    value = 4.0 * P * P / (3.0 * P * P + 1.0)
+    top = 4.0 * P * P
+    value = top / (3.0 * P * P + 1.0) if top < INF else 4.0 / 3.0
     return BoundReport(
         name="benign",
         value=value,

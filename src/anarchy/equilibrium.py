@@ -66,6 +66,28 @@ def _segment_index(breakpoints: Sequence[float], r: float) -> int:
     return max(1, bisect_left(breakpoints, r))
 
 
+def _selfish_split(net: ParallelNetwork, rate: float) -> tuple[list[float], float, int]:
+    # Selfish flows, their level and the open link count j.  With a zero-slope
+    # last link, j == k only once demand reaches the flat tail.
+    k = net.k
+    if net.has_flat_tail and rate >= net.breakpoints[-1]:
+        bk = net.links[-1].intercept
+        flows = [(bk - net.links[i].intercept) * net.efficiency[i] for i in range(k - 1)]
+        flows.append(rate - math.fsum(flows))
+        return flows, bk, k
+    j = min(_segment_index(net.breakpoints, rate), k)
+    eff_j = net.eff_prefix[j - 1]
+    # level - b_i, written as intercept gap plus the demand past the last
+    # breakpoint: subtracting b_i from a level that rounds near it would
+    # cancel, and a large efficiency multiplies the rounding error.
+    top = net.links[j - 1].intercept
+    past = (rate - net.breakpoints[j - 1]) / eff_j
+    flows = [0.0] * k
+    for i in range(j):
+        flows[i] = max(0.0, net.efficiency[i] * ((top - net.links[i].intercept) + past))
+    return flows, (rate + net.off_prefix[j - 1]) / eff_j, j
+
+
 def nash_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     """Selfish flow: used links share one latency level.
 
@@ -75,66 +97,38 @@ def nash_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     reaches the last breakpoint.
     """
     check_rate(rate)
-    k = net.k
-    if net.has_flat_tail and rate >= net.breakpoints[-1]:
-        bk = net.links[-1].intercept
-        flows = [(bk - net.links[i].intercept) * net.efficiency[i] for i in range(k - 1)]
-        flows.append(rate - math.fsum(flows))
-        profile = FlowProfile(rate=rate, flows=tuple(flows))
-        return EquilibriumResult(profile, level=bk, used_count=profile.used_count,
-                                 cost=rate * bk)
-
-    j = min(_segment_index(net.breakpoints, rate), k)
-    eff_j = net.eff_prefix[j - 1]
-    off_j = net.off_prefix[j - 1]
-    level = (rate + off_j) / eff_j
-    # level - b_i, written as intercept gap plus the demand past the last
-    # breakpoint: subtracting b_i from a level that rounds near it would
-    # cancel, and a large efficiency multiplies the rounding error.
-    top = net.links[j - 1].intercept
-    past = (rate - net.breakpoints[j - 1]) / eff_j
-    flows = [0.0] * k
-    for i in range(j):
-        flows[i] = max(0.0, net.efficiency[i] * ((top - net.links[i].intercept) + past))
+    flows, level, j = _selfish_split(net, rate)
     profile = FlowProfile(rate=rate, flows=tuple(flows))
-    cost = (rate * rate + off_j * rate) / eff_j
+    if net.has_flat_tail and j == net.k:
+        cost = rate * level
+    else:
+        cost = (rate * rate + net.off_prefix[j - 1] * rate) / net.eff_prefix[j - 1]
     return EquilibriumResult(profile, level=level, used_count=profile.used_count, cost=cost)
 
 
 def opt_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     """System-optimal flow: used links share one marginal cost.
 
-    Link h opens at half its selfish breakpoint.  The reported level is the
-    equalized marginal cost (2*slope*flow + intercept on used links).  The
-    cost is (rate^2 + off_prefix_h * rate) / eff_prefix_h minus a quarter of
-    the intercept spread ``spread_prefix`` of the used links.
+    A link's marginal cost at flow x, 2*slope*x + intercept, is its latency
+    at 2x, so the optimal flow is half the selfish flow at twice the demand,
+    and the reported level, the equalized marginal cost, is that flow's
+    level.  Link h therefore opens at half its selfish breakpoint.  The cost
+    is (rate^2 + off_prefix_h * rate) / eff_prefix_h minus a quarter of the
+    intercept spread ``spread_prefix`` of the used links.
     """
     check_rate(rate)
-    k = net.k
-    if net.has_flat_tail and 2.0 * rate >= net.breakpoints[-1]:
-        bk = net.links[-1].intercept
-        flows = [(bk - net.links[i].intercept) * net.efficiency[i] / 2.0 for i in range(k - 1)]
-        used = math.fsum(flows)
-        flows.append(rate - used)
-        profile = FlowProfile(rate=rate, flows=tuple(flows))
+    doubled, level, h = _selfish_split(net, 2.0 * rate)
+    flows = tuple(f / 2.0 for f in doubled)
+    profile = FlowProfile(rate=rate, flows=flows)
+    if net.has_flat_tail and h == net.k:
+        bk = level
         cost = math.fsum(
             (bk * bk - b * b) * e / 4.0
             for b, e in zip(net.intercepts[:-1], net.efficiency[:-1])
-        ) + (rate - used) * bk
-        return EquilibriumResult(profile, level=bk, used_count=profile.used_count, cost=cost)
-
-    h = min(_segment_index(net.opt_breakpoints, rate), k)
-    eff_h = net.eff_prefix[h - 1]
-    off_h = net.off_prefix[h - 1]
-    level = (2.0 * rate + off_h) / eff_h  # marginal cost on used links
-    # Same difference form as nash_flow, at twice the rate.
-    top = net.links[h - 1].intercept
-    past = (2.0 * rate - net.breakpoints[h - 1]) / eff_h
-    flows = [0.0] * k
-    for i in range(h):
-        flows[i] = max(0.0, net.efficiency[i] * ((top - net.links[i].intercept) + past) / 2.0)
-    profile = FlowProfile(rate=rate, flows=tuple(flows))
-    cost = (rate * rate + off_h * rate) / eff_h - net.spread_prefix[h - 1] / 4.0
+        ) + flows[-1] * bk
+    else:
+        eff_h = net.eff_prefix[h - 1]
+        cost = (rate * rate + net.off_prefix[h - 1] * rate) / eff_h - net.spread_prefix[h - 1] / 4.0
     return EquilibriumResult(profile, level=level, used_count=profile.used_count, cost=cost)
 
 
@@ -337,42 +331,30 @@ def water_fill(lats: Sequence, rate: float, *, latency_family: str = "original",
     )
 
 
-def worst_equilibrium_cost_two_links(lats: Sequence, rate: float,
-                                     tol: float | None = None) -> float:
+def worst_equilibrium_cost_two_links(lats: Sequence, rate: float) -> float:
     """Most expensive equilibrium split of `rate` over two links.
 
-    With x on the first link, the equilibrium splits form one interval whose
-    ends are water-fill interval ends.  Between flow boundaries of the two
-    latencies the cost x*(s1*x + c1) + (r-x)*(s2*(r-x) + c2) has second
-    derivative 2*(s1 + s2) >= 0, so it is convex and its maximum over any
-    stretch of splits sits at an end of the stretch.  The candidates are
-    therefore 0, r, the four interval ends and the flow boundaries of both
-    latencies; each is certified with :func:`is_user_equilibrium` before its
-    cost counts.  Ties go to the smaller split.
+    At the least filling level every equilibrium keeps each link's flow
+    inside that link's water-fill interval, and every split inside both
+    intervals is an equilibrium.  So with x on the first link the
+    equilibria are x in [max(lo1, r - hi2), min(hi1, r - lo2)], read with
+    both ends clamped into link 1's own interval.  Between flow boundaries
+    of the two latencies the cost x*(s1*x + c1) + (r-x)*(s2*(r-x) + c2) has
+    second derivative 2*(s1 + s2) >= 0, so it is convex and its maximum sits
+    at an end of the interval or at a flow boundary inside it.  The second
+    flow at each is clamped into [lo2, hi2]; with the clamp on x this keeps
+    rounding in r - x from carrying a flow across a jump or a cap.
     """
     if len(lats) != 2:
         raise NotTwoLinks(f"worst-equilibrium search needs exactly 2 links, got {len(lats)}")
     check_rate(rate)
     if rate == 0.0:
         return 0.0
-    if tol is None:
-        tol = comparison_tolerance()
     lat1, lat2 = lats
-
-    wf = water_fill(lats, rate, tol=tol)
-    assert wf.per_link_interval is not None
-    (m1, hi1), (m2, hi2) = wf.per_link_interval
-
-    cands = {0.0, rate, m1, hi1, rate - m2, rate - hi2}
-    cands.update(lat1.flow_boundaries())
-    cands.update(rate - b for b in lat2.flow_boundaries())
-
-    best = -INF
-    for x in sorted(c for c in cands if 0.0 <= c <= rate):
-        flows = (x, rate - x)
-        cost = profile_cost(lats, flows)
-        if cost > best and is_user_equilibrium(lats, FlowProfile(rate, flows), tol):
-            best = cost
-    if best == -INF:
-        raise AssertionError("no equilibrium split found")
-    return best
+    (lo1, hi1), (lo2, hi2) = water_fill(lats, rate).per_link_interval
+    x_lo = min(hi1, max(lo1, rate - hi2))
+    x_hi = max(x_lo, min(hi1, rate - lo2))
+    xs = {x_lo, x_hi}
+    xs.update(b for b in lat1.flow_boundaries() if x_lo < b < x_hi)
+    xs.update(rate - b for b in lat2.flow_boundaries() if x_lo < rate - b < x_hi)
+    return max(profile_cost(lats, (x, min(hi2, max(lo2, rate - x)))) for x in xs)

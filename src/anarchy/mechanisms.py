@@ -15,7 +15,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .config import comparison_tolerance
 from .equilibrium import nash_flow
 from .errors import (
     BadParamCount,

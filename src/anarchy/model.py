@@ -331,15 +331,21 @@ class PiecewiseLatency:
         to its left limit ``v_hi`` at flow ``hi``; ``v_hi`` is infinite for an
         unbounded rising segment.  These corner levels are the only places
         where the flow a link absorbs at a given latency changes its form.
+        Corner levels never decrease: construction lets the value just after
+        a boundary sit up to 1e-12 relative below the value just before it,
+        and such a dip is lifted to the earlier level, so that a level equal
+        to one segment's end never counts as above the next segment's start.
         """
         out = []
         ends = self.starts[1:] + (INF,)
+        top = -INF
         for lo, end, m, c in zip(self.starts, ends, self.slopes, self.offsets):
             hi = min(end, self.cap)
             if not hi > lo:
                 break
-            v_hi = m * hi + c if math.isfinite(hi) else (INF if m > 0.0 else c)
-            out.append((lo, hi, m, m * lo + c, v_hi))
+            v_lo = max(top, m * lo + c)
+            top = max(v_lo, m * hi + c if math.isfinite(hi) else (INF if m > 0.0 else c))
+            out.append((lo, hi, m, v_lo, top))
         return tuple(out)
 
     def is_monotone(self) -> bool:

@@ -221,6 +221,23 @@ def test_bounds_benign(capsys):
     assert "1.327868852459016" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, code, shown", [
+    (["benign", "--R", "1e200", "1e200"], 0, "benign: 1.3333333333333333"),
+    (["benign", "--R", "1e154"], 0, "benign: 1.3333333333333333"),
+    (["benign", "--R", "inf"], 3, "finite"),
+    (["benign", "--R", "2", "inf"], 3, "finite"),
+    (["simple2", "--R", "1e308"], 0, "benign_side = 1.3333333333333333"),
+    (["simple2", "--R", "6e307"], 0, "two_link_threshold: 1.3333333333333333"),
+    (["simple2", "--R", "inf"], 3, "finite"),
+])
+def test_bounds_at_float_range_edge(argv, code, shown, capsys):
+    # Overflowing intermediates give the 4/3 limit; infinite multipliers are
+    # a domain error, as for the recurrence bound.
+    assert main(["bounds", *argv]) == code
+    captured = capsys.readouterr()
+    assert shown in (captured.out if code == 0 else captured.err)
+
+
 def test_bounds_recurrence_exact(capsys):
     assert main(["bounds", "recurrence", "--R", "7"]) == 0
     out = capsys.readouterr().out

@@ -22,6 +22,7 @@ from anarchy import (
     normalize_network,
     opt_flow,
     profile_cost,
+    ratio_curve,
     solve_plateau_params,
     water_fill,
     worst_equilibrium_cost_two_links,
@@ -332,6 +333,27 @@ def test_water_fill_level_sits_on_jump_at_its_ends():
         assert res.per_link_interval[0] == (params.hold_start, params.hold_end)
 
 
+def test_water_fill_corner_one_ulp_below_flat_piece():
+    # The last segment starts one ulp below the flat level before it, within
+    # the slack construction allows; the level sits on the flat piece and
+    # the first link may carry any flow along it.
+    first = PiecewiseLatency(
+        starts=(0.0, 0.08849811770014272, 0.11823981888605739, 1.461358839272959),
+        slopes=(1.140900138040887, 2.7773761638641377, 0.0, 2.6448766152839545),
+        offsets=(0.6396249767052076, 0.49479992875843976, 0.8231963833521883,
+                 -3.0419174371793645))
+    second = PiecewiseLatency(starts=(0.0, 1.9580840144836837),
+                              slopes=(1.387600902473139, 1.8589989803051394),
+                              offsets=(0.7700585279007472, 0.26878294378768164),
+                              cap=2.0049228283292684)
+    flat = first.value(1.0)
+    assert first.right_liminf(first.starts[3]) < flat
+    rate = 1.4604877136574104
+    res = water_fill([first, second], rate)
+    assert res.level == flat
+    assert res.per_link_interval[0] == (first.starts[2], rate)
+
+
 # ----------------------------------------------------------- equilibrium check
 
 
@@ -497,3 +519,100 @@ def test_worst_equilibrium_matches_grid_oracle():
             assert got == pytest.approx(want, rel=1e-9), (net.to_json_dict(), rate)
             compared += 1
     assert compared >= 300
+
+
+def _scaled_two_link_instances(rng, count):
+    # Plateau and two-link threshold instances with slopes scaled by lam and
+    # intercepts by mu, lam and mu across twelve orders of magnitude.
+    for i in range(count):
+        lam, mu = 10.0 ** rng.uniform(-6, 6), 10.0 ** rng.uniform(-6, 6)
+        if i % 2:
+            R, a1 = rng.uniform(MIN_PLATEAU_RATIO, 200.0), rng.uniform(0.1, 5.0)
+            net = normalize_network([{"a": a1 * lam, "b": 0.0},
+                                     {"a": a1 / R * lam, "b": rng.uniform(0.01, 3.0) * mu}])
+            params = solve_plateau_params(net)
+            yield net, (params, build_plateau_mechanism(net, params)), params.jump_rate
+        else:
+            a1 = rng.uniform(0.2, 4.0)
+            net = normalize_network([{"a": a1 * lam, "b": rng.uniform(0.0, 1.0) * mu},
+                                     {"a": rng.uniform(0.05, a1) * lam,
+                                      "b": rng.uniform(1.1, 3.0) * mu}])
+            yield net, build_threshold_mechanism(net, [rng.uniform(2.0, 8.0)]), None
+
+
+def test_worst_equilibrium_matches_cost_pieces():
+    # The per-rate solver and the closed-form numerator of the piece model
+    # agree at random rates and on both sides of every mark, down to the
+    # neighbouring doubles.  The piece model closes the hold at the plateau
+    # jump rate by convention, so that one rate is skipped.
+    rng = random.Random(1010)
+    compared = 0
+    for net, mech, jump in _scaled_two_link_instances(rng, 120):
+        marks = curve_breakpoints(net, mech)
+        rates = [rng.uniform(0.0, 2.0) * marks[-1] for _ in range(8)]
+        for b in marks:
+            rates += [math.nextafter(b, 0.0), b, math.nextafter(b, math.inf),
+                      b * (1 - 1e-10), b * (1 + 1e-10)]
+        rates = [r for r in rates if r > 0.0 and r != jump]
+        for r, sample in zip(rates, ratio_curve(net, mech, rates)):
+            got = worst_equilibrium_cost_two_links(mech[1], r)
+            assert got == pytest.approx(sample.cost_num, rel=1e-12), (net.to_json_dict(), r)
+            compared += 1
+    assert compared >= 2500
+
+
+def test_worst_equilibrium_scale_covariant_near_jump():
+    # Slopes 1e-4: just below the jump only the hold split is an equilibrium,
+    # whatever the size of the latency slack the certificate allows.
+    net = normalize_network([{"a": 1e-4, "b": 0.0}, {"a": 1 / 3e4, "b": 1.0}])
+    params = solve_plateau_params(net)
+    lats = build_plateau_mechanism(net, params)
+    r = params.jump_rate * (1 - 1e-10)
+    assert worst_equilibrium_cost_two_links(lats, r) == pytest.approx(30224.42577985392, rel=1e-12)
+
+
+def test_worst_equilibrium_capped_second_link():
+    # The second link fills to its cap; rate - x may round one ulp past it.
+    lats = [PiecewiseLatency.from_affine(AffineLatency(1.0, 1.0)),
+            PiecewiseLatency((0.0,), (0.0,), (0.5,), cap=0.1)]
+    assert worst_equilibrium_cost_two_links(lats, 0.7) == pytest.approx(1.01, rel=1e-12)
+    assert worst_equilibrium_cost_two_links(lats, 1.1) == pytest.approx(2.05, rel=1e-12)
+
+
+def _random_piecewise(rng):
+    # Monotone piecewise latency with flat pieces, upward jumps and maybe a cap.
+    starts = [0.0] + sorted(rng.uniform(0.05, 3.0) for _ in range(rng.randint(0, 3)))
+    slopes, offsets = [], []
+    left = rng.uniform(0.0, 2.0)
+    for i, s in enumerate(starts):
+        m = 0.0 if rng.random() < 0.3 else rng.uniform(0.1, 3.0)
+        v = left + (rng.uniform(0.0, 1.5) if i and rng.random() < 0.4 else 0.0)
+        slopes.append(m)
+        offsets.append(v - m * s)
+        if i + 1 < len(starts):
+            left = m * starts[i + 1] + offsets[-1]
+    cap = rng.uniform(0.2, 4.0) if rng.random() < 0.4 else math.inf
+    return PiecewiseLatency(tuple(starts), tuple(slopes), tuple(offsets), cap=cap)
+
+
+def test_worst_equilibrium_random_piecewise_pairs():
+    # Never raises on a feasible rate.  At full capacity both links sit at
+    # their caps.  The grid oracle can miss an equilibrium that needs a flow
+    # exactly at a cap or a jump, and at full capacity it can accept a split
+    # whose rounded flows both pass a cap, so it is compared only where it
+    # finds a finite equilibrium cost.
+    rng = random.Random(2024)
+    compared = 0
+    for _ in range(150):
+        lats = [_random_piecewise(rng), _random_piecewise(rng)]
+        caps = (lats[0].cap, lats[1].cap)
+        if sum(caps) < 6.0:
+            full = worst_equilibrium_cost_two_links(lats, sum(caps))
+            assert full == pytest.approx(profile_cost(lats, caps), rel=1e-12), (lats, caps)
+        for r in [rng.uniform(0.0, min(sum(caps), 6.0)) for _ in range(8)]:
+            got = worst_equilibrium_cost_two_links(lats, r)
+            want = grid_worst_cost(lats, r)
+            if math.isfinite(want):
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (lats, r)
+                compared += 1
+    assert compared >= 1000
