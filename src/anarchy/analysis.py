@@ -19,10 +19,12 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .config import comparison_tolerance
-from .equilibrium import nash_flow, opt_flow, water_fill
+from .equilibrium import _flow_bounds, nash_flow, opt_flow, water_fill
 from .errors import (
     CostUnderflow,
     EmptyNetwork,
@@ -136,72 +138,93 @@ def _opt_segs(net: ParallelNetwork) -> Iterator[_Seg]:
         yield _Seg(INF, False, f"opt{k}", start, opt_flow(net, start).cost, bk, 0.0)
 
 
-def _clip(segs: Iterable[_Seg], lo: float, hi: float, closed: bool, tag: str) -> Iterator[_Seg]:
-    # The segments that cover the demands between lo and hi, the last one cut
-    # at hi with the given closure, all tagged with the regime name.
-    if not hi > lo:
-        return
-    for seg in segs:
-        if seg.hi <= lo:
-            continue
-        if seg.hi >= hi:
-            yield seg._replace(hi=hi, closed=closed, tag=tag)
-            return
-        yield seg._replace(tag=tag)
+def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
+    # The costliest equilibrium, swept once over the water-fill level L.
+    # Links past a segment's end hold flow D at cost C and every other used
+    # link pays L, so the cost C + L*(r - D) is quadratic in r while L rises
+    # and linear across a flat segment's jump; there the flat links are no
+    # longer held, but links that rise past a jump at L still are.  Where the
+    # cost can jump the demand is read off the least flows, and the last piece
+    # (at first an empty one at 0), held back until the demand grows again,
+    # ends there too.  The sums snap to 0 once per level when their link
+    # counts do.  The links must take unbounded flow together; a last level
+    # at inf ends the last rising piece.
+    events = sorted(ev for lat in lats for ev in lat.supply_events) + [(INF, 0.0, 0.0, 0.0, 0.0)]
+    r = prev = growth = held = cost = 0.0
+    rising = n_held = 0
+    last = _Seg(0.0, True, "", 0.0, 0.0, 0.0, 0.0)
+    for level, batch in groupby(events, itemgetter(0)):
+        batch = list(batch)
+        width = math.fsum([ev[1] for ev in batch])
+        end = r + growth * (level - prev)
+        if width > 0.0 or any([ev[3] < 0.0 for ev in batch]):
+            end = math.fsum([_flow_bounds(lat, level)[0] for lat in lats])
+        if rising:
+            yield last
+            last = _Seg(end, True, "", r, cost + prev * (r - held), prev + (r - held) / growth,
+                        1.0 / growth)
+        else:
+            last = last._replace(hi=end)
+        r = end
+        if width > 0.0:
+            flats = [ev for ev in batch if ev[1] > 0.0]
+            d, c = held + math.fsum(ev[3] for ev in flats), cost + math.fsum(ev[4] for ev in flats)
+            yield last
+            last = _Seg(r + width, r + width < INF, "", r, c + level * (r - d), level, 0.0)
+            r += width
+            if r == INF:
+                break
+        for _, _, dgrowth, dheld, dcost in batch:
+            rising += (dgrowth > 0.0) - (dgrowth < 0.0)
+            n_held += (dheld > 0.0) - (dheld < 0.0)
+            growth, held, cost = growth + dgrowth, held + dheld, cost + dcost
+        if not rising:
+            growth = 0.0
+        if not n_held:
+            held = cost = 0.0
+        prev = level
+    yield last
 
 
-def _threshold_segs(net: ParallelNetwork, params: ThresholdParams) -> Iterator[_Seg]:
-    # Stage s: the caps frozen by earlier stages cost a constant, and the
-    # leftover demand r - start_s routes selfishly over the stage's suffix.
-    frozen = 0.0
-    for idx, stage in enumerate(params.stages):
-        start = stage.global_start_rate
-        end = INF if stage.trigger is None else params.stages[idx + 1].global_start_rate
-        inner = (seg._replace(hi=start + seg.hi, anchor=start, a0=frozen)
-                 for seg in _nash_segs(stage.suffix_net))
-        yield from _clip(inner, start, end, True, f"stage{idx}")
-        frozen += math.fsum(cap * net.links[stage.start + off].value(cap)
-                            for off, cap in enumerate(stage.caps))
-
-
-def _plateau_segs(net: ParallelNetwork, params: PlateauParams,
-                  lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
-    # The costliest equilibrium is the selfish split before the hold, keeps
-    # hold_start on the first link during it, and once the second link
-    # reaches the plateau level both links sit at that level, so the cost is
-    # r times it, until the selfish split resumes.  Identity latencies stay
-    # selfish throughout.
-    hs, jump, resume = params.hold_start, params.jump_rate, params.resume_rate
-    nash = list(_nash_segs(net))
-    hold = jumped = nash
-    if len(lats[0].starts) > 1:
-        second = net.links[1]
-        hold = [_Seg(INF, True, "", hs, hs * lats[0].value(hs), second.intercept, second.slope)]
-        jumped = [_Seg(INF, True, "", 0.0, 0.0, lats[0].value(params.hold_end), 0.0)]
-    yield from _clip(nash, 0.0, hs, True, "pre")
-    yield from _clip(hold, hs, jump, True, "hold")
-    yield from _clip(jumped, jump, resume, False, "jump")
-    yield from _clip(nash, resume, INF, False, "post")
+def _cut(segs: Iterator[_Seg], marks: Iterable[tuple[float, bool, str]]) -> Iterator[_Seg]:
+    # Tag and cut segments at marks (hi, closed, tag), the last one at inf;
+    # segments that end within demand already covered are dropped.
+    lo, seg = 0.0, next(segs)
+    for hi, closed, tag in marks:
+        while seg.hi < hi:
+            if seg.hi > lo:
+                yield _Seg(seg.hi, seg.closed, tag, *seg[3:])
+                lo = seg.hi
+            seg = next(segs)
+        if hi > lo:
+            yield _Seg(hi, closed, tag, *seg[3:])
+            lo = hi
 
 
 def cost_pieces(net: ParallelNetwork, mechanism: Mechanism | None = None) -> tuple[CostPiece, ...]:
     """Cut the demand axis into pieces on which both costs are quadratics.
 
-    The numerator is the selfish cost, the threshold mechanism's equilibrium
-    cost or the plateau mechanism's costliest equilibrium; the denominator
-    is the optimal cost.  Pieces follow in demand order, cover every demand
-    > 0 exactly once and end with an unbounded piece.  A regime tag names
-    the numerator's closed form and the optimal link count; at a demand
-    where the two costs change form on different sides, a one-demand piece
-    carries the pair that holds there.  Built in O(k) plus the size of the
-    mechanism.
+    The numerator is the selfish cost of a plain network, or the costliest
+    equilibrium cost on a mechanism's latencies, from one sweep over their
+    supply events; the denominator is the optimal cost.  Pieces follow in
+    demand order, cover every demand > 0 exactly once and end with an
+    unbounded piece.  A regime tag names the numerator's form (``nash{j}``,
+    a threshold ``stage{s}`` cut at the freeze points, or a plateau region
+    cut at its marks) and the optimal link count; at a demand where the two
+    costs change form on different sides, a one-demand piece carries the
+    pair that holds there.  Built in O(k), or O(n log n) in the n segments
+    of a mechanism's latencies.
     """
     if mechanism is None:
         num = _nash_segs(net)
-    elif isinstance(mechanism[0], ThresholdParams):
-        num = _threshold_segs(net, mechanism[0])
     else:
-        num = _plateau_segs(net, *mechanism)
+        params, lats = mechanism
+        if isinstance(params, ThresholdParams):
+            marks = [(f, True, f"stage{s}") for s, f in enumerate((*params.freeze_points, INF))]
+        else:
+            marks = [(params.hold_start, True, "pre"), (params.jump_rate, True, "hold"),
+                     (params.resume_rate, False, "jump"), (INF, False, "post")]
+        num = _cut(_equilibrium_segs(lats), marks)
     nums, dens = list(num), list(_opt_segs(net))
     pieces: list[CostPiece] = []
 
@@ -350,7 +373,7 @@ def two_link_simple_bound(R: float) -> BoundReport:
 def benign_bound(R_values: Sequence[float]) -> BoundReport:
     """Ratio bound when no link is super-efficient: 4P^2/(3P^2+1), P = prod(1+R_i).
 
-    Where 4P^2 overflows the bound is its limit 4/3.
+    Neither rounding nor an overflow of 4P^2 takes it past its limit 4/3.
     """
     Rs = tuple(float(x) for x in R_values)
     for x in Rs:
@@ -360,7 +383,7 @@ def benign_bound(R_values: Sequence[float]) -> BoundReport:
             raise ParamOutOfRange("multipliers must be finite")
     P = math.prod(1.0 + x for x in Rs)
     top = 4.0 * P * P
-    value = top / (3.0 * P * P + 1.0) if top < INF else 4.0 / 3.0
+    value = min(top / (3.0 * P * P + 1.0), 4.0 / 3.0) if top < INF else 4.0 / 3.0
     return BoundReport(
         name="benign",
         value=value,

@@ -36,7 +36,7 @@ from .analysis import (
     two_link_simple_bound,
 )
 from .config import IDENTITY_RTOL, comparison_tolerance
-from .equilibrium import nash_flow, opt_flow, water_fill, worst_equilibrium_cost_two_links
+from .equilibrium import nash_flow, opt_flow, water_fill, worst_equilibrium_cost
 from .errors import AnarchyError, SchemaError
 from .mechanisms import (
     build_plateau_mechanism,
@@ -398,7 +398,7 @@ def _checks_random(seed: int):
             bound = two_link_simple_bound(R).value
             for _ in range(5):
                 r = rng.uniform(1e-3, 4.0 * net.breakpoints[1])
-                num = worst_equilibrium_cost_two_links(lats, r)
+                num = worst_equilibrium_cost(lats, r)
                 den = opt_flow(net, r).cost
                 _require(num <= bound * den * (1.0 + 1e-9), (r, num / den, bound))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .config import comparison_tolerance
-from .errors import InfeasibleRate, NotTwoLinks, SegmentMismatch
+from .errors import InfeasibleRate, SegmentMismatch
 from .model import INF, FlowProfile, ParallelNetwork, check_rate
 
 
@@ -221,19 +221,6 @@ def _flow_bounds(lat, corner: float, past: float = 0.0) -> tuple[float, float]:
     return least, most
 
 
-def _supply_events(lat):
-    # Supply S(L), the most flow a link takes at latency <= L, rises at rate
-    # 1/slope across a rising segment's corner levels and jumps by the width
-    # of a flat segment at its level.  Events are (level, jump, rate change).
-    for lo, hi, m, v_lo, v_hi in lat.segments:
-        if m == 0.0:
-            yield v_lo, hi - lo, 0.0
-        else:
-            yield v_lo, 0.0, 1.0 / m
-            if v_hi < INF:
-                yield v_hi, 0.0, -1.0 / m
-
-
 def _fill_level(lats: Sequence, rate: float) -> tuple[float, float]:
     """Least latency level at which the links together absorb `rate`.
 
@@ -246,11 +233,11 @@ def _fill_level(lats: Sequence, rate: float) -> tuple[float, float]:
     reached first.  Returns the level as (corner, part above the corner),
     the form :func:`_flow_bounds` takes.
     """
-    events = sorted(ev for lat in lats for ev in _supply_events(lat))
+    events = sorted(ev for lat in lats for ev in lat.supply_events)
     prev = min(lat.value(0.0) for lat in lats)
     stop = INF
     supplied = growth = 0.0
-    for level, jump, dgrowth in events:
+    for level, jump, dgrowth, _, _ in events:
         if level > prev:
             ahead = supplied + growth * (level - prev)
             if ahead >= rate:
@@ -313,7 +300,7 @@ def water_fill(lats: Sequence, rate: float, *, latency_family: str = "original",
     total_hi = math.fsum(hi for _, hi in intervals)
     spread = total_hi - total_lo
     t = 0.0 if spread <= 0.0 else min(1.0, max(0.0, (rate - total_lo) / spread))
-    flows = tuple(lo + t * (hi - lo) for lo, hi in intervals)
+    flows = tuple(min(hi, lo + t * (hi - lo)) for lo, hi in intervals)
 
     profile = FlowProfile(rate=rate, flows=flows, latency_family=latency_family)
     check = is_user_equilibrium(lats, profile, tol)
@@ -331,30 +318,21 @@ def water_fill(lats: Sequence, rate: float, *, latency_family: str = "original",
     )
 
 
-def worst_equilibrium_cost_two_links(lats: Sequence, rate: float) -> float:
-    """Most expensive equilibrium split of `rate` over two links.
+def worst_equilibrium_cost(lats: Sequence, rate: float) -> float:
+    """Cost of the most expensive equilibrium split of `rate` over any number of links.
 
-    At the least filling level every equilibrium keeps each link's flow
-    inside that link's water-fill interval, and every split inside both
-    intervals is an equilibrium.  So with x on the first link the
-    equilibria are x in [max(lo1, r - hi2), min(hi1, r - lo2)], read with
-    both ends clamped into link 1's own interval.  Between flow boundaries
-    of the two latencies the cost x*(s1*x + c1) + (r-x)*(s2*(r-x) + c2) has
-    second derivative 2*(s1 + s2) >= 0, so it is convex and its maximum sits
-    at an end of the interval or at a flow boundary inside it.  The second
-    flow at each is clamped into [lo2, hi2]; with the clamp on x this keeps
-    rounding in r - x from carrying a flow across a jump or a cap.
+    Every equilibrium keeps each link inside its water-fill interval, and any
+    flows inside them that add up to the rate form one.  If the rate does not
+    exceed the sum of the low ends, every link sits at its low end.  Otherwise
+    a link whose interval is a single flow pays its latency there, and every
+    other link can carry more than its low end and pay the level.
     """
-    if len(lats) != 2:
-        raise NotTwoLinks(f"worst-equilibrium search needs exactly 2 links, got {len(lats)}")
-    check_rate(rate)
-    if rate == 0.0:
-        return 0.0
-    lat1, lat2 = lats
-    (lo1, hi1), (lo2, hi2) = water_fill(lats, rate).per_link_interval
-    x_lo = min(hi1, max(lo1, rate - hi2))
-    x_hi = max(x_lo, min(hi1, rate - lo2))
-    xs = {x_lo, x_hi}
-    xs.update(b for b in lat1.flow_boundaries() if x_lo < b < x_hi)
-    xs.update(rate - b for b in lat2.flow_boundaries() if x_lo < rate - b < x_hi)
-    return max(profile_cost(lats, (x, min(hi2, max(lo2, rate - x)))) for x in xs)
+    res = water_fill(lats, rate)
+    lows = [lo for lo, _ in res.per_link_interval]
+    if rate <= math.fsum(lows):
+        return profile_cost(lats, lows)
+    pinned = [lo if lo == hi else 0.0 for lo, hi in res.per_link_interval]
+    return profile_cost(lats, pinned) + res.level * (rate - math.fsum(pinned))
+
+
+worst_equilibrium_cost_two_links = worst_equilibrium_cost

@@ -316,13 +316,6 @@ class PiecewiseLatency:
         idx = max(0, bisect_right(self.starts, x) - 1)
         return self.slopes[idx] * x + self.offsets[idx]
 
-    def flow_boundaries(self) -> tuple[float, ...]:
-        """Finite flow values where the description changes (segment starts, cap)."""
-        pts = list(self.starts[1:])
-        if math.isfinite(self.cap):
-            pts.append(self.cap)
-        return tuple(sorted(set(pts)))
-
     @cached_property
     def segments(self) -> tuple[tuple[float, float, float, float, float], ...]:
         """Non-empty segments clipped to the cap, as (lo, hi, slope, v_lo, v_hi).
@@ -346,6 +339,26 @@ class PiecewiseLatency:
             v_lo = max(top, m * lo + c)
             top = max(v_lo, m * hi + c if math.isfinite(hi) else (INF if m > 0.0 else c))
             out.append((lo, hi, m, v_lo, top))
+        return tuple(out)
+
+    @cached_property
+    def supply_events(self) -> tuple[tuple[float, float, float, float, float], ...]:
+        """Corner levels as (level, jump, rate change, held flow, held cost).
+
+        The supply, the most flow taken at latency <= L, rises at 1/slope on a
+        rising segment and jumps by a flat segment's width.  Past a segment's
+        end the link holds that flow at that end's latency until its next
+        segment starts, if that start lies higher or there is none.
+        """
+        out, release = [], (0.0, 0.0)
+        segs = self.segments
+        for (lo, hi, m, v_lo, v_hi), nxt in zip(segs, segs[1:] + (None,)):
+            rate = 1.0 / m if m > 0.0 else 0.0
+            out.append((v_lo, 0.0 if rate else hi - lo, rate, *release))
+            if hi < INF:
+                held = (hi, hi * v_hi) if nxt is None or nxt[3] > v_hi else (0.0, 0.0)
+                out.append((v_hi, 0.0, -rate, *held))
+                release = (-held[0], -held[1])
         return tuple(out)
 
     def is_monotone(self) -> bool:

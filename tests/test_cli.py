@@ -229,6 +229,7 @@ def test_bounds_benign(capsys):
     (["simple2", "--R", "1e308"], 0, "benign_side = 1.3333333333333333"),
     (["simple2", "--R", "6e307"], 0, "two_link_threshold: 1.3333333333333333"),
     (["simple2", "--R", "inf"], 3, "finite"),
+    (["benign", "--R", "3e153"], 0, "benign: 1.3333333333333333"),
 ])
 def test_bounds_at_float_range_edge(argv, code, shown, capsys):
     # Overflowing intermediates give the 4/3 limit; infinite multipliers are

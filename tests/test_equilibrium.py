@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -25,8 +27,10 @@ from anarchy import (
     ratio_curve,
     solve_plateau_params,
     water_fill,
+    worst_equilibrium_cost,
     worst_equilibrium_cost_two_links,
 )
+from anarchy.analysis import _equilibrium_segs
 from anarchy.mechanisms import MIN_PLATEAU_RATIO
 from conftest import random_network
 
@@ -354,6 +358,24 @@ def test_water_fill_corner_one_ulp_below_flat_piece():
     assert res.per_link_interval[0] == (first.starts[2], rate)
 
 
+def test_water_fill_fills_every_interval_to_its_top():
+    # The rate fills every interval (t = 1); lo + t*(hi - lo) once landed one
+    # double past the first link's cap, and the certificate failed.
+    lats = [
+        PiecewiseLatency((0.0, 1.2917717472900498), (1.556437715941987, 0.0),
+                         (1.0886080747109295, 3.099170342581444), cap=3.58561298986845),
+        PiecewiseLatency((0.0, 1.3910334189294287, 1.8224487753184087, 1.9144594426246102),
+                         (2.2610646781230694, 0.0, 2.9738423472259434, 1.618569414131877),
+                         (1.1339306578811648, 5.553791523497917, 0.13411617980597512,
+                          2.728731243901463)),
+        PiecewiseLatency((0.0, 2.0356751945440092), (2.299744762362983, 2.8984952699996924),
+                         (0.8024403948520411, 0.15344525330720948)),
+    ]
+    res = water_fill(lats, 5.453467676250325)
+    assert res.profile.flows[0] == lats[0].cap
+    assert all(lo <= f <= hi for f, (lo, hi) in zip(res.profile.flows, res.per_link_interval))
+
+
 # ----------------------------------------------------------- equilibrium check
 
 
@@ -459,8 +481,8 @@ def grid_worst_cost(lats, rate, tol=1e-9):
     wf = water_fill(lats, rate, tol=tol)
     (m1, hi1), (m2, hi2) = wf.per_link_interval
     cands = {0.0, rate, m1, hi1, rate - m2, rate - hi2}
-    cands.update(b for b in lat1.flow_boundaries() if b <= rate)
-    cands.update(rate - b for b in lat2.flow_boundaries() if b <= rate)
+    cands.update(b for b in (*lat1.starts[1:], lat1.cap) if b <= rate)
+    cands.update(rate - b for b in (*lat2.starts[1:], lat2.cap) if b <= rate)
     edges = sorted(c for c in cands if 0.0 <= c <= rate)
     starts1, starts2 = np.asarray(lat1.starts), np.asarray(lat2.starts)
     for p, q in zip(edges, edges[1:]):
@@ -475,8 +497,10 @@ def grid_worst_cost(lats, rate, tol=1e-9):
                 cands.add(vertex)
 
     xs = np.unique(np.concatenate([np.linspace(0.0, rate, 10001), np.asarray(sorted(cands))]))
-    xs = xs[(xs >= 0.0) & (xs <= rate)]
-    ys = rate - xs
+    # Both flows stay inside the caps, and a split that fills the second
+    # link takes its cap exactly: rate - (rate - cap2) can round below cap2.
+    xs = xs[(xs >= 0.0) & (xs <= min(rate, lat1.cap))]
+    ys = np.where(xs <= rate - lat2.cap, lat2.cap, rate - xs)
     with np.errstate(invalid="ignore", over="ignore"):
         v1, rl1 = grid_latency(lat1, xs, "left"), grid_latency(lat1, xs, "right")
         v2, rl2 = grid_latency(lat2, ys, "left"), grid_latency(lat2, ys, "right")
@@ -597,10 +621,9 @@ def _random_piecewise(rng):
 
 def test_worst_equilibrium_random_piecewise_pairs():
     # Never raises on a feasible rate.  At full capacity both links sit at
-    # their caps.  The grid oracle can miss an equilibrium that needs a flow
-    # exactly at a cap or a jump, and at full capacity it can accept a split
-    # whose rounded flows both pass a cap, so it is compared only where it
-    # finds a finite equilibrium cost.
+    # their caps, and the grid oracle agrees.  At other rates the oracle can
+    # miss an equilibrium that needs a flow exactly at a jump, so it is
+    # compared only where it finds a finite equilibrium cost.
     rng = random.Random(2024)
     compared = 0
     for _ in range(150):
@@ -609,6 +632,7 @@ def test_worst_equilibrium_random_piecewise_pairs():
         if sum(caps) < 6.0:
             full = worst_equilibrium_cost_two_links(lats, sum(caps))
             assert full == pytest.approx(profile_cost(lats, caps), rel=1e-12), (lats, caps)
+            assert grid_worst_cost(lats, sum(caps)) == pytest.approx(full, rel=1e-9), (lats, caps)
         for r in [rng.uniform(0.0, min(sum(caps), 6.0)) for _ in range(8)]:
             got = worst_equilibrium_cost_two_links(lats, r)
             want = grid_worst_cost(lats, r)
@@ -616,3 +640,83 @@ def test_worst_equilibrium_random_piecewise_pairs():
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (lats, r)
                 compared += 1
     assert compared >= 1000
+
+
+def test_worst_equilibrium_any_number_of_links():
+    assert worst_equilibrium_cost_two_links is worst_equilibrium_cost
+    lone = [PiecewiseLatency.from_affine(AffineLatency(2.0, 1.0))]
+    assert worst_equilibrium_cost(lone, 3.0) == 21.0
+    net = normalize_network([{"a": 1, "b": 0}, {"a": 0.5, "b": 1}, {"a": 0.2, "b": 2}])
+    for rate in (0.5, 1.7, 3.1, 9.0):
+        got = worst_equilibrium_cost(as_pieces(net), rate)
+        assert got == pytest.approx(nash_flow(net, rate).cost, rel=1e-12)
+
+
+def three_link_flats():
+    # Links 0 and 1 are flat at level 1 on flows (1, 2] and [0, 1]; link 2
+    # jumps from 0.5 to 1 at flow 1/4 and rises from there.
+    return [PiecewiseLatency((0.0, 1.0, 2.0), (1.0, 0.0, 1.0), (0.0, 1.0, -1.0)),
+            PiecewiseLatency((0.0, 1.0), (0.0, 2.0), (1.0, -1.0)),
+            PiecewiseLatency((0.0, 0.25), (2.0, 2.0), (0.0, 0.5))]
+
+
+@pytest.mark.parametrize("rate, cost", [
+    # Links 0 and 2 rise together to level 1/2, where link 2 stops at 1/4.
+    (0.75, 0.375),
+    # Link 0 alone rises to level 1; link 2 keeps 1/4 at 1/2.
+    (1.25, 1.125),
+    # The two flats share the slack at level 1, link 2 still pays 1/2.
+    (2.0, 1.875),
+    (3.25, 3.125),
+    # Past the flats every link rises at level L with rate 2L + 5/4.
+    (4.25, 6.375),
+])
+def test_worst_equilibrium_three_links_share_flat_slack(rate, cost):
+    assert worst_equilibrium_cost(three_link_flats(), rate) == pytest.approx(cost, rel=1e-12)
+
+
+def swept_cost(lats, rates):
+    """Costliest equilibrium costs read off the pieces of the supply-event sweep."""
+    pieces, lo = [], 0.0
+    for seg in _equilibrium_segs(lats):
+        if seg.hi > lo:
+            pieces.append(seg)
+            lo = seg.hi
+        if seg.hi == math.inf:
+            break
+    his = [seg.hi for seg in pieces]
+    out = []
+    for r in rates:
+        i = bisect_left(his, r)
+        if his[i] == r and not pieces[i].closed:
+            i += 1
+        out.append(pieces[i].at(r)[0])
+    return his[:-1], out
+
+
+def test_equilibrium_segs_three_links_share_flat_slack():
+    lats = three_link_flats()
+    ends, costs = swept_cost(lats, [0.75, 1.25, 2.0, 3.25, 4.25, 3.25 + 1e-9])
+    assert costs[:5] == pytest.approx([0.375, 1.125, 1.875, 3.125, 6.375], rel=1e-12)
+    # Just past the flats link 2 rises past its jump and pays the level.
+    assert costs[5] == pytest.approx(3.25, rel=1e-8)
+    assert 1.25 in ends and 3.25 in ends
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_equilibrium_segs_match_worst_equilibrium_cost(seed):
+    # Random monotone piecewise latencies on 2 to 4 links, with flats, jumps
+    # and caps, the last link uncapped: the swept pieces and the per-rate
+    # solver agree at random rates and at every piece end.
+    rng = random.Random(seed)
+    compared = 0
+    for _ in range(200):
+        lats = [_random_piecewise(rng) for _ in range(rng.randint(2, 4))]
+        lats[-1] = dataclasses.replace(lats[-1], cap=math.inf)
+        ends, _ = swept_cost(lats, [])
+        rates = [rng.uniform(0.0, 2.0 * max(ends, default=1.0)) for _ in range(20)] + ends
+        rates = [r for r in rates if r > 0.0]
+        for r, got in zip(rates, swept_cost(lats, rates)[1]):
+            assert got == pytest.approx(worst_equilibrium_cost(lats, r), rel=1e-12), (lats, r)
+            compared += 1
+    assert compared >= 5000
