@@ -19,12 +19,10 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .config import comparison_tolerance
-from .equilibrium import _flow_bounds, nash_flow, opt_flow, water_fill
+from .equilibrium import _Seg, _same, _swept, nash_flow, opt_flow, water_fill
 from .errors import (
     CostUnderflow,
     EmptyNetwork,
@@ -92,25 +90,6 @@ class CostPiece(NamedTuple):
         return n0 + u * (n1 + u * n2), d0 + u * (d1 + u * d2)
 
 
-class _Seg(NamedTuple):
-    # One closed form of one cost: a0 + a1*(r - anchor) + a2*(r - anchor)^2
-    # up to demand hi, which it holds when closed.  The segment starts where
-    # the one before it ends.
-    hi: float
-    closed: bool
-    tag: str
-    anchor: float
-    a0: float
-    a1: float
-    a2: float
-
-    def at(self, lo: float) -> tuple[float, float, float]:
-        # The same quadratic in u = r - lo.  Every cost rises with r, so a1
-        # and a2 are >= 0 and the slope terms add without cancellation.
-        s = lo - self.anchor
-        return self.a0 + s * (self.a1 + s * self.a2), self.a1 + 2.0 * s * self.a2, self.a2
-
-
 def _nash_segs(net: ParallelNetwork) -> Iterator[_Seg]:
     # Selfish cost (r^2 + off_j r) / E_j while j links are used; a zero-slope
     # last link takes every demand from its breakpoint on at its intercept.
@@ -138,54 +117,6 @@ def _opt_segs(net: ParallelNetwork) -> Iterator[_Seg]:
         yield _Seg(INF, False, f"opt{k}", start, opt_flow(net, start).cost, bk, 0.0)
 
 
-def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
-    # The costliest equilibrium, swept once over the water-fill level L.
-    # Links past a segment's end hold flow D at cost C and every other used
-    # link pays L, so the cost C + L*(r - D) is quadratic in r while L rises
-    # and linear across a flat segment's jump; there the flat links are no
-    # longer held, but links that rise past a jump at L still are.  Where the
-    # cost can jump the demand is read off the least flows, and the last piece
-    # (at first an empty one at 0), held back until the demand grows again,
-    # ends there too.  The sums snap to 0 once per level when their link
-    # counts do.  The links must take unbounded flow together; a last level
-    # at inf ends the last rising piece.
-    events = sorted(ev for lat in lats for ev in lat.supply_events) + [(INF, 0.0, 0.0, 0.0, 0.0)]
-    r = prev = growth = held = cost = 0.0
-    rising = n_held = 0
-    last = _Seg(0.0, True, "", 0.0, 0.0, 0.0, 0.0)
-    for level, batch in groupby(events, itemgetter(0)):
-        batch = list(batch)
-        width = math.fsum([ev[1] for ev in batch])
-        end = r + growth * (level - prev)
-        if width > 0.0 or any([ev[3] < 0.0 for ev in batch]):
-            end = math.fsum([_flow_bounds(lat, level)[0] for lat in lats])
-        if rising:
-            yield last
-            last = _Seg(end, True, "", r, cost + prev * (r - held), prev + (r - held) / growth,
-                        1.0 / growth)
-        else:
-            last = last._replace(hi=end)
-        r = end
-        if width > 0.0:
-            flats = [ev for ev in batch if ev[1] > 0.0]
-            d, c = held + math.fsum(ev[3] for ev in flats), cost + math.fsum(ev[4] for ev in flats)
-            yield last
-            last = _Seg(r + width, r + width < INF, "", r, c + level * (r - d), level, 0.0)
-            r += width
-            if r == INF:
-                break
-        for _, _, dgrowth, dheld, dcost in batch:
-            rising += (dgrowth > 0.0) - (dgrowth < 0.0)
-            n_held += (dheld > 0.0) - (dheld < 0.0)
-            growth, held, cost = growth + dgrowth, held + dheld, cost + dcost
-        if not rising:
-            growth = 0.0
-        if not n_held:
-            held = cost = 0.0
-        prev = level
-    yield last
-
-
 def _cut(segs: Iterator[_Seg], marks: Iterable[tuple[float, bool, str]]) -> Iterator[_Seg]:
     # Tag and cut segments at marks (hi, closed, tag), the last one at inf;
     # segments that end within demand already covered are dropped.
@@ -201,6 +132,10 @@ def _cut(segs: Iterator[_Seg], marks: Iterable[tuple[float, bool, str]]) -> Iter
             lo = hi
 
 
+# The last network, parameters and latencies cut, by identity, with their pieces.
+_last_pieces: tuple | None = None
+
+
 def cost_pieces(net: ParallelNetwork, mechanism: Mechanism | None = None) -> tuple[CostPiece, ...]:
     """Cut the demand axis into pieces on which both costs are quadratics.
 
@@ -214,7 +149,24 @@ def cost_pieces(net: ParallelNetwork, mechanism: Mechanism | None = None) -> tup
     costs change form on different sides, a one-demand piece carries the
     pair that holds there.  Built in O(k), or O(n log n) in the n segments
     of a mechanism's latencies.
+
+    Keeps its last result, keyed on the identity of the network, the
+    parameters and each latency: all are frozen, so the same objects carry
+    the same values, and the memo holds them, so their ids cannot be reused
+    while it does.  The curve, its breakpoints, its tail and its supremum on
+    one mechanism therefore share one build, and the sweep it reads is the
+    one :func:`~anarchy.equilibrium.worst_equilibrium_cost` looks rates up in.
     """
+    global _last_pieces
+    params, lats = (None, ()) if mechanism is None else mechanism
+    key = (net, params, *lats)
+    memo = _last_pieces
+    if memo is None or not _same(memo[0], key):
+        memo = _last_pieces = (key, _pieces(net, mechanism))
+    return memo[1]
+
+
+def _pieces(net: ParallelNetwork, mechanism: Mechanism | None) -> tuple[CostPiece, ...]:
     if mechanism is None:
         num = _nash_segs(net)
     else:
@@ -224,7 +176,7 @@ def cost_pieces(net: ParallelNetwork, mechanism: Mechanism | None = None) -> tup
         else:
             marks = [(params.hold_start, True, "pre"), (params.jump_rate, True, "hold"),
                      (params.resume_rate, False, "jump"), (INF, False, "post")]
-        num = _cut(_equilibrium_segs(lats), marks)
+        num = _cut(iter(_swept(lats)[0]), marks)
     nums, dens = list(num), list(_opt_segs(net))
     pieces: list[CostPiece] = []
 

@@ -5,18 +5,22 @@ latencies across used links, a system-optimal flow equalizes marginal
 costs, and both open link j once demand passes a breakpoint (the optimum
 at half the selfish breakpoint).  The water-filling solver handles the
 modified, piecewise latencies produced by coordination mechanisms, where
-jumps make equilibria set-valued.
+jumps make equilibria set-valued.  The costliest of those equilibria, at
+every demand at once, comes from one sweep over the latencies' supply
+events; it is kept for the last latencies seen, so a rate is one lookup.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from itertools import groupby
+from operator import is_, itemgetter
+from typing import Iterator, NamedTuple, Protocol, Sequence
 
 from .config import comparison_tolerance
 from .errors import InfeasibleRate, SegmentMismatch
-from .model import INF, FlowProfile, ParallelNetwork, check_rate
+from .model import INF, FlowProfile, ParallelNetwork, PiecewiseLatency, check_rate
 
 
 class LatencyLike(Protocol):
@@ -318,21 +322,124 @@ def water_fill(lats: Sequence, rate: float, *, latency_family: str = "original",
     )
 
 
-def worst_equilibrium_cost(lats: Sequence, rate: float) -> float:
+class _Seg(NamedTuple):
+    # One closed form of one cost: a0 + a1*(r - anchor) + a2*(r - anchor)^2
+    # up to demand hi, which it holds when closed.  The segment starts where
+    # the one before it ends.
+    hi: float
+    closed: bool
+    tag: str
+    anchor: float
+    a0: float
+    a1: float
+    a2: float
+
+    def at(self, lo: float) -> tuple[float, float, float]:
+        # The same quadratic in u = r - lo.  Every cost rises with r, so a1
+        # and a2 are >= 0 and the slope terms add without cancellation.
+        s = lo - self.anchor
+        return self.a0 + s * (self.a1 + s * self.a2), self.a1 + 2.0 * s * self.a2, self.a2
+
+
+def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
+    # The costliest equilibrium, swept once over the water-fill level L.
+    # Links past a segment's end hold flow D at cost C and every other used
+    # link pays L, so the cost C + L*(r - D) is quadratic in r while L rises
+    # and linear across a flat segment's jump; there the flat links are no
+    # longer held, but links that rise past a jump at L still are.  Where the
+    # cost can jump the demand is read off the least flows, and the last piece
+    # (at first an empty one at 0), held back until the demand grows again,
+    # ends there too.  The sums snap to 0 once per level when their link
+    # counts do.  A last level at inf ends the last rising piece, or, when
+    # every link is capped, ends the sweep at their total capacity.
+    events = sorted(ev for lat in lats for ev in lat.supply_events) + [(INF, 0.0, 0.0, 0.0, 0.0)]
+    r = prev = growth = held = cost = 0.0
+    rising = n_held = 0
+    last = _Seg(0.0, True, "", 0.0, 0.0, 0.0, 0.0)
+    for level, batch in groupby(events, itemgetter(0)):
+        batch = list(batch)
+        width = math.fsum([ev[1] for ev in batch])
+        if level == INF and not rising:
+            end = math.fsum([lat.cap for lat in lats])
+        else:
+            end = r + growth * (level - prev)
+        if width > 0.0 or any([ev[3] < 0.0 for ev in batch]):
+            end = math.fsum([_flow_bounds(lat, level)[0] for lat in lats])
+        if rising:
+            yield last
+            last = _Seg(end, True, "", r, cost + prev * (r - held), prev + (r - held) / growth,
+                        1.0 / growth)
+        else:
+            last = last._replace(hi=end)
+        r = end
+        if width > 0.0:
+            flats = [ev for ev in batch if ev[1] > 0.0]
+            d, c = held + math.fsum(ev[3] for ev in flats), cost + math.fsum(ev[4] for ev in flats)
+            yield last
+            last = _Seg(r + width, r + width < INF, "", r, c + level * (r - d), level, 0.0)
+            r += width
+            if r == INF:
+                break
+        for _, _, dgrowth, dheld, dcost in batch:
+            rising += (dgrowth > 0.0) - (dgrowth < 0.0)
+            n_held += (dheld > 0.0) - (dheld < 0.0)
+            growth, held, cost = growth + dgrowth, held + dheld, cost + dcost
+        if not rising:
+            growth = 0.0
+        if not n_held:
+            held = cost = 0.0
+        prev = level
+    yield last
+
+
+
+
+# The last latencies swept, by identity, with their pieces and piece ends;
+# replaced whole, so a thread that races another at worst sweeps again.
+_last_sweep: tuple | None = None
+
+
+def _same(a: tuple, b: tuple) -> bool:
+    # The same objects in the same order.
+    return len(a) == len(b) and all(map(is_, a, b))
+
+
+def _swept(lats: Sequence[PiecewiseLatency]) -> tuple[tuple[_Seg, ...], tuple[float, ...]]:
+    """The sweep of `lats` without its empty pieces, and the piece ends.
+
+    Keeps its last result, keyed on the identity of each latency: they are
+    frozen, so the same objects carry the same values, and the memo holds
+    them, so their ids cannot be reused while it does.
+    """
+    global _last_sweep
+    key = tuple(lats)
+    memo = _last_sweep
+    if memo is None or not _same(memo[0], key):
+        segs: list[_Seg] = []
+        for seg in _equilibrium_segs(key):
+            if not segs or seg.hi > segs[-1].hi:
+                segs.append(seg)
+        memo = _last_sweep = (key, tuple(segs), tuple(seg.hi for seg in segs))
+    return memo[1], memo[2]
+
+
+def worst_equilibrium_cost(lats: Sequence[PiecewiseLatency], rate: float) -> float:
     """Cost of the most expensive equilibrium split of `rate` over any number of links.
 
-    Every equilibrium keeps each link inside its water-fill interval, and any
-    flows inside them that add up to the rate form one.  If the rate does not
-    exceed the sum of the low ends, every link sits at its low end.  Otherwise
-    a link whose interval is a single flow pays its latency there, and every
-    other link can carry more than its low end and pay the level.
+    A lookup on the pieces of the supply-event sweep: one bisection over the
+    piece ends, O(log n) in the n segments of the latencies, then Horner
+    evaluation of that piece's quadratic.  Every finite piece holds its end.
+    The sweep is kept for the last latencies seen, keyed on the identity of
+    each latency object, so further rates on them cost no new sweep, while
+    new or replaced latencies, even equal ones, are swept anew.  When every
+    link is capped the sweep ends at their total capacity, and a rate above
+    it raises InfeasibleRate, as :func:`water_fill` does.
     """
-    res = water_fill(lats, rate)
-    lows = [lo for lo, _ in res.per_link_interval]
-    if rate <= math.fsum(lows):
-        return profile_cost(lats, lows)
-    pinned = [lo if lo == hi else 0.0 for lo, hi in res.per_link_interval]
-    return profile_cost(lats, pinned) + res.level * (rate - math.fsum(pinned))
+    check_rate(rate)
+    segs, his = _swept(lats)
+    if rate > his[-1]:
+        raise InfeasibleRate(f"total capacity {his[-1]} below rate {rate}")
+    return segs[bisect_left(his, rate)].at(rate)[0]
 
 
 worst_equilibrium_cost_two_links = worst_equilibrium_cost

@@ -25,12 +25,15 @@ from anarchy import (
     opt_flow,
     profile_cost,
     ratio_curve,
+    ratio_sup,
     solve_plateau_params,
     water_fill,
     worst_equilibrium_cost,
     worst_equilibrium_cost_two_links,
 )
-from anarchy.analysis import _equilibrium_segs
+import anarchy.analysis
+import anarchy.equilibrium
+from anarchy.equilibrium import _equilibrium_segs
 from anarchy.mechanisms import MIN_PLATEAU_RATIO
 from conftest import random_network
 
@@ -461,6 +464,23 @@ def test_worst_equilibrium_prefers_expensive_flat_link(pigou):
     assert worst == pytest.approx(1.0)
 
 
+def water_fill_worst_cost(lats, rate):
+    """Costliest equilibrium cost read off one `water_fill`, independent of the sweep.
+
+    Every equilibrium keeps each link inside its water-fill interval, and any
+    flows inside them that add up to the rate form one.  If the rate does not
+    exceed the sum of the low ends, every link sits at its low end.  Otherwise
+    a link whose interval is a single flow pays its latency there, and every
+    other link can carry more than its low end and pay the level.
+    """
+    res = water_fill(lats, rate)
+    lows = [lo for lo, _ in res.per_link_interval]
+    if rate <= math.fsum(lows):
+        return profile_cost(lats, lows)
+    pinned = [lo if lo == hi else 0.0 for lo, hi in res.per_link_interval]
+    return profile_cost(lats, pinned) + res.level * (rate - math.fsum(pinned))
+
+
 def grid_latency(lat, xs, side):
     """Values (side="left") or right limits (side="right") of lat at every x in xs."""
     idx = np.clip(np.searchsorted(np.asarray(lat.starts), xs, side=side) - 1, 0, None)
@@ -565,7 +585,7 @@ def _scaled_two_link_instances(rng, count):
 
 
 def test_worst_equilibrium_matches_cost_pieces():
-    # The per-rate solver and the closed-form numerator of the piece model
+    # The water-fill oracle and the closed-form numerator of the piece model
     # agree at random rates and on both sides of every mark, down to the
     # neighbouring doubles.  The piece model closes the hold at the plateau
     # jump rate by convention, so that one rate is skipped.
@@ -579,7 +599,7 @@ def test_worst_equilibrium_matches_cost_pieces():
                       b * (1 - 1e-10), b * (1 + 1e-10)]
         rates = [r for r in rates if r > 0.0 and r != jump]
         for r, sample in zip(rates, ratio_curve(net, mech, rates)):
-            got = worst_equilibrium_cost_two_links(mech[1], r)
+            got = water_fill_worst_cost(mech[1], r)
             assert got == pytest.approx(sample.cost_num, rel=1e-12), (net.to_json_dict(), r)
             compared += 1
     assert compared >= 2500
@@ -706,8 +726,8 @@ def test_equilibrium_segs_three_links_share_flat_slack():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_equilibrium_segs_match_worst_equilibrium_cost(seed):
     # Random monotone piecewise latencies on 2 to 4 links, with flats, jumps
-    # and caps, the last link uncapped: the swept pieces and the per-rate
-    # solver agree at random rates and at every piece end.
+    # and caps, the last link uncapped: the swept pieces and the water-fill
+    # oracle agree at random rates and at every piece end.
     rng = random.Random(seed)
     compared = 0
     for _ in range(200):
@@ -717,6 +737,134 @@ def test_equilibrium_segs_match_worst_equilibrium_cost(seed):
         rates = [rng.uniform(0.0, 2.0 * max(ends, default=1.0)) for _ in range(20)] + ends
         rates = [r for r in rates if r > 0.0]
         for r, got in zip(rates, swept_cost(lats, rates)[1]):
-            assert got == pytest.approx(worst_equilibrium_cost(lats, r), rel=1e-12), (lats, r)
+            assert got == pytest.approx(water_fill_worst_cost(lats, r), rel=1e-12), (lats, r)
             compared += 1
     assert compared >= 5000
+
+
+def test_worst_equilibrium_lands_past_jump_one_double_above_release():
+    # One double above a release the costliest split has risen past link 0's
+    # jump; the sweep puts the jump at the recomputed demand, and the lookup
+    # reads it there.  A water-fill interval there still reads the left limit.
+    lats = [PiecewiseLatency((0.0, 1.9690680809679966, 2.4479491205430772),
+                             (0.0, 0.0, 0.9710562505236012),
+                             (0.08756568025326139, 0.08756568025326139, -0.8020380049098299)),
+            PiecewiseLatency((0.0, 0.7683142212666755, 2.973868512494814),
+                             (2.229290751847136, 2.691536475850767, 1.34228609878481),
+                             (0.38779043953099857, 0.032640476059297985, 4.899695678934435),
+                             cap=2.8106823478406935),
+            PiecewiseLatency((0.0, 1.1770984210033144), (2.9184985676406754, 0.0),
+                             (0.19960731962053035, 3.6349673752908043))]
+    r = 3.451812796813351
+    got = worst_equilibrium_cost(lats, r)
+    assert got == pytest.approx(5.436806359620762, rel=1e-12)
+    assert got == swept_cost(lats, [r])[1][0]
+
+
+def _plateau_mechanism(links):
+    net = normalize_network(links)
+    params = solve_plateau_params(net)
+    return net, (params, list(build_plateau_mechanism(net, params)))
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_sweep_per_plateau_mechanism(monkeypatch):
+    # A plateau job's supremum, curve and four worst-cost probes share one
+    # sweep, and the probes never solve a water fill.
+    calls = _count_calls(monkeypatch, anarchy.equilibrium, "_equilibrium_segs")
+
+    def no_water_fill(*args, **kwargs):
+        raise AssertionError("worst_equilibrium_cost called water_fill")
+
+    monkeypatch.setattr(anarchy.equilibrium, "water_fill", no_water_fill)
+    rng = random.Random(77)
+    for n in range(1, 4):
+        R = rng.uniform(MIN_PLATEAU_RATIO, 200.0)
+        net, mech = _plateau_mechanism([{"a": 1.0, "b": 0.0}, {"a": 1.0 / R, "b": rng.uniform(0.1, 2.0)}])
+        top = mech[0].resume_rate
+        sup, _ = ratio_sup(net, mech)
+        ratio_curve(net, mech, [top * (j + 1) / 20 for j in range(40)])
+        for u in (0.3, 0.9, 1.0, 1.7):
+            worst = worst_equilibrium_cost(mech[1], u * top)
+            assert worst <= sup * opt_flow(net, u * top).cost * (1 + 1e-12)
+        assert len(calls) == n
+
+
+def test_memo_rebuilds_for_equal_but_distinct_inputs(monkeypatch):
+    # The memos are keyed on identity: an equal network or equal latencies
+    # built anew are swept and cut anew, with the same results.
+    sweeps = _count_calls(monkeypatch, anarchy.equilibrium, "_equilibrium_segs")
+    builds = _count_calls(monkeypatch, anarchy.analysis, "_pieces")
+    links = [{"a": 1.0, "b": 0.0}, {"a": 0.25, "b": 1.0}]
+    net, mech = _plateau_mechanism(links)
+    first = anarchy.cost_pieces(net, mech)
+    assert anarchy.cost_pieces(net, mech) is first and len(builds) == 1
+    twin = [dataclasses.replace(lat) for lat in mech[1]]
+    assert twin == list(mech[1])
+    assert anarchy.cost_pieces(net, (mech[0], twin)) == first
+    assert len(builds) == 2 and len(sweeps) == 2
+    # Each memo keeps one entry: back on the first latencies, they are swept again.
+    assert anarchy.cost_pieces(normalize_network(links), mech) == first
+    assert len(builds) == 3 and len(sweeps) == 3
+    plain = normalize_network(links)
+    r = 1.3
+    assert worst_equilibrium_cost(as_pieces(plain), r) == pytest.approx(nash_flow(plain, r).cost, rel=1e-12)
+    # Latencies built and dropped one after another may reuse ids; each still
+    # gets its own sweep.
+    rng = random.Random(5)
+    for _ in range(50):
+        other = normalize_network([{"a": rng.uniform(0.1, 3.0), "b": rng.uniform(0.0, 2.0)}
+                                   for _ in range(rng.randint(1, 4))])
+        got = worst_equilibrium_cost(as_pieces(other), r)
+        assert got == pytest.approx(nash_flow(other, r).cost, rel=1e-12)
+        assert ratio_sup(other) == ratio_sup(normalize_network(other.to_json_dict()["links"]))
+
+
+def test_memo_sees_a_latency_replaced_in_place():
+    net, (params, lats) = _plateau_mechanism([{"a": 1.0, "b": 0.0}, {"a": 0.25, "b": 1.0}])
+    steep = PiecewiseLatency.from_affine(AffineLatency(1.0, 1.0))
+    r = 0.8 * params.jump_rate
+    want_sup = ratio_sup(net, (params, [lats[0], steep]))
+    want_worst = worst_equilibrium_cost([lats[0], steep], r)
+    before_sup, before_worst = ratio_sup(net, (params, lats)), worst_equilibrium_cost(lats, r)
+    lats[1] = steep
+    assert ratio_sup(net, (params, lats)) == want_sup != before_sup
+    assert worst_equilibrium_cost(lats, r) == want_worst != before_worst
+
+
+def _all_capped():
+    yield [PiecewiseLatency.from_affine(AffineLatency(2.0, 1.0), cap=3.0)]
+    yield [PiecewiseLatency((0.0,), (0.0,), (0.5,), cap=0.7)]
+    yield [PiecewiseLatency.from_affine(AffineLatency(1.0, 1.0), cap=0.9),
+           PiecewiseLatency((0.0,), (0.0,), (0.5,), cap=0.1)]
+    # Links 0 and 1 end on their flats at level 1; link 2 rises on to its cap.
+    yield [dataclasses.replace(lat, cap=cap) for lat, cap in zip(three_link_flats(), (2.0, 1.0, 1.5))]
+    rng = random.Random(88)
+    for _ in range(100):
+        yield [dataclasses.replace(lat, cap=rng.uniform(0.2, 4.0))
+               for lat in (_random_piecewise(rng) for _ in range(rng.randint(1, 4)))]
+
+
+def test_worst_equilibrium_all_capped_ends_at_capacity():
+    for lats in _all_capped():
+        caps = [lat.cap for lat in lats]
+        full = math.fsum(caps)
+        assert worst_equilibrium_cost(lats, full) == pytest.approx(profile_cost(lats, caps), rel=1e-12)
+        for rate in (math.nextafter(full, math.inf), 1.5 * full):
+            with pytest.raises(InfeasibleRate):
+                worst_equilibrium_cost(lats, rate)
+            with pytest.raises(InfeasibleRate):
+                water_fill(lats, rate)
+        r = 0.6 * full
+        assert worst_equilibrium_cost(lats, r) == pytest.approx(water_fill_worst_cost(lats, r), rel=1e-9)
