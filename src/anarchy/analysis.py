@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .config import comparison_tolerance
+from .config import DEFAULT_TOLERANCE
 from .equilibrium import _Seg, _same, _swept, nash_flow, opt_flow, water_fill
 from .errors import (
     CostUnderflow,
@@ -216,10 +216,8 @@ def curve_breakpoints(net: ParallelNetwork, mech: Mechanism | None = None) -> tu
     """Demands where either cost changes its quadratic piece."""
     out: list[float] = []
     for piece in cost_pieces(net, mech)[:-1]:
-        p = piece.hi
-        if out and p - out[-1] <= 1e-12 * max(1.0, p):
-            continue
-        out.append(p)
+        if not out or piece.hi != out[-1]:
+            out.append(piece.hi)
     return tuple(out)
 
 
@@ -474,25 +472,23 @@ class ContinuityCheck:
 
 def continuity_no_improvement_check(net: ParallelNetwork,
                                     modified: Sequence[PiecewiseLatency],
-                                    rate: float,
-                                    tol: float | None = None) -> ContinuityCheck:
+                                    rate: float) -> ContinuityCheck:
     """Modifications continuous at their equilibrium cannot beat the selfish cost.
 
     Solves the modified equilibrium by water-filling, requires each modified
     latency to be continuous at its equilibrium flow (else raises
     NotContinuousAtEquilibrium) and checks the modified equilibrium cost is
-    at least the unmodified one.
+    at least the unmodified one.  Both comparisons allow DEFAULT_TOLERANCE
+    slack relative to the values they compare.
     """
-    if tol is None:
-        tol = comparison_tolerance()
-    res = water_fill(modified, rate, latency_family="modified", tol=tol)
+    res = water_fill(modified, rate, latency_family="modified")
     for i, f in enumerate(res.profile.flows):
         left = modified[i].value(f)
         right = modified[i].right_liminf(f)
-        if not abs(right - left) <= tol * max(1.0, abs(left)):
+        if not abs(right - left) <= DEFAULT_TOLERANCE * abs(left):
             raise NotContinuousAtEquilibrium(
                 f"link {i} jumps at its equilibrium flow {f}: {left} -> {right}"
             )
     base = nash_flow(net, rate).cost
-    ok = res.cost >= base - tol * max(1.0, base)
+    ok = res.cost >= base - DEFAULT_TOLERANCE * base
     return ContinuityCheck(ok, modified_cost=res.cost, nash_cost=base)

@@ -35,7 +35,7 @@ from .analysis import (
     tail_ratio,
     two_link_simple_bound,
 )
-from .config import IDENTITY_RTOL, comparison_tolerance
+from .config import DEFAULT_TOLERANCE, IDENTITY_RTOL
 from .equilibrium import nash_flow, opt_flow, water_fill, worst_equilibrium_cost
 from .errors import AnarchyError, SchemaError
 from .mechanisms import (
@@ -112,7 +112,7 @@ def _write_manifest(directory: str, argv: list[str], inputs: list[str],
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "inputs": {p: _sha256(p) for p in inputs},
         "outputs": outputs,
-        "tolerances": {"comparison": comparison_tolerance(), "identity": IDENTITY_RTOL},
+        "tolerances": {"comparison": DEFAULT_TOLERANCE, "identity": IDENTITY_RTOL},
     }
     path = os.path.join(directory or ".", "run_manifest.json")
     _write_text(path, json.dumps(manifest, indent=2) + "\n")
@@ -153,7 +153,7 @@ def _curve_rows(net: ParallelNetwork, mech: Mechanism | None,
     for b in bps:
         if b <= rmax:
             rows.add(b)
-            rows.add(b * (1.0 + 1e-12))
+            rows.add(math.nextafter(b, INF))
     return sorted(rows), bps
 
 
@@ -239,7 +239,7 @@ def _emit_svg(path: str, samples, breakpoints) -> None:
         parts.append(f'<polyline points="{coords}" fill="none" stroke="steelblue" stroke-width="1.5"/>')
     for a, b in zip(runs, runs[1:]):
         (ra, va), (rb, vb) = a[-1], b[0]
-        if rb - ra <= 1e-6 * max(1.0, rb) and abs(vb - va) > 1e-9 * max(1.0, abs(va)):
+        if rb == math.nextafter(ra, INF) and abs(vb - va) > 1e-9 * max(1.0, abs(va)):
             parts.append(
                 f'<circle cx="{X(ra):.2f}" cy="{Y(va):.2f}" r="3.5" '
                 f'fill="white" stroke="steelblue"/>'

@@ -18,8 +18,8 @@ from itertools import groupby
 from operator import is_, itemgetter
 from typing import Iterator, NamedTuple, Protocol, Sequence
 
-from .config import comparison_tolerance
-from .errors import InfeasibleRate, SegmentMismatch
+from .config import DEFAULT_TOLERANCE
+from .errors import EmptyNetwork, InfeasibleRate, SegmentMismatch
 from .model import INF, FlowProfile, ParallelNetwork, PiecewiseLatency, check_rate
 
 
@@ -168,26 +168,23 @@ def cost_increment(net: ParallelNetwork, s: float, r: float, j: int,
     return (d * d + (off_j + 2.0 * s) * d) / eff_j
 
 
-def is_user_equilibrium(lats: Sequence[LatencyLike], profile: FlowProfile,
-                        tol: float | None = None) -> EquilibriumCheck:
+def is_user_equilibrium(lats: Sequence[LatencyLike], profile: FlowProfile) -> EquilibriumCheck:
     """Check that no used link envies another.
 
     For every link i with positive flow and every other link g, the latency
     on i must not exceed the latency g would show just above its current
     flow.  Comparing with the smallest of those right limits, or the second
     smallest when i itself holds the smallest, covers every pair in O(k).
-    The comparison allows tol * max(1, level) slack, where level is the
-    largest used latency.  A failure reports link i and the link it envies
-    most.
+    The comparison allows DEFAULT_TOLERANCE * level slack, where level is
+    the largest used latency, so it reads the same at every latency scale.
+    A failure reports link i and the link it envies most.
     """
-    if tol is None:
-        tol = comparison_tolerance()
     flows = profile.flows
     used = [(i, lats[i].value(f)) for i, f in enumerate(flows) if f > 0.0]
     if not used:
         return EquilibriumCheck(True)
     level = max(v for _, v in used)
-    slack = tol * max(1.0, level) if math.isfinite(level) else 0.0
+    slack = DEFAULT_TOLERANCE * level if math.isfinite(level) else 0.0
     edges = [lats[g].right_liminf(f) for g, f in enumerate(flows)]
     first = min(range(len(edges)), key=edges.__getitem__)
     rest = [g for g in range(len(edges)) if g != first]
@@ -271,8 +268,8 @@ def _supply(lats: Sequence, level: float) -> float:
     return math.fsum(_flow_bounds(lat, level)[1] for lat in lats)
 
 
-def water_fill(lats: Sequence, rate: float, *, latency_family: str = "original",
-               tol: float | None = None) -> EquilibriumResult:
+def water_fill(lats: Sequence, rate: float, *,
+               latency_family: str = "original") -> EquilibriumResult:
     """Equilibrium of piecewise latencies by filling links up to a common level.
 
     The supply S(L), the most flow all links take at latency <= L, is
@@ -286,9 +283,12 @@ def water_fill(lats: Sequence, rate: float, *, latency_family: str = "original",
     :func:`nash_flow` uses, so the rounding of L stays out of the flows.
     The canonical profile spreads the rate across the intervals
     proportionally to their widths and is verified to be an equilibrium.  Cost is O(n log n) in the total number of segments.
+    An empty latency list raises EmptyNetwork.
     """
     check_rate(rate)
     lats = list(lats)
+    if not lats:
+        raise EmptyNetwork("water-filling needs at least one link")
     capacity = math.fsum(l.cap for l in lats)
     if capacity < rate:
         raise InfeasibleRate(f"total capacity {capacity} below rate {rate}")
@@ -307,7 +307,7 @@ def water_fill(lats: Sequence, rate: float, *, latency_family: str = "original",
     flows = tuple(min(hi, lo + t * (hi - lo)) for lo, hi in intervals)
 
     profile = FlowProfile(rate=rate, flows=flows, latency_family=latency_family)
-    check = is_user_equilibrium(lats, profile, tol)
+    check = is_user_equilibrium(lats, profile)
     if not check:
         raise AssertionError(
             f"water-fill produced a non-equilibrium profile: {check.violator} "

@@ -15,6 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .config import DEFAULT_TOLERANCE
 from .equilibrium import nash_flow
 from .errors import (
     BadParamCount,
@@ -45,16 +46,15 @@ class FreezeStage:
 
     The stage fills the suffix that begins at ``start`` from total demand
     ``global_start_rate`` on.  When total demand reaches half the breakpoint
-    of link ``trigger``, links start..start+len(caps)-1 freeze at ``caps``
-    and the next stage begins; a final stage (no trigger) has empty caps
-    and absorbs everything that remains.
+    of the super-efficient link start+len(caps), links
+    start..start+len(caps)-1 freeze at ``caps`` and the next stage begins; a
+    final stage has empty caps and absorbs everything that remains.
     """
 
     start: int
     caps: tuple[float, ...]
     global_start_rate: float
     suffix_net: ParallelNetwork
-    trigger: int | None
 
 
 @dataclass(frozen=True)
@@ -102,13 +102,13 @@ def build_threshold_mechanism(
                 trigger = t
                 break
         if trigger is None:
-            stages.append(FreezeStage(s, (), global_start, suffix, None))
+            stages.append(FreezeStage(s, (), global_start, suffix))
             break
         freeze_total = net.breakpoints[trigger + 1] / 2.0
         local_freeze = freeze_total - global_start
         frozen = nash_flow(suffix, local_freeze)
         caps = frozen.profile.flows[: trigger - s + 1]
-        stages.append(FreezeStage(s, caps, global_start, suffix, trigger + 1))
+        stages.append(FreezeStage(s, caps, global_start, suffix))
         for off, cap in enumerate(caps):
             thresholds[s + off] = cap
         freeze_points.append(freeze_total)
@@ -163,14 +163,14 @@ class LinkUsageCheck:
         return self.ok
 
 
-def mn_uses_links_no_earlier_than_opt(
-    net: ParallelNetwork, params: ThresholdParams, tol: float = 1e-9
-) -> LinkUsageCheck:
+def mn_uses_links_no_earlier_than_opt(net: ParallelNetwork,
+                                      params: ThresholdParams) -> LinkUsageCheck:
     """Verify the modified flow never opens a link before the optimum would.
 
     The rate at which the modified flow first loads link h is the stage's
     global start plus the suffix breakpoint of h; it must be at least half
-    the global breakpoint of h.  Frozen-at-zero links never open.
+    the global breakpoint of h, less DEFAULT_TOLERANCE of it.  Frozen-at-zero
+    links never open.
     """
     for stage in params.stages:
         span = len(stage.caps) if stage.caps else stage.suffix_net.k
@@ -180,7 +180,7 @@ def mn_uses_links_no_earlier_than_opt(
                 continue  # frozen before ever opening
             first_used = stage.global_start_rate + stage.suffix_net.breakpoints[off]
             opt_start = net.breakpoints[h] / 2.0
-            if first_used < opt_start - tol:
+            if first_used < opt_start * (1.0 - DEFAULT_TOLERANCE):
                 return LinkUsageCheck(False, link=h, first_used_rate=first_used,
                                       opt_start_rate=opt_start)
     return LinkUsageCheck(True)

@@ -8,6 +8,7 @@ import pytest
 
 from anarchy import (
     AffineLatency,
+    EmptyNetwork,
     FlowProfile,
     InfeasibleRate,
     NegativeRate,
@@ -318,6 +319,11 @@ def test_water_fill_infeasible():
         water_fill(capped, 1.5)
 
 
+def test_water_fill_empty_latency_list():
+    with pytest.raises(EmptyNetwork):
+        water_fill([], 0.0)
+
+
 def test_water_fill_plateau_interval_is_hold_window():
     net = network_from_dict(PLATEAU_CRASH)
     params, lats = mechanism_from_dict(net, {"kind": "plateau"})
@@ -383,12 +389,15 @@ def test_water_fill_fills_every_interval_to_its_top():
 
 
 def pairwise_equilibrium(lats, flows, tol=1e-9):
-    """Reference certificate: every used link against every other link."""
+    """Reference certificate: every used link against every other link.
+
+    The slack is tol times the largest used latency.
+    """
     used = [i for i, f in enumerate(flows) if f > 0.0]
     if not used:
         return True
     level = max(lats[i].value(flows[i]) for i in used)
-    slack = tol * max(1.0, level) if math.isfinite(level) else 0.0
+    slack = tol * level if math.isfinite(level) else 0.0
     return all(
         lats[i].value(flows[i]) <= lats[g].right_liminf(flows[g]) + slack
         for i in used for g in range(len(flows)) if g != i
@@ -414,7 +423,7 @@ def test_is_user_equilibrium_matches_pairwise_reference():
             flows = [0.0 if rng.random() < 0.3 else f for f in flows]
             rate = math.fsum(flows)
         profile = FlowProfile(rate=rate, flows=tuple(flows))
-        check = is_user_equilibrium(lats, profile, 1e-9)
+        check = is_user_equilibrium(lats, profile)
         assert bool(check) == pairwise_equilibrium(lats, profile.flows)
         if not check:
             i, g = check.violator
@@ -498,7 +507,7 @@ def grid_worst_cost(lats, rate, tol=1e-9):
     that passes the envy test.
     """
     lat1, lat2 = lats
-    wf = water_fill(lats, rate, tol=tol)
+    wf = water_fill(lats, rate)
     (m1, hi1), (m2, hi2) = wf.per_link_interval
     cands = {0.0, rate, m1, hi1, rate - m2, rate - hi2}
     cands.update(b for b in (*lat1.starts[1:], lat1.cap) if b <= rate)

@@ -7,15 +7,22 @@ supremum's location scales with demand.  Checked across twelve orders of
 magnitude for plain, threshold and plateau instances.
 """
 
+import dataclasses
 import math
 import random
 
 import pytest
 
 from anarchy import (
+    FlowProfile,
+    NotContinuousAtEquilibrium,
+    PiecewiseLatency,
     build_plateau_mechanism,
     build_threshold_mechanism,
+    continuity_no_improvement_check,
     cost_pieces,
+    is_user_equilibrium,
+    mn_uses_links_no_earlier_than_opt,
     nash_flow,
     normalize_network,
     opt_flow,
@@ -110,3 +117,25 @@ def test_costs_and_ratios_scale(links, kind):
             # The plateau mechanism balances its hold and jump peaks, so the
             # supremum may sit at either; the other must reach it too.
             assert _attains(base, base_mech, scaled_where / s, value), (lam, mu, where, scaled_where)
+
+
+@pytest.mark.parametrize("mu", sorted({mu for _, mu in SCALES} | {1e-12}))
+def test_checks_reject_bad_inputs_at_every_scale(mu):
+    # Each check's slack is relative to the values it compares, so a latency
+    # gap of order mu stays a violation however small mu is.
+    links = [{"a": 1.0, "b": 0.0}, {"a": 1.0, "b": mu}]
+    net = normalize_network(links)
+    lats = [PiecewiseLatency.from_affine(link) for link in net.links]
+    # All flow on the link that starts at latency mu.
+    assert not is_user_equilibrium(lats, FlowProfile(rate=mu, flows=(0.0, mu)))
+    # The first latency doubles at flow mu/2, where the equilibrium sits.
+    jumpy = PiecewiseLatency((0.0, mu / 2.0), (1.0, 1.0), (0.0, mu / 2.0))
+    with pytest.raises(NotContinuousAtEquilibrium):
+        continuity_no_improvement_check(net, [jumpy, lats[1]], mu / 2.0)
+    # The last stage starts before the optimum opens its link.
+    net3 = normalize_network(links + [{"a": 0.01, "b": 2.0 * mu}])
+    params, _ = build_threshold_mechanism(net3, [2.0, 2.0])
+    last = params.stages[-1]
+    early = dataclasses.replace(last, global_start_rate=0.6 * last.global_start_rate)
+    params = dataclasses.replace(params, stages=params.stages[:-1] + (early,))
+    assert not mn_uses_links_no_earlier_than_opt(net3, params)
