@@ -298,141 +298,129 @@ def _require(cond: object, msg: object) -> None:
         raise AssertionError(msg)
 
 
-def _checks_core():
-    def pigou_peak():
-        net = normalize_network([{"a": 1, "b": 0}, {"a": 0, "b": 1}])
-        val, where = ratio_sup(net)
-        _require(abs(val - 4.0 / 3.0) <= 1e-12, f"peak {val}")
-        _require(abs(where - 1.0) <= 1e-9, f"peak location {where}")
-
-    def pigou_cap_flat():
-        net = normalize_network([{"a": 1, "b": 0}, {"a": 0, "b": 1}])
-        mech = build_threshold_mechanism(net, [2.0])
-        rows = [0.01 + 2.99 * i / 200 for i in range(201)]
-        for s in ratio_curve(net, mech, rows):
-            _require(abs(s.ratio - 1.0) <= 1e-12, f"ratio {s.ratio} at r={s.r}")
-
-    def bound_meets_at_four():
-        rep = two_link_simple_bound(4.0)
-        _require(abs(rep.value - 1.25) <= 1e-12, rep.value)
-
-    def water_fill_closed_form():
-        nets = [
-            normalize_network([{"a": 1, "b": 0}, {"a": 1, "b": 1}]),
-            normalize_network([{"a": 2, "b": 0.5}, {"a": 0.25, "b": 1}, {"a": 1, "b": 3}]),
-        ]
-        for net in nets:
-            lats = [PiecewiseLatency.from_affine(link) for link in net.links]
-            for rate in (0.0, 0.3, 1.0, 2.7, 9.0):
-                wf = water_fill(lats, rate)
-                cf = nash_flow(net, rate)
-                _require(abs(wf.cost - cf.cost) <= 1e-9 * max(1.0, cf.cost),
-                         f"{wf.cost} vs {cf.cost} at rate {rate}")
-
-    return [
-        ("pigou_peak_four_thirds", pigou_peak),
-        ("pigou_cap_curve_flat", pigou_cap_flat),
-        ("two_link_bound_meets_at_four", bound_meets_at_four),
-        ("water_fill_matches_closed_form", water_fill_closed_form),
-    ]
+def _require_water_fill_matches_nash(net: ParallelNetwork, rates: tuple[float, ...]) -> None:
+    lats = [PiecewiseLatency.from_affine(link) for link in net.links]
+    for rate in rates:
+        wf = water_fill(lats, rate)
+        cf = nash_flow(net, rate)
+        _require(abs(wf.cost - cf.cost) <= 1e-9 * max(1.0, cf.cost),
+                 f"{wf.cost} vs {cf.cost} at rate {rate}")
 
 
-def _checks_known():
-    def recurrence_pair():
-        rep = recurrence_bound([7.0])
-        _require(rep.details is not None, "no exact value")
-        got = Fraction(int(rep.details["exact_numerator"]),
-                       int(rep.details["exact_denominator"]))
-        _require(got == Fraction(256, 193), got)
-
-    def benign_pair():
-        rep = benign_bound([2.0, 2.0])
-        _require(abs(rep.value - 324.0 / 244.0) <= 1e-12, rep.value)
-
-    def plateau_target():
-        net = normalize_network([{"a": 2, "b": 0}, {"a": 1, "b": 1}])
-        params = solve_plateau_params(net)
-        lats = list(build_plateau_mechanism(net, params))
-        val, _ = ratio_sup(net, (params, lats))
-        _require(val <= 1.192 + 1e-3, val)
-
-    def lower_at_two_point_one():
-        rep = lower_bound_value(2.1)
-        _require(rep.value >= 1.191, rep.value)
-
-    def greedy_below_four_thirds():
-        for k in (2, 3, 4):
-            rep = recurrence_bound(greedy_parameters(k))
-            _require(rep.strictly_below_four_thirds, (k, rep.value))
-
-    return [
-        ("recurrence_single_seven", recurrence_pair),
-        ("benign_two_twos", benign_pair),
-        ("plateau_meets_target", plateau_target),
-        ("lower_bound_holds", lower_at_two_point_one),
-        ("greedy_parameters_below_four_thirds", greedy_below_four_thirds),
-    ]
+def pigou_peak_four_thirds(seed: int) -> None:
+    net = normalize_network([{"a": 1, "b": 0}, {"a": 0, "b": 1}])
+    val, where = ratio_sup(net)
+    _require(abs(val - 4.0 / 3.0) <= 1e-12, f"peak {val}")
+    _require(abs(where - 1.0) <= 1e-9, f"peak location {where}")
 
 
-def _checks_random(seed: int):
-    def water_fill_agrees():
-        rng = random.Random(seed)
-        for _ in range(100):
-            net = _random_network(rng)
-            lats = [PiecewiseLatency.from_affine(link) for link in net.links]
-            rate = rng.uniform(0.0, 4.0 * (net.breakpoints[-1] + 1.0))
-            wf = water_fill(lats, rate)
-            cf = nash_flow(net, rate)
-            _require(abs(wf.cost - cf.cost) <= 1e-9 * max(1.0, cf.cost),
-                     f"{wf.cost} vs {cf.cost} at rate {rate}")
+def pigou_cap_curve_flat(seed: int) -> None:
+    net = normalize_network([{"a": 1, "b": 0}, {"a": 0, "b": 1}])
+    mech = build_threshold_mechanism(net, [2.0])
+    rows = [0.01 + 2.99 * i / 200 for i in range(201)]
+    for s in ratio_curve(net, mech, rows):
+        _require(abs(s.ratio - 1.0) <= 1e-12, f"ratio {s.ratio} at r={s.r}")
 
-    def two_link_bound_holds():
-        rng = random.Random(seed + 1)
-        for _ in range(100):
-            a1 = rng.uniform(0.2, 4.0)
-            a2 = rng.uniform(0.05, a1)
-            b2 = rng.uniform(0.1, 3.0)
-            net = normalize_network([{"a": a1, "b": 0.0}, {"a": a2, "b": b2}])
-            R = rng.uniform(2.0, 8.0)
-            params, lats = build_threshold_mechanism(net, [R])
-            bound = two_link_simple_bound(R).value
-            for _ in range(5):
-                r = rng.uniform(1e-3, 4.0 * net.breakpoints[1])
-                num = worst_equilibrium_cost(lats, r)
-                den = opt_flow(net, r).cost
-                _require(num <= bound * den * (1.0 + 1e-9), (r, num / den, bound))
 
-    def usage_order():
-        rng = random.Random(seed + 2)
-        for _ in range(50):
-            net = _random_network(rng, kmax=6)
-            if net.has_flat_tail or net.k < 2:
-                continue
-            R = [rng.uniform(2.0, 10.0) for _ in range(net.k - 1)]
-            params, _ = build_threshold_mechanism(net, R)
-            check = mn_uses_links_no_earlier_than_opt(net, params)
-            _require(check, f"link {check.link} opens at {check.first_used_rate}")
+def two_link_bound_meets_at_four(seed: int) -> None:
+    rep = two_link_simple_bound(4.0)
+    _require(abs(rep.value - 1.25) <= 1e-12, rep.value)
 
-    return [
-        ("random_water_fill_agrees", water_fill_agrees),
-        ("random_two_link_bound_holds", two_link_bound_holds),
-        ("random_usage_order", usage_order),
-    ]
+
+def water_fill_matches_closed_form(seed: int) -> None:
+    for links in ([{"a": 1, "b": 0}, {"a": 1, "b": 1}],
+                  [{"a": 2, "b": 0.5}, {"a": 0.25, "b": 1}, {"a": 1, "b": 3}]):
+        _require_water_fill_matches_nash(normalize_network(links), (0.0, 0.3, 1.0, 2.7, 9.0))
+
+
+def recurrence_single_seven(seed: int) -> None:
+    rep = recurrence_bound([7.0])
+    _require(rep.details is not None, "no exact value")
+    got = Fraction(int(rep.details["exact_numerator"]),
+                   int(rep.details["exact_denominator"]))
+    _require(got == Fraction(256, 193), got)
+
+
+def benign_two_twos(seed: int) -> None:
+    rep = benign_bound([2.0, 2.0])
+    _require(abs(rep.value - 324.0 / 244.0) <= 1e-12, rep.value)
+
+
+def plateau_meets_target(seed: int) -> None:
+    net = normalize_network([{"a": 2, "b": 0}, {"a": 1, "b": 1}])
+    params = solve_plateau_params(net)
+    lats = list(build_plateau_mechanism(net, params))
+    val, _ = ratio_sup(net, (params, lats))
+    _require(val <= 1.192 + 1e-3, val)
+
+
+def lower_bound_holds(seed: int) -> None:
+    rep = lower_bound_value(2.1)
+    _require(rep.value >= 1.191, rep.value)
+
+
+def greedy_parameters_below_four_thirds(seed: int) -> None:
+    for k in (2, 3, 4):
+        rep = recurrence_bound(greedy_parameters(k))
+        _require(rep.strictly_below_four_thirds, (k, rep.value))
+
+
+def random_water_fill_agrees(seed: int) -> None:
+    rng = random.Random(seed)
+    for _ in range(100):
+        net = _random_network(rng)
+        _require_water_fill_matches_nash(net, (rng.uniform(0.0, 4.0 * (net.breakpoints[-1] + 1.0)),))
+
+
+def random_two_link_bound_holds(seed: int) -> None:
+    rng = random.Random(seed + 1)
+    for _ in range(100):
+        a1 = rng.uniform(0.2, 4.0)
+        a2 = rng.uniform(0.05, a1)
+        b2 = rng.uniform(0.1, 3.0)
+        net = normalize_network([{"a": a1, "b": 0.0}, {"a": a2, "b": b2}])
+        R = rng.uniform(2.0, 8.0)
+        params, lats = build_threshold_mechanism(net, [R])
+        bound = two_link_simple_bound(R).value
+        for _ in range(5):
+            r = rng.uniform(1e-3, 4.0 * net.breakpoints[1])
+            num = worst_equilibrium_cost(lats, r)
+            den = opt_flow(net, r).cost
+            _require(num <= bound * den * (1.0 + 1e-9), (r, num / den, bound))
+
+
+def random_usage_order(seed: int) -> None:
+    rng = random.Random(seed + 2)
+    for _ in range(50):
+        net = _random_network(rng, kmax=6)
+        if net.has_flat_tail or net.k < 2:
+            continue
+        R = [rng.uniform(2.0, 10.0) for _ in range(net.k - 1)]
+        params, _ = build_threshold_mechanism(net, R)
+        check = mn_uses_links_no_earlier_than_opt(net, params)
+        _require(check, f"link {check.link} opens at {check.first_used_rate}")
+
+
+# The verify suites, in report order.  Each check is named as it reports,
+# takes the suite seed (only the random suite reads it) and fails through
+# _require, so adding a check is one function and one entry here.
+SUITES = {
+    "core": (pigou_peak_four_thirds, pigou_cap_curve_flat, two_link_bound_meets_at_four,
+             water_fill_matches_closed_form),
+    "known": (recurrence_single_seven, benign_two_twos, plateau_meets_target,
+              lower_bound_holds, greedy_parameters_below_four_thirds),
+    "random": (random_water_fill_agrees, random_two_link_bound_holds, random_usage_order),
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite == "core":
-        checks = _checks_core()
-    elif args.suite == "known":
-        checks = _checks_known()
-    else:
-        checks = _checks_random(args.seed)
-
+    checks = SUITES[args.suite]
     results = []
     failures = 0
-    for name, fn in checks:
+    for fn in checks:
+        name = fn.__name__
         try:
-            fn()
+            fn(args.seed)
             print(f"PASS {name}")
             results.append({"name": name, "ok": True})
         except AssertionError as exc:
@@ -480,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="run a built-in invariant suite")
-    p.add_argument("--suite", choices=("core", "known", "random"), default="core")
+    p.add_argument("--suite", choices=tuple(SUITES), default="core")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="directory for the report and manifest")
     p.set_defaults(func=cmd_verify)

@@ -28,6 +28,8 @@ class LatencyLike(Protocol):
 
     def right_liminf(self, x: float) -> float: ...
 
+    def term_sizes(self, x: float) -> tuple[float, float]: ...
+
 
 @dataclass(frozen=True)
 class EquilibriumResult:
@@ -168,6 +170,19 @@ def cost_increment(net: ParallelNetwork, s: float, r: float, j: int,
     return (d * d + (off_j + 2.0 * s) * d) / eff_j
 
 
+# The rounding of a latency's two terms and of their sum, and that of a
+# flow one double off its exact value, stay well inside this many ulps of
+# the terms' size.
+_ROUNDING = 4.0 * math.ulp(1.0)
+
+
+def _two_least(values: Sequence[float]) -> tuple[int, int | None]:
+    # Indices of the least value and of the least among the others.
+    first = min(range(len(values)), key=values.__getitem__)
+    rest = [g for g in range(len(values)) if g != first]
+    return first, (min(rest, key=values.__getitem__) if rest else None)
+
+
 def is_user_equilibrium(lats: Sequence[LatencyLike], profile: FlowProfile) -> EquilibriumCheck:
     """Check that no used link envies another.
 
@@ -177,7 +192,16 @@ def is_user_equilibrium(lats: Sequence[LatencyLike], profile: FlowProfile) -> Eq
     smallest when i itself holds the smallest, covers every pair in O(k).
     The comparison allows DEFAULT_TOLERANCE * level slack, where level is
     the largest used latency, so it reads the same at every latency scale.
-    A failure reports link i and the link it envies most.
+
+    A latency near 0 can be the difference of two large terms, slope*x and
+    a negative offset, and is then known only to the rounding of those
+    terms, far more than that slack.  So a pair that fails is compared
+    again, with each latency allowed _ROUNDING times the size of the terms
+    it sums (:meth:`term_sizes`): link i those of the segment its value
+    reads, link g those of the segment its right limit reads.  Each side
+    gets its own allowance, so a link with large terms widens no other
+    link's comparison.  A failure reports link i and the link it envies
+    most, with the plain value and right limit.
     """
     flows = profile.flows
     used = [(i, lats[i].value(f)) for i, f in enumerate(flows) if f > 0.0]
@@ -186,12 +210,17 @@ def is_user_equilibrium(lats: Sequence[LatencyLike], profile: FlowProfile) -> Eq
     level = max(v for _, v in used)
     slack = DEFAULT_TOLERANCE * level if math.isfinite(level) else 0.0
     edges = [lats[g].right_liminf(f) for g, f in enumerate(flows)]
-    first = min(range(len(edges)), key=edges.__getitem__)
-    rest = [g for g in range(len(edges)) if g != first]
-    second = min(rest, key=edges.__getitem__) if rest else None
+    first, second = _two_least(edges)
+    loose = None
     for i, vi in used:
         g = second if i == first else first
-        if g is not None and not vi <= edges[g] + slack:
+        if g is None or vi <= edges[g] + slack:
+            continue
+        if loose is None:
+            loose = [e + _ROUNDING * lat.term_sizes(f)[1] for e, lat, f in zip(edges, lats, flows)]
+            loose_first, loose_second = _two_least(loose)
+        g = loose_second if i == loose_first else loose_first
+        if not vi - _ROUNDING * lats[i].term_sizes(flows[i])[0] <= loose[g] + slack:
             return EquilibriumCheck(False, violator=(i, g), lhs=vi, rhs=edges[g])
     return EquilibriumCheck(True)
 

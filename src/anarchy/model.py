@@ -66,6 +66,14 @@ class AffineLatency:
         # Affine latencies are continuous, the right limit is the value.
         return self.value(x)
 
+    def term_sizes(self, x: float) -> tuple[float, float]:
+        """|slope*x| + |intercept| for the value and the right limit at x.
+
+        Both terms are >= 0 at a flow x >= 0, so this is the value itself.
+        """
+        size = self.value(x)
+        return size, size
+
 
 @dataclass(frozen=True)
 class ParallelNetwork:
@@ -144,19 +152,22 @@ def normalize_network(raw_links: Iterable[AffineLatency | Mapping[str, float]]) 
     Merging adds efficiencies: two links with intercepts tied at b behave
     like one link with slope 1 / (1/a1 + 1/a2).  After merging, a zero-slope
     link is only allowed in the last position; earlier ones could never be
-    cheapest and are rejected rather than silently dropped.
+    cheapest and are rejected rather than silently dropped.  An entry that
+    is neither an AffineLatency nor a mapping with numeric "a" and "b"
+    raises SchemaError naming its index.
     """
     links: list[AffineLatency] = []
-    for item in raw_links:
+    for i, item in enumerate(raw_links):
         if isinstance(item, AffineLatency):
             links.append(item)
         elif isinstance(item, Mapping):
             try:
-                links.append(AffineLatency(float(item["a"]), float(item["b"])))
-            except KeyError as exc:
-                raise SchemaError(f"link entry missing key {exc}") from exc
+                a, b = float(item["a"]), float(item["b"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f'link {i} needs numeric "a" and "b"') from exc
+            links.append(AffineLatency(a, b))
         else:
-            raise SchemaError(f"cannot read link from {type(item).__name__}")
+            raise SchemaError(f"link {i} is not an object")
     if not links:
         raise EmptyNetwork("network needs at least one link")
 
@@ -241,17 +252,7 @@ def network_from_dict(obj: object) -> ParallelNetwork:
     entries = obj["links"]
     if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)):
         raise SchemaError('"links" must be a list of {"a": .., "b": ..} entries')
-    out = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, Mapping):
-            raise SchemaError(f"link {i} is not an object")
-        try:
-            a = float(entry["a"])
-            b = float(entry["b"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f'link {i} needs numeric "a" and "b"') from exc
-        out.append(AffineLatency(a, b))
-    return normalize_network(out)
+    return normalize_network(entries)
 
 
 @dataclass(frozen=True)
@@ -315,6 +316,18 @@ class PiecewiseLatency:
             return INF
         idx = max(0, bisect_right(self.starts, x) - 1)
         return self.slopes[idx] * x + self.offsets[idx]
+
+    def term_sizes(self, x: float) -> tuple[float, float]:
+        """|slope*x| + |offset| of the segment :meth:`value` reads at x, and of
+        the one :meth:`right_liminf` reads.
+
+        Each latency is the sum of those two terms, so where they cancel it
+        is known only to a few ulps of this size, not of its own.
+        """
+        left = max(0, bisect_left(self.starts, x) - 1)
+        right = max(0, bisect_right(self.starts, x) - 1)
+        return (abs(self.slopes[left] * x) + abs(self.offsets[left]),
+                abs(self.slopes[right] * x) + abs(self.offsets[right]))
 
     @cached_property
     def segments(self) -> tuple[tuple[float, float, float, float, float], ...]:

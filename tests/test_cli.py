@@ -450,3 +450,22 @@ def test_verify_random_seeded(tmp_path, capsys):
     assert rc == 0
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report["seed"] == 4
+
+
+@pytest.mark.parametrize("seed", (0, 3))
+@pytest.mark.parametrize("check", [fn for fns in cli.SUITES.values() for fn in fns],
+                         ids=[f"{suite}-{fn.__name__}" for suite, fns in cli.SUITES.items() for fn in fns])
+def test_verify_check_passes(check, seed):
+    check(seed)
+
+
+def test_verify_suite_names():
+    names = {suite: [fn.__name__ for fn in fns] for suite, fns in cli.SUITES.items()}
+    assert names == {
+        "core": ["pigou_peak_four_thirds", "pigou_cap_curve_flat",
+                 "two_link_bound_meets_at_four", "water_fill_matches_closed_form"],
+        "known": ["recurrence_single_seven", "benign_two_twos", "plateau_meets_target",
+                  "lower_bound_holds", "greedy_parameters_below_four_thirds"],
+        "random": ["random_water_fill_agrees", "random_two_link_bound_holds",
+                   "random_usage_order"],
+    }

@@ -16,6 +16,7 @@ from anarchy import (
     SegmentMismatch,
     build_plateau_mechanism,
     build_threshold_mechanism,
+    continuity_no_improvement_check,
     cost_increment,
     curve_breakpoints,
     is_user_equilibrium,
@@ -443,6 +444,26 @@ def test_is_user_equilibrium_flags_envy():
     assert check.violator == (1, 0)
     assert check.lhs == pytest.approx(2.8)
     assert check.rhs == pytest.approx(0.2)
+
+
+def test_water_fill_certifies_level_zero_past_a_flat_end():
+    # Past a flat segment at 0, slope*x - slope*w cancels, so the latency
+    # near level 0 is known only to the rounding of slope*w.  The rates sit
+    # at the flat end w, one double either side and w*(1+1e-15).
+    rng = random.Random(30)
+    for _ in range(3000):
+        w = rng.uniform(0.1, 3.0)
+        m = rng.uniform(0.1, 10.0)
+        a = rng.uniform(0.1, 10.0)
+        lats = [PiecewiseLatency((0.0, w), (0.0, m), (0.0, -m * w)),
+                PiecewiseLatency.from_affine(AffineLatency(a, 0.0))]
+        for rate in (w, math.nextafter(w, -math.inf), math.nextafter(w, math.inf), w * (1 + 1e-15)):
+            res = water_fill(lats, rate)
+            assert is_user_equilibrium(lats, res.profile), (w, m, a, rate)
+    unit = [PiecewiseLatency((0.0, 1.0), (0.0, 1.0), (0.0, -1.0)),
+            PiecewiseLatency.from_affine(AffineLatency(1.0, 0.0))]
+    net = normalize_network([{"a": 1, "b": 0}, {"a": 1, "b": 0}])
+    continuity_no_improvement_check(net, unit, math.nextafter(1.0, math.inf))
 
 
 def test_profile_cost_ignores_idle_links():

@@ -110,6 +110,14 @@ def test_network_from_dict_schema_errors():
         network_from_dict({"links": [{"a": "x", "b": 0}]})
 
 
+def test_normalize_network_schema_errors():
+    for links in ([{"a": "x", "b": 1}], [{"a": None, "b": 1}]):
+        with pytest.raises(SchemaError, match='link 0 needs numeric "a" and "b"'):
+            normalize_network(links)
+    with pytest.raises(SchemaError, match="link 1 is not an object"):
+        normalize_network([{"a": 1, "b": 0}, 3])
+
+
 def test_suffix_reuses_links():
     net = normalize_network([{"a": 1, "b": 0}, {"a": 1, "b": 1}, {"a": 1, "b": 2}])
     suf = net.suffix(1)
