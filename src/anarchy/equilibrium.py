@@ -5,9 +5,10 @@ latencies across used links, a system-optimal flow equalizes marginal
 costs, and both open link j once demand passes a breakpoint (the optimum
 at half the selfish breakpoint).  The water-filling solver handles the
 modified, piecewise latencies produced by coordination mechanisms, where
-jumps make equilibria set-valued.  The costliest of those equilibria, at
-every demand at once, comes from one sweep over the latencies' supply
-events; it is kept for the last latencies seen, so a rate is one lookup.
+jumps make equilibria set-valued.  One sweep over the latencies' supply
+events gives, at every demand at once, both the water-fill level and the
+costliest of those equilibria; it is kept for the last latencies seen, so
+either at a rate is one lookup.
 """
 from __future__ import annotations
 
@@ -176,6 +177,12 @@ def cost_increment(net: ParallelNetwork, s: float, r: float, j: int,
 _ROUNDING = 4.0 * math.ulp(1.0)
 
 
+def _allowance(size: float) -> float:
+    # _ROUNDING of the terms' size, plus one subnormal: below the normal
+    # range rounding is absolute.
+    return _ROUNDING * size + math.ulp(0.0)
+
+
 def _two_least(values: Sequence[float]) -> tuple[int, int | None]:
     # Indices of the least value and of the least among the others.
     first = min(range(len(values)), key=values.__getitem__)
@@ -197,7 +204,8 @@ def is_user_equilibrium(lats: Sequence[LatencyLike], profile: FlowProfile) -> Eq
     a negative offset, and is then known only to the rounding of those
     terms, far more than that slack.  So a pair that fails is compared
     again, with each latency allowed _ROUNDING times the size of the terms
-    it sums (:meth:`term_sizes`): link i those of the segment its value
+    it sums (:meth:`term_sizes`), plus one subnormal, since below the normal
+    range rounding is absolute: link i those of the segment its value
     reads, link g those of the segment its right limit reads.  Each side
     gets its own allowance, so a link with large terms widens no other
     link's comparison.  A failure reports link i and the link it envies
@@ -217,10 +225,10 @@ def is_user_equilibrium(lats: Sequence[LatencyLike], profile: FlowProfile) -> Eq
         if g is None or vi <= edges[g] + slack:
             continue
         if loose is None:
-            loose = [e + _ROUNDING * lat.term_sizes(f)[1] for e, lat, f in zip(edges, lats, flows)]
+            loose = [e + _allowance(lat.term_sizes(f)[1]) for e, lat, f in zip(edges, lats, flows)]
             loose_first, loose_second = _two_least(loose)
         g = loose_second if i == loose_first else loose_first
-        if not vi - _ROUNDING * lats[i].term_sizes(flows[i])[0] <= loose[g] + slack:
+        if not vi - _allowance(lats[i].term_sizes(flows[i])[0]) <= loose[g] + slack:
             return EquilibriumCheck(False, violator=(i, g), lhs=vi, rhs=edges[g])
     return EquilibriumCheck(True)
 
@@ -251,78 +259,38 @@ def _flow_bounds(lat, corner: float, past: float = 0.0) -> tuple[float, float]:
     return least, most
 
 
-def _fill_level(lats: Sequence, rate: float) -> tuple[float, float]:
-    """Least latency level at which the links together absorb `rate`.
-
-    Walks the sorted corner levels once, carrying the supply and its slope.
-    The walk stops at the last corner `prev` not past the answer; there the
-    supply is recomputed exactly.  If it already covers the rate (the rate
-    falls in a jump at `prev`, or on it) the level is `prev`.  Otherwise the
-    rest of the rate spreads over the rising segments: the level is `prev`
-    plus (rate - S(prev)) / sum(1/slope), or the next corner if that is
-    reached first.  Returns the level as (corner, part above the corner),
-    the form :func:`_flow_bounds` takes.
-    """
-    events = sorted(ev for lat in lats for ev in lat.supply_events)
-    prev = min(lat.value(0.0) for lat in lats)
-    stop = INF
-    supplied = growth = 0.0
-    for level, jump, dgrowth, _, _ in events:
-        if level > prev:
-            ahead = supplied + growth * (level - prev)
-            if ahead >= rate:
-                stop = level
-                break
-            supplied, prev = ahead, level
-        supplied += jump
-        growth += dgrowth
-    have = _supply(lats, prev)
-    if have >= rate:
-        return prev, 0.0
-    growth = math.fsum(
-        1.0 / m
-        for lat in lats
-        for _, _, m, v_lo, v_hi in lat.segments
-        if m > 0.0 and v_lo <= prev < v_hi
-    )
-    past = (rate - have) / growth if growth > 0.0 else INF
-    if prev + past < stop:
-        return prev, past
-    if stop == INF:
-        raise InfeasibleRate(f"no finite level absorbs rate {rate}")
-    return stop, 0.0
-
-
-def _supply(lats: Sequence, level: float) -> float:
-    return math.fsum(_flow_bounds(lat, level)[1] for lat in lats)
-
-
 def water_fill(lats: Sequence, rate: float, *,
                latency_family: str = "original") -> EquilibriumResult:
     """Equilibrium of piecewise latencies by filling links up to a common level.
 
     The supply S(L), the most flow all links take at latency <= L, is
     piecewise linear and non-decreasing in L, with jumps only at flat
-    segments.  One sweep over the sorted segment-corner levels finds the
-    least L with S(L) >= rate: exactly a corner level when the rate falls
-    inside a jump there, else by linear interpolation on the piece that holds
-    it.  Per-link flow intervals at L follow from comparing L with segment
-    corner levels; on rising segments the flow past the last corner is the
-    rest of the rate shared in proportion to 1/slope, the difference form
-    :func:`nash_flow` uses, so the rounding of L stays out of the flows.
+    segments.  The least L with S(L) >= rate is a lookup on the pieces of
+    the kept supply-event sweep, the one :func:`worst_equilibrium_cost`
+    reads: a bisection over the piece ends, then the piece's corner level
+    at its anchor plus (rate - anchor) / (the supply's slope), or the corner
+    at its end once that is reached; on a jump the level is the jump's.  The
+    first call on new latencies costs one sweep, O(n log n) in their n
+    segments.  Per-link flow intervals at L follow from comparing L with
+    segment corner levels; on rising segments the flow past the last corner
+    is the rest of the rate shared in proportion to 1/slope, the difference
+    form :func:`nash_flow` uses, so the rounding of L stays out of the flows.
     The canonical profile spreads the rate across the intervals
-    proportionally to their widths and is verified to be an equilibrium.  Cost is O(n log n) in the total number of segments.
-    An empty latency list raises EmptyNetwork.
+    proportionally to their widths and is verified to be an equilibrium.
+    A rate above the sweep's end, the total capacity when every link is
+    capped, raises InfeasibleRate; an empty latency list raises EmptyNetwork.
     """
     check_rate(rate)
     lats = list(lats)
     if not lats:
         raise EmptyNetwork("water-filling needs at least one link")
-    capacity = math.fsum(l.cap for l in lats)
-    if capacity < rate:
-        raise InfeasibleRate(f"total capacity {capacity} below rate {rate}")
-
-    corner, past = _fill_level(lats, rate)
+    segs, his = _swept(lats)
+    if rate > his[-1]:
+        raise InfeasibleRate(f"total capacity {his[-1]} below rate {rate}")
+    seg = segs[bisect_left(his, rate)]
+    corner, past = seg.low, (rate - seg.anchor) * seg.a2
+    if corner + past >= seg.top:
+        corner, past = seg.top, 0.0
     level = corner + past
     intervals = []
     for lat in lats:
@@ -354,7 +322,9 @@ def water_fill(lats: Sequence, rate: float, *,
 class _Seg(NamedTuple):
     # One closed form of one cost: a0 + a1*(r - anchor) + a2*(r - anchor)^2
     # up to demand hi, which it holds when closed.  The segment starts where
-    # the one before it ends.
+    # the one before it ends.  A piece of the equilibrium sweep also carries
+    # the water-fill level: low at the anchor, rising by a2*(r - anchor) up
+    # to top.
     hi: float
     closed: bool
     tag: str
@@ -362,6 +332,8 @@ class _Seg(NamedTuple):
     a0: float
     a1: float
     a2: float
+    low: float = 0.0
+    top: float = 0.0
 
     def at(self, lo: float) -> tuple[float, float, float]:
         # The same quadratic in u = r - lo.  Every cost rises with r, so a1
@@ -376,28 +348,31 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
     # link pays L, so the cost C + L*(r - D) is quadratic in r while L rises
     # and linear across a flat segment's jump; there the flat links are no
     # longer held, but links that rise past a jump at L still are.  Where the
-    # cost can jump the demand is read off the least flows, and the last piece
-    # (at first an empty one at 0), held back until the demand grows again,
-    # ends there too.  The sums snap to 0 once per level when their link
-    # counts do.  A last level at inf ends the last rising piece, or, when
-    # every link is capped, ends the sweep at their total capacity.
+    # cost can jump the demand is read off the least flows, and while no link
+    # rises it is the flow held, D; the last piece (at first an empty one at
+    # 0), held back until the demand grows again, ends there too.  The sums
+    # snap to 0 once per level when their link counts do.  A last level at
+    # inf ends the last rising piece, or, when every link is capped, ends the
+    # sweep at their total capacity.
     events = sorted(ev for lat in lats for ev in lat.supply_events) + [(INF, 0.0, 0.0, 0.0, 0.0)]
     r = prev = growth = held = cost = 0.0
     rising = n_held = 0
-    last = _Seg(0.0, True, "", 0.0, 0.0, 0.0, 0.0)
+    last = _Seg(0.0, True, "", 0.0, 0.0, 0.0, 0.0, events[0][0], events[0][0])
     for level, batch in groupby(events, itemgetter(0)):
         batch = list(batch)
         width = math.fsum([ev[1] for ev in batch])
-        if level == INF and not rising:
-            end = math.fsum([lat.cap for lat in lats])
-        else:
+        if rising:
             end = r + growth * (level - prev)
+        elif level < INF:
+            end = held
+        else:
+            end = math.fsum([lat.cap for lat in lats])
         if width > 0.0 or any([ev[3] < 0.0 for ev in batch]):
             end = math.fsum([_flow_bounds(lat, level)[0] for lat in lats])
         if rising:
             yield last
             last = _Seg(end, True, "", r, cost + prev * (r - held), prev + (r - held) / growth,
-                        1.0 / growth)
+                        1.0 / growth, prev, level)
         else:
             last = last._replace(hi=end)
         r = end
@@ -405,7 +380,7 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
             flats = [ev for ev in batch if ev[1] > 0.0]
             d, c = held + math.fsum(ev[3] for ev in flats), cost + math.fsum(ev[4] for ev in flats)
             yield last
-            last = _Seg(r + width, r + width < INF, "", r, c + level * (r - d), level, 0.0)
+            last = _Seg(r + width, r + width < INF, "", r, c + level * (r - d), level, 0.0, level, level)
             r += width
             if r == INF:
                 break
@@ -421,8 +396,6 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
     yield last
 
 
-
-
 # The last latencies swept, by identity, with their pieces and piece ends;
 # replaced whole, so a thread that races another at worst sweeps again.
 _last_sweep: tuple | None = None
@@ -435,6 +408,8 @@ def _same(a: tuple, b: tuple) -> bool:
 
 def _swept(lats: Sequence[PiecewiseLatency]) -> tuple[tuple[_Seg, ...], tuple[float, ...]]:
     """The sweep of `lats` without its empty pieces, and the piece ends.
+
+    :func:`water_fill` and :func:`worst_equilibrium_cost` look rates up in it.
 
     Keeps its last result, keyed on the identity of each latency: they are
     frozen, so the same objects carry the same values, and the memo holds

@@ -233,7 +233,7 @@ class PlateauParams:
         if not (math.isfinite(hold_start) and math.isfinite(hold_end)):
             raise ParamOutOfRange(f"plateau marks must be finite, got {hold_start}, {hold_end}")
         r2 = net.breakpoints[1]
-        tol = 1e-9 * max(1.0, r2)
+        tol = 1e-9 * r2
         if not (r2 / 2.0 - tol <= hold_start <= r2 + tol):
             raise ParamOutOfRange(
                 f"hold_start {hold_start} outside [{r2 / 2.0}, {r2}]"
@@ -269,7 +269,7 @@ def build_plateau_mechanism(
     ratio = first.slope / second.slope
     if ratio <= MIN_PLATEAU_RATIO:
         return identity
-    if abs(params.slope_ratio - ratio) > 1e-9 * max(1.0, ratio):
+    if abs(params.slope_ratio - ratio) > 1e-9 * ratio:
         raise ParamOutOfRange("parameters were built for a different network")
     if params.hold_end <= params.hold_start:
         return identity

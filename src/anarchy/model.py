@@ -9,6 +9,7 @@ downstream relies on.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +26,7 @@ from .errors import (
 )
 
 INF = math.inf
+_LEAST_NORMAL = sys.float_info.min
 
 
 def check_rate(rate: float) -> None:
@@ -67,11 +69,11 @@ class AffineLatency:
         return self.value(x)
 
     def term_sizes(self, x: float) -> tuple[float, float]:
-        """|slope*x| + |intercept| for the value and the right limit at x.
-
-        Both terms are >= 0 at a flow x >= 0, so this is the value itself.
+        """|slope*x| + |intercept| for the value and the right limit at x,
+        with x counted as at least the least normal double (see
+        :meth:`PiecewiseLatency.term_sizes`).
         """
-        size = self.value(x)
+        size = self.value(max(x, _LEAST_NORMAL))
         return size, size
 
 
@@ -291,12 +293,13 @@ class PiecewiseLatency:
                 raise InvalidModelValue("segment offsets must be finite")
         if math.isnan(self.cap) or self.cap < 0.0:
             raise InvalidModelValue("cap must be >= 0")
-        # Non-decreasing across boundaries: left value <= right value.
+        # Non-decreasing across boundaries: left value <= right value, up to
+        # the rounding of the four terms the two values sum.
         for i in range(1, len(self.starts)):
             s = self.starts[i]
-            left = self.slopes[i - 1] * s + self.offsets[i - 1]
-            right = self.slopes[i] * s + self.offsets[i]
-            if not _at_least(right, left):
+            m0, c0, m1, c1 = self.slopes[i - 1], self.offsets[i - 1], self.slopes[i], self.offsets[i]
+            left, right = m0 * s + c0, m1 * s + c1
+            if not _at_least(right, left, m0 * s + abs(c0) + m1 * s + abs(c1)):
                 raise InvalidModelValue(f"value drops at boundary {s}: {left} -> {right}")
 
     @classmethod
@@ -322,10 +325,13 @@ class PiecewiseLatency:
         the one :meth:`right_liminf` reads.
 
         Each latency is the sum of those two terms, so where they cancel it
-        is known only to a few ulps of this size, not of its own.
+        is known only to a few ulps of this size, not of its own.  Below the
+        normal range a flow is known only to one subnormal, not relative to
+        itself, so x counts as at least the least normal double.
         """
         left = max(0, bisect_left(self.starts, x) - 1)
         right = max(0, bisect_right(self.starts, x) - 1)
+        x = max(x, _LEAST_NORMAL)
         return (abs(self.slopes[left] * x) + abs(self.offsets[left]),
                 abs(self.slopes[right] * x) + abs(self.offsets[right]))
 
@@ -338,9 +344,10 @@ class PiecewiseLatency:
         unbounded rising segment.  These corner levels are the only places
         where the flow a link absorbs at a given latency changes its form.
         Corner levels never decrease: construction lets the value just after
-        a boundary sit up to 1e-12 relative below the value just before it,
-        and such a dip is lifted to the earlier level, so that a level equal
-        to one segment's end never counts as above the next segment's start.
+        a boundary sit below the value just before it by up to 1e-12 of the
+        terms the two values sum, and such a dip is lifted to the earlier
+        level, so that a level equal to one segment's end never counts as
+        above the next segment's start.
         """
         out = []
         ends = self.starts[1:] + (INF,)
@@ -377,29 +384,31 @@ class PiecewiseLatency:
     def is_monotone(self) -> bool:
         """Re-check monotonicity at the segment corners (construction enforces it)."""
         segs = self.segments
-        return all(_at_least(nxt[3], prev[4]) for prev, nxt in zip(segs, segs[1:]))
+        return all(nxt[3] >= prev[4] for prev, nxt in zip(segs, segs[1:]))
 
     def dominates(self, base: AffineLatency) -> bool:
         """True when this latency never undercuts the base affine latency.
 
         Both are affine on each segment, so comparing them at the segment ends
-        decides it; an unbounded last segment must also rise at least as fast.
-        Flow past a finite cap costs inf and needs no check.
+        decides it, up to the rounding of the terms both values sum; an
+        unbounded last segment must also rise at least as fast.  Flow past a
+        finite cap costs inf and needs no check.
         """
-        for lo, hi, m, v_lo, v_hi in self.segments:
-            if not _at_least(v_lo, base.value(lo)):
+        for (lo, hi, m, v_lo, v_hi), c in zip(self.segments, self.offsets):
+            if not _at_least(v_lo, base.value(lo), m * lo + abs(c) + base.value(lo)):
                 return False
             if math.isfinite(hi):
-                if not _at_least(v_hi, base.value(hi)):
+                if not _at_least(v_hi, base.value(hi), m * hi + abs(c) + base.value(hi)):
                     return False
             elif m < base.slope:
                 return False
         return True
 
 
-def _at_least(v: float, ref: float) -> bool:
-    # v >= ref up to the 1e-12 relative slack that construction allows.
-    return v >= ref - 1e-12 * max(1.0, abs(ref))
+def _at_least(v: float, ref: float, size: float) -> bool:
+    # v >= ref up to 1e-12 of `size`, the terms the two values sum: where
+    # they cancel, each is known only to the rounding of those terms.
+    return v >= ref - 1e-12 * size
 
 
 @dataclass(frozen=True)
@@ -408,7 +417,7 @@ class FlowProfile:
 
     ``latency_family`` records which latencies the profile was computed
     against ("original" or "modified").  Flows must be non-negative and sum
-    to the rate within 1e-9 relative.
+    to the rate within 1e-9 relative, plus one subnormal per flow.
     """
 
     rate: float
@@ -418,14 +427,16 @@ class FlowProfile:
     def __post_init__(self) -> None:
         rate = float(self.rate)
         flows = [float(f) for f in self.flows]
-        scale = max(1.0, abs(rate))
+        # 1e-9 of the rate, and one subnormal per flow: below the normal
+        # range each flow is rounded to an absolute unit.
+        slack = 1e-9 * abs(rate) + len(flows) * math.ulp(0.0)
         for i, f in enumerate(flows):
-            if f < -1e-9 * scale:
+            if f < -slack:
                 raise InvalidModelValue(f"flow {i} is negative: {f}")
             if f < 0.0:
                 flows[i] = 0.0
         total = math.fsum(flows)
-        if abs(total - rate) > 1e-9 * scale:
+        if abs(total - rate) > slack:
             raise InvalidModelValue(f"flows sum to {total}, expected {rate}")
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "flows", tuple(flows))

@@ -406,8 +406,10 @@ def test_exit_code_cost_underflow(tmp_path, capsys, links, extra):
 
 @pytest.mark.parametrize("command", ["solve", "curve"])
 def test_exit_code_coinciding_plateau_marks(tmp_path, capsys, command):
+    # The hold may start at 0, on the first segment start, only where half
+    # the breakpoint rounds to 0: at a subnormal one.
     net_path = tmp_path / "net.json"
-    net_path.write_text(json.dumps({"links": [{"a": 1, "b": 0}, {"a": 0.25, "b": 1e-12}]}))
+    net_path.write_text(json.dumps({"links": [{"a": 1, "b": 0}, {"a": 0.25, "b": 5e-324}]}))
     mech_path = tmp_path / "mech.json"
     mech_path.write_text(json.dumps({"kind": "plateau", "x1": 0, "x2": 1e-12}))
     if command == "solve":

@@ -35,7 +35,7 @@ from anarchy import (
 )
 import anarchy.analysis
 import anarchy.equilibrium
-from anarchy.equilibrium import _equilibrium_segs
+from anarchy.equilibrium import _equilibrium_segs, _flow_bounds
 from anarchy.mechanisms import MIN_PLATEAU_RATIO
 from conftest import random_network
 
@@ -280,6 +280,104 @@ def test_nash_level_is_stationary():
 # ------------------------------------------------------------------ water fill
 
 
+def reference_level(lats, rate):
+    """Least latency level at which the links together absorb `rate`.
+
+    An independent walk over the sorted corner levels, carrying the supply
+    and its slope; it stops at the last corner `prev` not past the answer
+    and recomputes the supply there exactly.  If that covers the rate (the
+    rate falls in a jump at `prev`, or on it) the level is `prev`.
+    Otherwise the rest of the rate spreads over the rising segments: the
+    level is `prev` plus (rate - S(prev)) / sum(1/slope), or the next corner
+    if that is reached first.  Returns the level as (corner, part above the
+    corner), the form `_flow_bounds` takes.
+    """
+    events = sorted(ev for lat in lats for ev in lat.supply_events)
+    prev = min(lat.value(0.0) for lat in lats)
+    stop = math.inf
+    supplied = growth = 0.0
+    for level, jump, dgrowth, _, _ in events:
+        if level > prev:
+            ahead = supplied + growth * (level - prev)
+            if ahead >= rate:
+                stop = level
+                break
+            supplied, prev = ahead, level
+        supplied += jump
+        growth += dgrowth
+    have = math.fsum(_flow_bounds(lat, prev)[1] for lat in lats)
+    if have >= rate:
+        return prev, 0.0
+    growth = math.fsum(
+        1.0 / m
+        for lat in lats
+        for _, _, m, v_lo, v_hi in lat.segments
+        if m > 0.0 and v_lo <= prev < v_hi
+    )
+    past = (rate - have) / growth if growth > 0.0 else math.inf
+    if prev + past < stop:
+        return prev, past
+    if stop == math.inf:
+        raise InfeasibleRate(f"no finite level absorbs rate {rate}")
+    return stop, 0.0
+
+
+def reference_fill(lats, rate):
+    """Level, per-link intervals and flows of a water fill at the reference level.
+
+    The intervals are `water_fill`'s, clipped to [0, rate]; the flows spread
+    the rate across them in proportion to their widths, as it does.
+    """
+    corner, past = reference_level(lats, rate)
+    intervals = []
+    for lat in lats:
+        least, most = _flow_bounds(lat, corner, past)
+        hi = min(most, rate)
+        intervals.append((min(least, hi), hi))
+    low, high = math.fsum(lo for lo, _ in intervals), math.fsum(hi for _, hi in intervals)
+    t = 0.0 if high <= low else min(1.0, max(0.0, (rate - low) / (high - low)))
+    return corner + past, intervals, [min(hi, lo + t * (hi - lo)) for lo, hi in intervals]
+
+
+def test_water_fill_matches_reference_level_walk():
+    # Random capped, flat or jumping sets of up to 5 links, at uniform rates,
+    # at 0, at every piece end of the sweep and one double either side.
+    # Level and flows agree with the reference walk to the ulp, with two
+    # exceptions.  One double above a piece end the sweep puts the split
+    # past a jump, where the cost is the costliest equilibrium's.  At a
+    # piece end, or one double below, the reference can round its supply
+    # one double short and walk on to the top of a held stretch; the sweep
+    # keeps the least level, with the same flows.
+    rng = random.Random(15)
+    compared = past_jump = 0
+    for _ in range(250):
+        lats = [_random_piecewise(rng) for _ in range(rng.randint(1, 5))]
+        ends = [hi for hi in anarchy.equilibrium._swept(lats)[1] if 0.0 < hi < math.inf]
+        capacity = math.fsum(lat.cap for lat in lats)
+        top = min(capacity, 2.0 * max(ends, default=2.0))
+        rates = [0.0] + [rng.uniform(0.0, top) for _ in range(5)]
+        for e in ends:
+            rates += [math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf)]
+        above = {math.nextafter(e, math.inf) for e in ends}
+        for r in rates:
+            if r > capacity:
+                with pytest.raises(InfeasibleRate):
+                    water_fill(lats, r)
+                continue
+            level, _, flows = reference_fill(lats, r)
+            res = water_fill(lats, r)
+            compared += 1
+            if r in above and res.level != pytest.approx(level, rel=1e-12, abs=0.0):
+                past_jump += 1
+                assert res.cost == pytest.approx(worst_equilibrium_cost(lats, r), rel=1e-12), (lats, r)
+                continue
+            assert res.profile.flows == pytest.approx(flows, rel=1e-12, abs=1e-12 * r), (lats, r)
+            if res.level != pytest.approx(level, rel=1e-12, abs=0.0):
+                assert r in ends or math.nextafter(r, math.inf) in ends, (lats, r)
+                assert res.level < level, (lats, r)
+    assert compared >= 5000 and past_jump >= 1
+
+
 def test_water_fill_matches_closed_form_seeded():
     rng = random.Random(2024)
     for _ in range(40):
@@ -466,6 +564,15 @@ def test_water_fill_certifies_level_zero_past_a_flat_end():
     continuity_no_improvement_check(net, unit, math.nextafter(1.0, math.inf))
 
 
+@pytest.mark.parametrize("rate", [5e-324, 1e-323])
+def test_water_fill_certifies_subnormal_rates(rate):
+    # Below the normal range a flow is known only to one subnormal, so a
+    # split of one or two subnormals leaves latencies a few subnormals apart.
+    lats = [PiecewiseLatency.from_affine(AffineLatency(1.0, 0.0)),
+            PiecewiseLatency.from_affine(AffineLatency(3.0, 0.0))]
+    assert is_user_equilibrium(lats, water_fill(lats, rate).profile)
+
+
 def test_profile_cost_ignores_idle_links():
     net = normalize_network([{"a": 1, "b": 0}, {"a": 1, "b": 5}])
     assert profile_cost(net.links, (2.0, 0.0)) == pytest.approx(4.0)
@@ -495,20 +602,22 @@ def test_worst_equilibrium_prefers_expensive_flat_link(pigou):
 
 
 def water_fill_worst_cost(lats, rate):
-    """Costliest equilibrium cost read off one `water_fill`, independent of the sweep.
+    """Costliest equilibrium cost read off the reference level walk's intervals.
 
     Every equilibrium keeps each link inside its water-fill interval, and any
     flows inside them that add up to the rate form one.  If the rate does not
     exceed the sum of the low ends, every link sits at its low end.  Otherwise
     a link whose interval is a single flow pays its latency there, and every
-    other link can carry more than its low end and pay the level.
+    other link can carry more than its low end and pay the level.  The level
+    comes from :func:`reference_level`, so this oracle shares no walk over
+    the supply events with the sweep it checks.
     """
-    res = water_fill(lats, rate)
-    lows = [lo for lo, _ in res.per_link_interval]
+    level, intervals, _ = reference_fill(lats, rate)
+    lows = [lo for lo, _ in intervals]
     if rate <= math.fsum(lows):
         return profile_cost(lats, lows)
-    pinned = [lo if lo == hi else 0.0 for lo, hi in res.per_link_interval]
-    return profile_cost(lats, pinned) + res.level * (rate - math.fsum(pinned))
+    pinned = [lo if lo == hi else 0.0 for lo, hi in intervals]
+    return profile_cost(lats, pinned) + level * (rate - math.fsum(pinned))
 
 
 def grid_latency(lat, xs, side):
@@ -775,7 +884,8 @@ def test_equilibrium_segs_match_worst_equilibrium_cost(seed):
 def test_worst_equilibrium_lands_past_jump_one_double_above_release():
     # One double above a release the costliest split has risen past link 0's
     # jump; the sweep puts the jump at the recomputed demand, and the lookup
-    # reads it there.  A water-fill interval there still reads the left limit.
+    # reads it there.  water_fill reads its level off the same sweep, so its
+    # split is past the jump too.
     lats = [PiecewiseLatency((0.0, 1.9690680809679966, 2.4479491205430772),
                              (0.0, 0.0, 0.9710562505236012),
                              (0.08756568025326139, 0.08756568025326139, -0.8020380049098299)),
@@ -789,6 +899,7 @@ def test_worst_equilibrium_lands_past_jump_one_double_above_release():
     got = worst_equilibrium_cost(lats, r)
     assert got == pytest.approx(5.436806359620762, rel=1e-12)
     assert got == swept_cost(lats, [r])[1][0]
+    assert water_fill(lats, r).cost == pytest.approx(got, rel=1e-12)
 
 
 def _plateau_mechanism(links):

@@ -185,6 +185,25 @@ class TestPiecewiseLatency:
         assert capped.dominates(AffineLatency(1.0, 0.0))
         assert lat.is_monotone() and capped.is_monotone()
 
+    @pytest.mark.parametrize("mu", [1e3, 1e6, 1e12])
+    def test_accepts_cancelling_boundary_at_large_scale(self, mu):
+        # Flat at 0 up to s, then slope m*mu with offset (-m*s)*mu: the right
+        # value at s is 0 only to the rounding of m*s*mu, however large.
+        rng = random.Random(36)
+        for _ in range(300):
+            s, m = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
+            lat = PiecewiseLatency((0.0, s), (0.0, m * mu), (0.0, (-m * s) * mu))
+            assert lat.is_monotone()
+
+    def test_rejects_small_drop_at_small_scale(self):
+        # A drop of half the value is a drop at every scale.
+        with pytest.raises(InvalidModelValue):
+            PiecewiseLatency((0.0, 1e-12), (1.0, 1.0), (0.0, -5e-13))
+        with pytest.raises(InvalidModelValue):
+            PiecewiseLatency((0.0, 1.0), (1.0, 1.0), (0.0, -0.5))
+        low = PiecewiseLatency.from_affine(AffineLatency(1.0, 5e-13))
+        assert not low.dominates(AffineLatency(1.0, 1e-12))
+
     def test_segments_carry_corner_levels(self):
         lat = self.plateau()
         levels = {v for seg in lat.segments for v in seg[3:]}
@@ -217,6 +236,10 @@ def test_flow_profile_validation():
         FlowProfile(rate=1.0, flows=(0.4, 0.4))
     with pytest.raises(ValueError):
         FlowProfile(rate=1.0, flows=(1.5, -0.5))
+    # The slack is relative to the rate, plus one subnormal per flow.
+    with pytest.raises(ValueError):
+        FlowProfile(rate=1e-12, flows=(1e-12, 5e-10))
+    assert FlowProfile(rate=1e-323, flows=(1e-323, 5e-324)).used_count == 2
 
 
 def test_bad_values_raise_one_typed_error():

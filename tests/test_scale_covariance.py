@@ -15,8 +15,11 @@ import pytest
 
 from anarchy import (
     FlowProfile,
+    InvalidModelValue,
     NotContinuousAtEquilibrium,
+    ParamOutOfRange,
     PiecewiseLatency,
+    PlateauParams,
     build_plateau_mechanism,
     build_threshold_mechanism,
     continuity_no_improvement_check,
@@ -29,6 +32,7 @@ from anarchy import (
     ratio_curve,
     ratio_sup,
     solve_plateau_params,
+    water_fill,
     worst_equilibrium_cost_two_links,
 )
 from anarchy.mechanisms import MIN_PLATEAU_RATIO
@@ -119,23 +123,41 @@ def test_costs_and_ratios_scale(links, kind):
             assert _attains(base, base_mech, scaled_where / s, value), (lam, mu, where, scaled_where)
 
 
-@pytest.mark.parametrize("mu", sorted({mu for _, mu in SCALES} | {1e-12}))
-def test_checks_reject_bad_inputs_at_every_scale(mu):
+@pytest.mark.parametrize("lam, mu", [pytest.param(1.0, mu, id=str(mu))
+                                     for mu in sorted({mu for _, mu in SCALES} | {1e-12})]
+                         + [pytest.param(1e3, 1e-6, id="slope1000.0-1e-06")])
+def test_checks_reject_bad_inputs_at_every_scale(lam, mu):
     # Each check's slack is relative to the values it compares, so a latency
-    # gap of order mu stays a violation however small mu is.
-    links = [{"a": 1.0, "b": 0.0}, {"a": 1.0, "b": mu}]
+    # gap of order mu stays a violation however small mu is, with slopes
+    # scaled by lam and flows by s = mu / lam.
+    s = mu / lam
+    links = [{"a": lam, "b": 0.0}, {"a": lam, "b": mu}]
     net = normalize_network(links)
     lats = [PiecewiseLatency.from_affine(link) for link in net.links]
     # All flow on the link that starts at latency mu.
-    assert not is_user_equilibrium(lats, FlowProfile(rate=mu, flows=(0.0, mu)))
-    # The first latency doubles at flow mu/2, where the equilibrium sits.
-    jumpy = PiecewiseLatency((0.0, mu / 2.0), (1.0, 1.0), (0.0, mu / 2.0))
+    assert not is_user_equilibrium(lats, FlowProfile(rate=s, flows=(0.0, s)))
+    # The first latency doubles at flow s/2, where the equilibrium sits; the
+    # rate fills its first segment exactly, so the split lands on the jump.
+    jumpy = PiecewiseLatency((0.0, s / 2.0), (lam, lam), (0.0, mu / 2.0))
+    assert math.fsum(water_fill([jumpy, lats[1]], s / 2.0).profile.flows) == s / 2.0
     with pytest.raises(NotContinuousAtEquilibrium):
-        continuity_no_improvement_check(net, [jumpy, lats[1]], mu / 2.0)
+        continuity_no_improvement_check(net, [jumpy, lats[1]], s / 2.0)
     # The last stage starts before the optimum opens its link.
-    net3 = normalize_network(links + [{"a": 0.01, "b": 2.0 * mu}])
+    net3 = normalize_network(links + [{"a": 0.01 * lam, "b": 2.0 * mu}])
     params, _ = build_threshold_mechanism(net3, [2.0, 2.0])
     last = params.stages[-1]
     early = dataclasses.replace(last, global_start_rate=0.6 * last.global_start_rate)
     params = dataclasses.replace(params, stages=params.stages[:-1] + (early,))
     assert not mn_uses_links_no_earlier_than_opt(net3, params)
+    # Flows that sum to 500 times the rate.
+    with pytest.raises(InvalidModelValue):
+        FlowProfile(rate=s, flows=(s, 499.0 * s))
+    # A plateau hold that starts at a tenth of the breakpoint, and plateau
+    # marks built for a slope ratio 1e-8 away.
+    steep = normalize_network([{"a": 4.0 * lam, "b": 0.0}, {"a": lam, "b": mu}])
+    r2 = steep.breakpoints[1]
+    with pytest.raises(ParamOutOfRange):
+        PlateauParams.from_flows(steep, 0.1 * r2, 2.0 * r2)
+    other = normalize_network([{"a": 4.0 * lam * (1.0 + 1e-8), "b": 0.0}, {"a": lam, "b": mu}])
+    with pytest.raises(ParamOutOfRange):
+        build_plateau_mechanism(other, solve_plateau_params(steep))
