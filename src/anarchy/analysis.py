@@ -29,10 +29,15 @@ from .errors import (
     NegativeRate,
     NotContinuousAtEquilibrium,
     ParamOutOfRange,
-    ParamTooSmall,
     RatioOutOfRange,
 )
-from .mechanisms import PlateauParams, ThresholdParams, _plateau_terms, balanced_alpha
+from .mechanisms import (
+    PlateauParams,
+    ThresholdParams,
+    _check_multipliers,
+    _plateau_terms,
+    balanced_alpha,
+)
 from .model import INF, ParallelNetwork, PiecewiseLatency
 
 # A mechanism is carried around as (parameters, modified latencies).
@@ -303,11 +308,7 @@ def two_link_simple_bound(R: float) -> BoundReport:
     max(1 + 1/R, (4+4R)/(4+3R)); the two sides meet at R = 4 where the bound
     is 5/4.  Where 4R overflows the benign side is its limit 4/3.
     """
-    R = float(R)
-    if not R >= 2.0:
-        raise ParamTooSmall(f"multiplier must be >= 2, got {R}")
-    if R > sys.float_info.max:
-        raise ParamOutOfRange("multiplier must be finite")
+    (R,) = _check_multipliers((R,))
     freeze_side = 1.0 + 1.0 / R
     top = 4.0 + 4.0 * R
     benign_side = top / (4.0 + 3.0 * R) if top < INF else 4.0 / 3.0
@@ -325,12 +326,7 @@ def benign_bound(R_values: Sequence[float]) -> BoundReport:
 
     Neither rounding nor an overflow of 4P^2 takes it past its limit 4/3.
     """
-    Rs = tuple(float(x) for x in R_values)
-    for x in Rs:
-        if not x >= 2.0:
-            raise ParamTooSmall(f"multipliers must be >= 2, got {x}")
-        if x > sys.float_info.max:
-            raise ParamOutOfRange("multipliers must be finite")
+    Rs = _check_multipliers(R_values)
     P = math.prod(1.0 + x for x in Rs)
     top = 4.0 * P * P
     value = min(top / (3.0 * P * P + 1.0), 4.0 / 3.0) if top < INF else 4.0 / 3.0
@@ -380,11 +376,7 @@ def recurrence_bound(R_values: Sequence[float]) -> BoundReport:
     4/3 stays meaningful when doubles saturate.  Multipliers beyond the
     float range raise ParamOutOfRange.
     """
-    for x in R_values:
-        if not x >= 2:
-            raise ParamTooSmall(f"multipliers must be >= 2, got {float(x)}")
-        if x > sys.float_info.max:
-            raise ParamOutOfRange("multipliers must be finite and within the float range")
+    _check_multipliers(R_values)
     Rs = [Fraction(x) for x in R_values]
     exact = _exact_recurrence(Rs)
     return BoundReport(

@@ -70,8 +70,15 @@ def _version() -> str:
 
 
 def _load_json(path: str):
+    # Integers are read as floats, so one past the float range becomes inf
+    # and meets the same finite checks as 1e400.
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh, parse_int=float)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path} is not UTF-8 text") from exc
+        except RecursionError as exc:
+            raise SchemaError(f"{path} nests too deeply") from exc
 
 
 def _load_network(path: str) -> ParallelNetwork:
@@ -239,7 +246,7 @@ def _emit_svg(path: str, samples, breakpoints) -> None:
         parts.append(f'<polyline points="{coords}" fill="none" stroke="steelblue" stroke-width="1.5"/>')
     for a, b in zip(runs, runs[1:]):
         (ra, va), (rb, vb) = a[-1], b[0]
-        if rb == math.nextafter(ra, INF) and abs(vb - va) > 1e-9 * max(1.0, abs(va)):
+        if rb == math.nextafter(ra, INF) and abs(vb - va) > DEFAULT_TOLERANCE * abs(va):
             parts.append(
                 f'<circle cx="{X(ra):.2f}" cy="{Y(va):.2f}" r="3.5" '
                 f'fill="white" stroke="steelblue"/>'
@@ -303,7 +310,7 @@ def _require_water_fill_matches_nash(net: ParallelNetwork, rates: tuple[float, .
     for rate in rates:
         wf = water_fill(lats, rate)
         cf = nash_flow(net, rate)
-        _require(abs(wf.cost - cf.cost) <= 1e-9 * max(1.0, cf.cost),
+        _require(abs(wf.cost - cf.cost) <= DEFAULT_TOLERANCE * cf.cost,
                  f"{wf.cost} vs {cf.cost} at rate {rate}")
 
 
@@ -386,7 +393,7 @@ def random_two_link_bound_holds(seed: int) -> None:
             r = rng.uniform(1e-3, 4.0 * net.breakpoints[1])
             num = worst_equilibrium_cost(lats, r)
             den = opt_flow(net, r).cost
-            _require(num <= bound * den * (1.0 + 1e-9), (r, num / den, bound))
+            _require(num <= bound * den * (1.0 + DEFAULT_TOLERANCE), (r, num / den, bound))
 
 
 def random_usage_order(seed: int) -> None:

@@ -19,8 +19,8 @@ from itertools import groupby
 from operator import is_, itemgetter
 from typing import Iterator, NamedTuple, Protocol, Sequence
 
-from .config import DEFAULT_TOLERANCE
-from .errors import EmptyNetwork, InfeasibleRate, SegmentMismatch
+from .config import DEFAULT_TOLERANCE, IDENTITY_RTOL
+from .errors import EmptyNetwork, InfeasibleRate, SchemaError, SegmentMismatch
 from .model import INF, FlowProfile, ParallelNetwork, PiecewiseLatency, check_rate
 
 
@@ -149,7 +149,7 @@ def cost_increment(net: ParallelNetwork, s: float, r: float, j: int,
     check_rate(s)
     check_rate(r)
     if which not in ("nash", "opt"):
-        raise ValueError(f"which must be 'nash' or 'opt', got {which!r}")
+        raise SchemaError(f"which must be 'nash' or 'opt', got {which!r}")
     if s > r:
         raise SegmentMismatch(f"start rate {s} exceeds end rate {r}")
     if not 1 <= j <= net.k:
@@ -157,7 +157,7 @@ def cost_increment(net: ParallelNetwork, s: float, r: float, j: int,
     scale = 0.5 if which == "opt" else 1.0
     lo = net.breakpoints[j - 1] * scale
     hi = net.breakpoints[j] * scale if j < net.k else INF
-    eps = 1e-12 * max(1.0, hi if math.isfinite(hi) else lo)
+    eps = IDENTITY_RTOL * (hi if math.isfinite(hi) else lo)
     if s < lo - eps or r > hi + eps:
         raise SegmentMismatch(
             f"rates [{s}, {r}] leave the {which} segment [{lo}, {hi}] for {j} links"

@@ -64,7 +64,3 @@ class InvalidModelValue(AnarchyError, ValueError):
 class NotContinuousAtEquilibrium(AnarchyError):
     """Modified latency is discontinuous at the equilibrium point."""
 
-
-# Former names of the merged types.
-TooManyLinks = NotTwoLinks
-RatioTooSmall = RatioOutOfRange

@@ -11,6 +11,7 @@ a better worst-case ratio.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -38,6 +39,17 @@ from .model import (
 # plateau mechanism's 1.192 target, so the identity modification is used.
 MIN_PLATEAU_RATIO = 96.0 / 53.0
 PLATEAU_TARGET = 1.192
+
+
+def _check_multipliers(values: Sequence[float]) -> tuple[float, ...]:
+    """The multipliers as floats, each checked as given to be >= 2 and within
+    the float range first, so that an integer past that range cannot overflow."""
+    for x in values:
+        if not x >= 2:
+            raise ParamTooSmall(f"multipliers must be >= 2, got {x}")
+        if x > sys.float_info.max:
+            raise ParamOutOfRange("multipliers must be finite and within the float range")
+    return tuple(float(x) for x in values)
 
 
 @dataclass(frozen=True)
@@ -81,12 +93,9 @@ def build_threshold_mechanism(
     on.  Links above the last super-efficient one (always including the last
     link) keep their latencies.
     """
-    R = tuple(float(x) for x in R)
     if len(R) != net.k - 1:
         raise BadParamCount(f"need {net.k - 1} parameters for {net.k} links, got {len(R)}")
-    for x in R:
-        if not x >= 2.0:
-            raise ParamTooSmall(f"threshold parameters must be >= 2, got {x}")
+    R = _check_multipliers(R)
 
     stages: list[FreezeStage] = []
     thresholds: list[float | None] = [None] * net.k
@@ -233,7 +242,7 @@ class PlateauParams:
         if not (math.isfinite(hold_start) and math.isfinite(hold_end)):
             raise ParamOutOfRange(f"plateau marks must be finite, got {hold_start}, {hold_end}")
         r2 = net.breakpoints[1]
-        tol = 1e-9 * r2
+        tol = DEFAULT_TOLERANCE * r2
         if not (r2 / 2.0 - tol <= hold_start <= r2 + tol):
             raise ParamOutOfRange(
                 f"hold_start {hold_start} outside [{r2 / 2.0}, {r2}]"
@@ -262,24 +271,22 @@ def build_plateau_mechanism(
     """Hold the first latency flat between the two marks; second link unchanged.
 
     When the slope ratio is at most 96/53 the unmodified instance already
-    meets the target, so both latencies are returned as-is.
+    meets the target, so both latencies are returned as-is.  Either way the
+    parameters must have been built for this network's slope ratio.
     """
     first, second = _two_links(net)
-    identity = (PiecewiseLatency.from_affine(first), PiecewiseLatency.from_affine(second))
     ratio = first.slope / second.slope
-    if ratio <= MIN_PLATEAU_RATIO:
-        return identity
-    if abs(params.slope_ratio - ratio) > 1e-9 * ratio:
+    if abs(params.slope_ratio - ratio) > DEFAULT_TOLERANCE * ratio:
         raise ParamOutOfRange("parameters were built for a different network")
-    if params.hold_end <= params.hold_start:
-        return identity
-    plateau_value = first.value(params.hold_end)
+    unchanged = PiecewiseLatency.from_affine(second)
+    if ratio <= MIN_PLATEAU_RATIO or params.hold_end <= params.hold_start:
+        return PiecewiseLatency.from_affine(first), unchanged
     modified = PiecewiseLatency(
         starts=(0.0, params.hold_start, params.hold_end),
         slopes=(first.slope, 0.0, first.slope),
-        offsets=(first.intercept, plateau_value, first.intercept),
+        offsets=(first.intercept, first.value(params.hold_end), first.intercept),
     )
-    return modified, identity[1]
+    return modified, unchanged
 
 
 def _plateau_terms(ratio: float) -> tuple:
@@ -374,10 +381,11 @@ def mechanism_from_dict(net: ParallelNetwork, obj: object):
         raise SchemaError('mechanism object must carry a "kind"')
     kind = obj["kind"]
     if kind == "threshold":
-        if "R" not in obj or not isinstance(obj["R"], Sequence):
+        R = obj.get("R")
+        if not isinstance(R, Sequence) or isinstance(R, (str, bytes)):
             raise SchemaError('threshold mechanism needs an "R" list')
         try:
-            R = [float(x) for x in obj["R"]]
+            R = [float(x) for x in R]
         except (TypeError, ValueError) as exc:
             raise SchemaError('"R" entries must be numeric') from exc
         return build_threshold_mechanism(net, R)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .config import IDENTITY_RTOL
+from .config import DEFAULT_TOLERANCE, IDENTITY_RTOL
 from .errors import (
     EmptyNetwork,
     InvalidModelValue,
@@ -227,23 +227,21 @@ def normalize_network(raw_links: Iterable[AffineLatency | Mapping[str, float]]) 
 
 
 def _check_aggregate_identities(net: ParallelNetwork) -> None:
-    # off_prefix[j] + breakpoints[j] == intercept_j * eff_prefix[j], and the
-    # shifted variant against eff_prefix[j-1]; both only meaningful while the
-    # prefix efficiency is finite.
+    # off_prefix[i] + breakpoints[j] == intercept_j * eff_prefix[i] for
+    # i = j and i = j-1, while the prefix efficiency is finite.  Each allows
+    # IDENTITY_RTOL of its right side, and one subnormal per summed link as
+    # FlowProfile does.
     for j in range(net.k):
         if not math.isfinite(net.eff_prefix[j]):
             continue
         bj = net.links[j].intercept
-        lhs = net.off_prefix[j] + net.breakpoints[j]
-        rhs = bj * net.eff_prefix[j]
-        if abs(lhs - rhs) > IDENTITY_RTOL * max(1.0, abs(rhs)):
-            raise AssertionError(f"prefix identity failed at link {j}: {lhs} vs {rhs}")
-        if j > 0:
-            lhs2 = net.off_prefix[j - 1] + net.breakpoints[j]
-            rhs2 = bj * net.eff_prefix[j - 1]
-            if abs(lhs2 - rhs2) > IDENTITY_RTOL * max(1.0, abs(rhs2)):
-                raise AssertionError(
-                    f"shifted prefix identity failed at link {j}: {lhs2} vs {rhs2}"
+        subnormals = (j + 1) * math.ulp(0.0)
+        for i in (j, j - 1) if j else (j,):
+            lhs = net.off_prefix[i] + net.breakpoints[j]
+            rhs = bj * net.eff_prefix[i]
+            if abs(lhs - rhs) > IDENTITY_RTOL * abs(rhs) + subnormals:
+                raise InvalidModelValue(
+                    f"prefix identity failed at link {j} over links 0..{i}: {lhs} vs {rhs}"
                 )
 
 
@@ -344,10 +342,10 @@ class PiecewiseLatency:
         unbounded rising segment.  These corner levels are the only places
         where the flow a link absorbs at a given latency changes its form.
         Corner levels never decrease: construction lets the value just after
-        a boundary sit below the value just before it by up to 1e-12 of the
-        terms the two values sum, and such a dip is lifted to the earlier
-        level, so that a level equal to one segment's end never counts as
-        above the next segment's start.
+        a boundary sit below the value just before it by up to IDENTITY_RTOL
+        of the terms the two values sum, and such a dip is lifted to the
+        earlier level, so that a level equal to one segment's end never
+        counts as above the next segment's start.
         """
         out = []
         ends = self.starts[1:] + (INF,)
@@ -406,9 +404,9 @@ class PiecewiseLatency:
 
 
 def _at_least(v: float, ref: float, size: float) -> bool:
-    # v >= ref up to 1e-12 of `size`, the terms the two values sum: where
-    # they cancel, each is known only to the rounding of those terms.
-    return v >= ref - 1e-12 * size
+    # v >= ref up to IDENTITY_RTOL of `size`, the terms the two values sum:
+    # where they cancel, each is known only to the rounding of those terms.
+    return v >= ref - IDENTITY_RTOL * size
 
 
 @dataclass(frozen=True)
@@ -417,7 +415,8 @@ class FlowProfile:
 
     ``latency_family`` records which latencies the profile was computed
     against ("original" or "modified").  Flows must be non-negative and sum
-    to the rate within 1e-9 relative, plus one subnormal per flow.
+    to the rate within DEFAULT_TOLERANCE relative, plus one subnormal per
+    flow.
     """
 
     rate: float
@@ -427,9 +426,9 @@ class FlowProfile:
     def __post_init__(self) -> None:
         rate = float(self.rate)
         flows = [float(f) for f in self.flows]
-        # 1e-9 of the rate, and one subnormal per flow: below the normal
-        # range each flow is rounded to an absolute unit.
-        slack = 1e-9 * abs(rate) + len(flows) * math.ulp(0.0)
+        # DEFAULT_TOLERANCE of the rate, and one subnormal per flow: below
+        # the normal range each flow is rounded to an absolute unit.
+        slack = DEFAULT_TOLERANCE * abs(rate) + len(flows) * math.ulp(0.0)
         for i, f in enumerate(flows):
             if f < -slack:
                 raise InvalidModelValue(f"flow {i} is negative: {f}")

@@ -33,7 +33,7 @@ from anarchy import (
     solve_plateau_params,
     tail_ratio,
     two_link_simple_bound,
-    worst_equilibrium_cost_two_links,
+    worst_equilibrium_cost,
 )
 from anarchy.mechanisms import MIN_PLATEAU_RATIO, PLATEAU_TARGET, PlateauParams, ThresholdParams
 from conftest import random_network
@@ -90,7 +90,7 @@ def _solver_costs(net, mech, r):
         return nash_flow(net, r).cost, den
     if isinstance(mech[0], ThresholdParams):
         return profile_cost(net.links, mn_flow(net, mech[0], r).flows), den
-    return worst_equilibrium_cost_two_links(mech[1], r), den
+    return worst_equilibrium_cost(mech[1], r), den
 
 
 def test_cost_pieces_match_flow_solvers():

@@ -13,6 +13,8 @@ import anarchy.cli as cli
 from anarchy.cli import main
 
 PIGOU = {"links": [{"a": 1, "b": 0}, {"a": 0, "b": 1}]}
+# A JSON integer beyond the float range.
+BIG_INT = "1" + "0" * 399
 TWO = {"links": [{"a": 2, "b": 0}, {"a": 1, "b": 1}]}
 
 
@@ -299,6 +301,18 @@ def test_exit_code_bad_json(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param(b'{"links": [{"a": 1, "b": 0}], "name": "\xff"}', id="non-utf8"),
+    pytest.param(b"[" * 200_000 + b"]" * 200_000, id="deep"),
+])
+def test_exit_code_unreadable_json(tmp_path, capsys, content):
+    path = tmp_path / "net.json"
+    path.write_bytes(content)
+    assert main(["solve", str(path), "--rate", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_exit_code_schema(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"links": "zap"}))
@@ -311,6 +325,9 @@ def test_exit_code_domain(pigou_file, capsys):
     path = pigou_file.parent / "neg.json"
     path.write_text(json.dumps({"links": [{"a": -1, "b": 0}, {"a": 1, "b": 1}]}))
     assert main(["solve", str(path), "--rate", "1"]) == 3
+    path.write_text('{"links": [{"a": %s, "b": 0}, {"a": 1, "b": 1}]}' % BIG_INT)
+    assert main(["solve", str(path), "--rate", "1"]) == 3
+    assert "finite" in capsys.readouterr().err
 
 
 def test_solve_mn_plateau_on_hold_window(tmp_path, capsys):
@@ -344,19 +361,29 @@ def test_exit_code_bad_numbers(pigou_file, mech_file, capsys, rate, which, code,
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mark", ["1e400", "Infinity", "NaN"])
-def test_exit_code_non_finite_plateau_mark(tmp_path, capsys, mark):
+@pytest.mark.parametrize("mech, code", [
+    *(pytest.param('{"kind": "plateau", "x1": 0.2, "x2": %s}' % mark, 3, id=name)
+      for name, mark in [("1e400", "1e400"), ("Infinity", "Infinity"), ("NaN", "NaN"),
+                         ("400-digits", BIG_INT)]),
+    # Threshold multipliers meet the same finite check; a string is no list.
+    pytest.param('{"kind": "threshold", "R": [1e400]}', 3, id="R-1e400"),
+    pytest.param('{"kind": "threshold", "R": [%s]}' % BIG_INT, 3, id="R-400-digits"),
+    pytest.param('{"kind": "threshold", "R": "29"}', 2, id="R-string"),
+])
+def test_exit_code_non_finite_plateau_mark(tmp_path, capsys, mech, code):
     net_path = tmp_path / "net.json"
     net_path.write_text(json.dumps({"links": [{"a": 4, "b": 0}, {"a": 1, "b": 1}]}))
     mech_path = tmp_path / "mech.json"
-    mech_path.write_text('{"kind": "plateau", "x1": 0.2, "x2": %s}' % mark)
+    mech_path.write_text(mech)
     solve = ["solve", str(net_path), "--rate", "1", "--which", "mn",
              "--mechanism", str(mech_path)]
     curve = ["curve", str(net_path), "--mechanism", str(mech_path),
              "--csv", str(tmp_path / "curve.csv")]
     for argv in (solve, curve):
-        assert main(argv) == 3
-        assert "finite" in capsys.readouterr().err
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert code == 2 or "finite" in err
 
 
 def test_package_runs_without_numpy(tmp_path):

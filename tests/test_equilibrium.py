@@ -13,6 +13,7 @@ from anarchy import (
     InfeasibleRate,
     NegativeRate,
     PiecewiseLatency,
+    SchemaError,
     SegmentMismatch,
     build_plateau_mechanism,
     build_threshold_mechanism,
@@ -31,7 +32,6 @@ from anarchy import (
     solve_plateau_params,
     water_fill,
     worst_equilibrium_cost,
-    worst_equilibrium_cost_two_links,
 )
 import anarchy.analysis
 import anarchy.equilibrium
@@ -176,7 +176,7 @@ def test_increment_rejects_wrong_segment():
         cost_increment(net, 2.0, 1.0, 1)
     with pytest.raises(SegmentMismatch):
         cost_increment(net, 0.0, 0.5, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         cost_increment(net, 0.0, 0.5, 1, which="something")
 
 
@@ -585,19 +585,19 @@ def test_worst_equilibrium_equals_nash_for_affine_pair():
     net = normalize_network([{"a": 1, "b": 0}, {"a": 1, "b": 1}])
     lats = as_pieces(net)
     for rate in (0.5, 1.0, 1.7, 3.0):
-        worst = worst_equilibrium_cost_two_links(lats, rate)
+        worst = worst_equilibrium_cost(lats, rate)
         assert worst == pytest.approx(nash_flow(net, rate).cost, rel=1e-9)
 
 
 def test_worst_equilibrium_zero_rate(pigou):
-    assert worst_equilibrium_cost_two_links(as_pieces(pigou), 0.0) == 0.0
+    assert worst_equilibrium_cost(as_pieces(pigou), 0.0) == 0.0
 
 
 def test_worst_equilibrium_prefers_expensive_flat_link(pigou):
     # at rate 1, splits (x, 1-x) with x in [1, 1] only; below 1 the flat link
     # can't hold flow in equilibrium unless the first link is at latency 1
     lats = as_pieces(pigou)
-    worst = worst_equilibrium_cost_two_links(lats, 1.0)
+    worst = worst_equilibrium_cost(lats, 1.0)
     assert worst == pytest.approx(1.0)
 
 
@@ -698,7 +698,7 @@ def test_worst_equilibrium_matches_grid_oracle():
             if any(abs(rate - b) <= 1e-9 * b for b in marks):
                 continue
             want = grid_worst_cost(mech[1], rate)
-            got = worst_equilibrium_cost_two_links(mech[1], rate)
+            got = worst_equilibrium_cost(mech[1], rate)
             assert got == pytest.approx(want, rel=1e-9), (net.to_json_dict(), rate)
             compared += 1
     assert compared >= 300
@@ -751,15 +751,15 @@ def test_worst_equilibrium_scale_covariant_near_jump():
     params = solve_plateau_params(net)
     lats = build_plateau_mechanism(net, params)
     r = params.jump_rate * (1 - 1e-10)
-    assert worst_equilibrium_cost_two_links(lats, r) == pytest.approx(30224.42577985392, rel=1e-12)
+    assert worst_equilibrium_cost(lats, r) == pytest.approx(30224.42577985392, rel=1e-12)
 
 
 def test_worst_equilibrium_capped_second_link():
     # The second link fills to its cap; rate - x may round one ulp past it.
     lats = [PiecewiseLatency.from_affine(AffineLatency(1.0, 1.0)),
             PiecewiseLatency((0.0,), (0.0,), (0.5,), cap=0.1)]
-    assert worst_equilibrium_cost_two_links(lats, 0.7) == pytest.approx(1.01, rel=1e-12)
-    assert worst_equilibrium_cost_two_links(lats, 1.1) == pytest.approx(2.05, rel=1e-12)
+    assert worst_equilibrium_cost(lats, 0.7) == pytest.approx(1.01, rel=1e-12)
+    assert worst_equilibrium_cost(lats, 1.1) == pytest.approx(2.05, rel=1e-12)
 
 
 def _random_piecewise(rng):
@@ -789,11 +789,11 @@ def test_worst_equilibrium_random_piecewise_pairs():
         lats = [_random_piecewise(rng), _random_piecewise(rng)]
         caps = (lats[0].cap, lats[1].cap)
         if sum(caps) < 6.0:
-            full = worst_equilibrium_cost_two_links(lats, sum(caps))
+            full = worst_equilibrium_cost(lats, sum(caps))
             assert full == pytest.approx(profile_cost(lats, caps), rel=1e-12), (lats, caps)
             assert grid_worst_cost(lats, sum(caps)) == pytest.approx(full, rel=1e-9), (lats, caps)
         for r in [rng.uniform(0.0, min(sum(caps), 6.0)) for _ in range(8)]:
-            got = worst_equilibrium_cost_two_links(lats, r)
+            got = worst_equilibrium_cost(lats, r)
             want = grid_worst_cost(lats, r)
             if math.isfinite(want):
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (lats, r)
@@ -802,7 +802,7 @@ def test_worst_equilibrium_random_piecewise_pairs():
 
 
 def test_worst_equilibrium_any_number_of_links():
-    assert worst_equilibrium_cost_two_links is worst_equilibrium_cost
+    assert anarchy.worst_equilibrium_cost_two_links is worst_equilibrium_cost
     lone = [PiecewiseLatency.from_affine(AffineLatency(2.0, 1.0))]
     assert worst_equilibrium_cost(lone, 3.0) == 21.0
     net = normalize_network([{"a": 1, "b": 0}, {"a": 0.5, "b": 1}, {"a": 0.2, "b": 2}])

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-import anarchy
 from anarchy import (
     BadParamCount,
     NotTwoLinks,
@@ -11,9 +10,7 @@ from anarchy import (
     ParamTooSmall,
     PlateauParams,
     RatioOutOfRange,
-    RatioTooSmall,
     SchemaError,
-    TooManyLinks,
     build_plateau_mechanism,
     build_threshold_mechanism,
     is_user_equilibrium,
@@ -205,7 +202,7 @@ def test_plateau_identity_below_min_ratio():
     params = PlateauParams.from_flows(net, 0.8 * net.breakpoints[1], 2 * net.breakpoints[1])
     lat1, lat2 = build_plateau_mechanism(net, params)
     assert len(lat1.starts) == 1
-    with pytest.raises(RatioTooSmall):
+    with pytest.raises(RatioOutOfRange):
         solve_plateau_params(net)
     assert 1.5 < MIN_PLATEAU_RATIO
 
@@ -228,14 +225,10 @@ def test_plateau_validation():
         solve_plateau_params(flat)
     other = normalize_network([{"a": 5, "b": 0}, {"a": 1, "b": 1}])
     params = solve_plateau_params(other)
-    with pytest.raises(ParamOutOfRange):
-        build_plateau_mechanism(net, params)
-
-
-def test_merged_error_aliases():
-    assert TooManyLinks is NotTwoLinks
-    assert RatioTooSmall is RatioOutOfRange
-    assert {"TooManyLinks", "RatioTooSmall"} <= set(anarchy.__all__)
+    low = normalize_network([{"a": 1.5, "b": 0}, {"a": 1, "b": 1}])
+    for target in (net, low):  # low: a slope ratio below 96/53
+        with pytest.raises(ParamOutOfRange):
+            build_plateau_mechanism(target, params)
 
 
 # ----------------------------------------------------------------- persistence

@@ -1,7 +1,7 @@
 """Dense-grid oracle for ratio_sup.
 
 The oracle evaluates the cost ratio with the flow solvers alone (nash_flow,
-mn_flow, worst_equilibrium_cost_two_links over opt_flow) on a dense grid of
+mn_flow, worst_equilibrium_cost over opt_flow) on a dense grid of
 demands plus the structural marks read from the network and the mechanism
 parameters.  Every sampled ratio is a value the supremum must reach.
 """
@@ -19,7 +19,7 @@ from anarchy import (
     profile_cost,
     ratio_sup,
     solve_plateau_params,
-    worst_equilibrium_cost_two_links,
+    worst_equilibrium_cost,
 )
 from anarchy.mechanisms import MIN_PLATEAU_RATIO, PlateauParams, ThresholdParams
 
@@ -32,7 +32,7 @@ def _num_cost(net, mech, r):
     params, lats = mech
     if isinstance(params, ThresholdParams):
         return profile_cost(net.links, mn_flow(net, params, r).flows)
-    return worst_equilibrium_cost_two_links(lats, r)
+    return worst_equilibrium_cost(lats, r)
 
 
 def _marks(net, mech):

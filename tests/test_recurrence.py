@@ -6,8 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from anarchy.analysis import _exact_recurrence, greedy_parameters, recurrence_bound
-from anarchy.errors import ParamOutOfRange
+from anarchy import build_threshold_mechanism, normalize_network
+from anarchy.analysis import (
+    _exact_recurrence,
+    benign_bound,
+    greedy_parameters,
+    recurrence_bound,
+    two_link_simple_bound,
+)
+from anarchy.errors import ParamOutOfRange, ParamTooSmall
 
 
 def _benign(Rs):
@@ -79,7 +86,16 @@ def test_greedy_parameters_refuse_multipliers_beyond_floats(k):
         greedy_parameters(k)
 
 
-@pytest.mark.parametrize("big", [10 ** 309, float("inf")], ids=["10**309", "inf"])
-def test_recurrence_bound_refuses_multipliers_beyond_floats(big):
-    with pytest.raises(ParamOutOfRange):
-        recurrence_bound([4, big])
+@pytest.mark.parametrize("bad, error", [
+    pytest.param(1.5, ParamTooSmall, id="1.5"),
+    pytest.param(math.nan, ParamTooSmall, id="nan"),
+    pytest.param(10 ** 309, ParamOutOfRange, id="10**309"),
+    pytest.param(math.inf, ParamOutOfRange, id="inf"),
+])
+def test_recurrence_bound_refuses_multipliers_beyond_floats(bad, error):
+    # Every entry point that takes multipliers applies the same check.
+    net = normalize_network([{"a": 1, "b": 0}, {"a": 1, "b": 1}, {"a": 1e-3, "b": 2}])
+    for take in (lambda x: recurrence_bound([4, x]), lambda x: benign_bound([4, x]),
+                 two_link_simple_bound, lambda x: build_threshold_mechanism(net, [4, x])):
+        with pytest.raises(error):
+            take(bad)

@@ -20,9 +20,11 @@ from anarchy import (
     ParamOutOfRange,
     PiecewiseLatency,
     PlateauParams,
+    SegmentMismatch,
     build_plateau_mechanism,
     build_threshold_mechanism,
     continuity_no_improvement_check,
+    cost_increment,
     cost_pieces,
     is_user_equilibrium,
     mn_uses_links_no_earlier_than_opt,
@@ -33,7 +35,7 @@ from anarchy import (
     ratio_sup,
     solve_plateau_params,
     water_fill,
-    worst_equilibrium_cost_two_links,
+    worst_equilibrium_cost,
 )
 from anarchy.mechanisms import MIN_PLATEAU_RATIO
 
@@ -105,8 +107,8 @@ def test_costs_and_ratios_scale(links, kind):
             assert nash_flow(net, r * s).cost == pytest.approx(nash_flow(base, r).cost * mu * s, rel=1e-9)
             assert opt_flow(net, r * s).cost == pytest.approx(opt_flow(base, r).cost * mu * s, rel=1e-9)
             if kind == "plateau":
-                want = worst_equilibrium_cost_two_links(base_mech[1], r) * mu * s
-                assert worst_equilibrium_cost_two_links(mech[1], r * s) == pytest.approx(want, rel=1e-9)
+                want = worst_equilibrium_cost(base_mech[1], r) * mu * s
+                assert worst_equilibrium_cost(mech[1], r * s) == pytest.approx(want, rel=1e-9)
         curve = ratio_curve(net, mech, [r * s for r in rates])
         for got, want in zip(curve, base_curve):
             assert got.cost_num == pytest.approx(want.cost_num * mu * s, rel=1e-9)
@@ -149,6 +151,9 @@ def test_checks_reject_bad_inputs_at_every_scale(lam, mu):
     early = dataclasses.replace(last, global_start_rate=0.6 * last.global_start_rate)
     params = dataclasses.replace(params, stages=params.stages[:-1] + (early,))
     assert not mn_uses_links_no_earlier_than_opt(net3, params)
+    # A rate half again past the end of the one-link segment.
+    with pytest.raises(SegmentMismatch):
+        cost_increment(net, 0.0, 1.5 * s, 1)
     # Flows that sum to 500 times the rate.
     with pytest.raises(InvalidModelValue):
         FlowProfile(rate=s, flows=(s, 499.0 * s))
