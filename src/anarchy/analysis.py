@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 from .config import DEFAULT_TOLERANCE
 from .equilibrium import _Seg, _same, _swept, nash_flow, opt_flow, water_fill
 from .errors import (
+    CostOverflow,
     CostUnderflow,
     EmptyNetwork,
     NegativeRate,
@@ -148,12 +149,13 @@ def cost_pieces(net: ParallelNetwork, mechanism: Mechanism | None = None) -> tup
     equilibrium cost on a mechanism's latencies, from one sweep over their
     supply events; the denominator is the optimal cost.  Pieces follow in
     demand order, cover every demand > 0 exactly once and end with an
-    unbounded piece.  A regime tag names the numerator's form (``nash{j}``,
-    a threshold ``stage{s}`` cut at the freeze points, or a plateau region
-    cut at its marks) and the optimal link count; at a demand where the two
-    costs change form on different sides, a one-demand piece carries the
-    pair that holds there.  Built in O(k), or O(n log n) in the n segments
-    of a mechanism's latencies.
+    unbounded piece.  A mechanism's numerator is cut and tagged at its
+    parameters' ``marks``.  A regime tag names the numerator's form
+    (``nash{j}``, a threshold ``stage{s}`` or a plateau region) and the
+    optimal link count; at a demand where the two costs change form on
+    different sides, a one-demand piece carries the pair that holds there.
+    Built in O(k), or O(n log n) in the n segments of a mechanism's
+    latencies.
 
     Keeps its last result, keyed on the identity of the network, the
     parameters and each latency: all are frozen, so the same objects carry
@@ -176,12 +178,7 @@ def _pieces(net: ParallelNetwork, mechanism: Mechanism | None) -> tuple[CostPiec
         num = _nash_segs(net)
     else:
         params, lats = mechanism
-        if isinstance(params, ThresholdParams):
-            marks = [(f, True, f"stage{s}") for s, f in enumerate((*params.freeze_points, INF))]
-        else:
-            marks = [(params.hold_start, True, "pre"), (params.jump_rate, True, "hold"),
-                     (params.resume_rate, False, "jump"), (INF, False, "post")]
-        num = _cut(iter(_swept(lats)[0]), marks)
+        num = _cut(iter(_swept(lats)[0]), params.marks)
     nums, dens = list(num), list(_opt_segs(net))
     pieces: list[CostPiece] = []
 
@@ -250,9 +247,12 @@ def tail_ratio(net: ParallelNetwork, mechanism: Mechanism | None = None) -> floa
 
 
 def _ratio(num: float, den: float, r: float) -> float:
-    # Both costs are positive at every positive demand but can underflow.
+    # Both costs are positive and finite at every positive demand, but can
+    # underflow to 0 or overflow to inf.
     if den == 0.0:
         raise CostUnderflow(f"the optimal cost underflows to 0 at demand {r!r}")
+    if not (num < INF and den < INF):
+        raise CostOverflow(f"the costs overflow at demand {r!r}: {num!r} / {den!r}")
     return num / den
 
 

@@ -85,11 +85,6 @@ def _load_network(path: str) -> ParallelNetwork:
     return network_from_dict(_load_json(path))
 
 
-def _load_mechanism(path: str, net: ParallelNetwork) -> Mechanism:
-    params, lats = mechanism_from_dict(net, _load_json(path))
-    return params, lats
-
-
 def _write_text(path: str, text: str) -> None:
     """Write `text` to a new file at `path`, replacing any file already there.
 
@@ -136,7 +131,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.which == "mn":
         if args.mechanism is None:
             raise SchemaError("--which mn needs --mechanism")
-        params, lats = _load_mechanism(args.mechanism, net)
+        _, lats = mechanism_from_dict(net, _load_json(args.mechanism))
         res = water_fill(lats, rate, latency_family="modified")
         latencies = [lats[i].value(f) for i, f in enumerate(res.profile.flows)]
     else:
@@ -168,7 +163,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise SchemaError(f"--samples must be at least 1, got {args.samples}")
     net = _load_network(args.network)
-    mech = _load_mechanism(args.mechanism, net) if args.mechanism else None
+    mech = mechanism_from_dict(net, _load_json(args.mechanism)) if args.mechanism else None
     rows, bps = _curve_rows(net, mech, args.rmax, args.samples)
     samples = ratio_curve(net, mech, rows)
     tail = tail_ratio(net, mech)

@@ -17,19 +17,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
 from operator import is_, itemgetter
-from typing import Iterator, NamedTuple, Protocol, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .config import DEFAULT_TOLERANCE, IDENTITY_RTOL
 from .errors import EmptyNetwork, InfeasibleRate, SchemaError, SegmentMismatch
 from .model import INF, FlowProfile, ParallelNetwork, PiecewiseLatency, check_rate
-
-
-class LatencyLike(Protocol):
-    def value(self, x: float) -> float: ...
-
-    def right_liminf(self, x: float) -> float: ...
-
-    def term_sizes(self, x: float) -> tuple[float, float]: ...
 
 
 @dataclass(frozen=True)
@@ -62,7 +54,7 @@ class EquilibriumCheck:
         return self.ok
 
 
-def profile_cost(lats: Sequence[LatencyLike], flows: Sequence[float]) -> float:
+def profile_cost(lats: Sequence[PiecewiseLatency], flows: Sequence[float]) -> float:
     """Total travel cost sum f_i * latency_i(f_i); zero-flow links cost zero."""
     return math.fsum(f * lats[i].value(f) for i, f in enumerate(flows) if f > 0.0)
 
@@ -190,7 +182,7 @@ def _two_least(values: Sequence[float]) -> tuple[int, int | None]:
     return first, (min(rest, key=values.__getitem__) if rest else None)
 
 
-def is_user_equilibrium(lats: Sequence[LatencyLike], profile: FlowProfile) -> EquilibriumCheck:
+def is_user_equilibrium(lats: Sequence[PiecewiseLatency], profile: FlowProfile) -> EquilibriumCheck:
     """Check that no used link envies another.
 
     For every link i with positive flow and every other link g, the latency
@@ -277,17 +269,14 @@ def water_fill(lats: Sequence, rate: float, *,
     form :func:`nash_flow` uses, so the rounding of L stays out of the flows.
     The canonical profile spreads the rate across the intervals
     proportionally to their widths and is verified to be an equilibrium.
-    A rate above the sweep's end, the total capacity when every link is
+    A rate above the sweep's end, the sum of the caps when every link is
     capped, raises InfeasibleRate; an empty latency list raises EmptyNetwork.
     """
     check_rate(rate)
     lats = list(lats)
     if not lats:
         raise EmptyNetwork("water-filling needs at least one link")
-    segs, his = _swept(lats)
-    if rate > his[-1]:
-        raise InfeasibleRate(f"total capacity {his[-1]} below rate {rate}")
-    seg = segs[bisect_left(his, rate)]
+    seg = _piece_at(lats, rate)
     corner, past = seg.low, (rate - seg.anchor) * seg.a2
     if corner + past >= seg.top:
         corner, past = seg.top, 0.0
@@ -353,7 +342,7 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
     # 0), held back until the demand grows again, ends there too.  The sums
     # snap to 0 once per level when their link counts do.  A last level at
     # inf ends the last rising piece, or, when every link is capped, ends the
-    # sweep at their total capacity.
+    # sweep at the sum of their caps.
     events = sorted(ev for lat in lats for ev in lat.supply_events) + [(INF, 0.0, 0.0, 0.0, 0.0)]
     r = prev = growth = held = cost = 0.0
     rising = n_held = 0
@@ -427,6 +416,15 @@ def _swept(lats: Sequence[PiecewiseLatency]) -> tuple[tuple[_Seg, ...], tuple[fl
     return memo[1], memo[2]
 
 
+def _piece_at(lats: Sequence[PiecewiseLatency], rate: float) -> _Seg:
+    # The piece of the kept sweep that holds `rate`, by bisection over the
+    # piece ends.  A rate past the sweep's end raises InfeasibleRate.
+    segs, his = _swept(lats)
+    if rate > his[-1]:
+        raise InfeasibleRate(f"total capacity {his[-1]} below rate {rate}")
+    return segs[bisect_left(his, rate)]
+
+
 def worst_equilibrium_cost(lats: Sequence[PiecewiseLatency], rate: float) -> float:
     """Cost of the most expensive equilibrium split of `rate` over any number of links.
 
@@ -435,15 +433,12 @@ def worst_equilibrium_cost(lats: Sequence[PiecewiseLatency], rate: float) -> flo
     evaluation of that piece's quadratic.  Every finite piece holds its end.
     The sweep is kept for the last latencies seen, keyed on the identity of
     each latency object, so further rates on them cost no new sweep, while
-    new or replaced latencies, even equal ones, are swept anew.  When every
-    link is capped the sweep ends at their total capacity, and a rate above
-    it raises InfeasibleRate, as :func:`water_fill` does.
+    new or replaced latencies, even equal ones, are swept anew.  A rate
+    above the sum of the caps, when every link is capped, raises
+    InfeasibleRate, as :func:`water_fill` does.
     """
     check_rate(rate)
-    segs, his = _swept(lats)
-    if rate > his[-1]:
-        raise InfeasibleRate(f"total capacity {his[-1]} below rate {rate}")
-    return segs[bisect_left(his, rate)].at(rate)[0]
+    return _piece_at(lats, rate).at(rate)[0]
 
 
 worst_equilibrium_cost_two_links = worst_equilibrium_cost

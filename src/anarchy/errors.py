@@ -57,6 +57,10 @@ class CostUnderflow(AnarchyError):
     """The optimal cost rounds to zero at a positive demand, so no ratio exists."""
 
 
+class CostOverflow(AnarchyError):
+    """A cost overflows the float range at a finite demand, so no ratio exists."""
+
+
 class InvalidModelValue(AnarchyError, ValueError):
     """A piecewise latency or flow profile built from inconsistent values."""
 

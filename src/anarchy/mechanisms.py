@@ -76,8 +76,13 @@ class ThresholdParams:
     R: tuple[float, ...]
     thresholds: tuple[float | None, ...]
     freeze_points: tuple[float, ...]
-    super_efficient: tuple[int, ...]
     stages: tuple[FreezeStage, ...]
+
+    @property
+    def marks(self) -> tuple[tuple[float, bool, str], ...]:
+        """Regime cuts (end, closed, tag): stage s holds the demands up to
+        and including freeze point s, and the last stage all the rest."""
+        return tuple((f, True, f"stage{s}") for s, f in enumerate((*self.freeze_points, INF)))
 
 
 def build_threshold_mechanism(
@@ -100,7 +105,6 @@ def build_threshold_mechanism(
     stages: list[FreezeStage] = []
     thresholds: list[float | None] = [None] * net.k
     freeze_points: list[float] = []
-    supers: list[int] = []
     s = 0
     global_start = 0.0
     while True:
@@ -121,7 +125,6 @@ def build_threshold_mechanism(
         for off, cap in enumerate(caps):
             thresholds[s + off] = cap
         freeze_points.append(freeze_total)
-        supers.append(trigger + 1)
         global_start = freeze_total
         s = trigger + 1
 
@@ -129,7 +132,6 @@ def build_threshold_mechanism(
         R=R,
         thresholds=tuple(thresholds),
         freeze_points=tuple(freeze_points),
-        super_efficient=tuple(supers),
         stages=tuple(stages),
     )
     lats = [
@@ -221,17 +223,14 @@ class PlateauParams:
     jump_rate: float
     resume_rate: float
     slope_ratio: float
-    nash_breakpoint: float
 
     @property
-    def alpha(self) -> float:
-        """hold_start in units of the second link's breakpoint."""
-        return self.hold_start / self.nash_breakpoint
-
-    @property
-    def beta(self) -> float:
-        """jump_rate in units of the second link's breakpoint."""
-        return self.jump_rate / self.nash_breakpoint
+    def marks(self) -> tuple[tuple[float, bool, str], ...]:
+        """Regime cuts (end, closed, tag): ``pre`` up to and including the
+        hold start, ``hold`` up to and including the jump rate, ``jump``
+        below the resume rate and ``post`` from it on."""
+        return ((self.hold_start, True, "pre"), (self.jump_rate, True, "hold"),
+                (self.resume_rate, False, "jump"), (INF, False, "post"))
 
     @classmethod
     def from_flows(cls, net: ParallelNetwork, hold_start: float,
@@ -261,7 +260,6 @@ class PlateauParams:
             jump_rate=float(jump_rate),
             resume_rate=float(jump_rate - hold_start + hold_end),
             slope_ratio=a1 / a2,
-            nash_breakpoint=r2,
         )
 
 
@@ -317,7 +315,10 @@ def balanced_alpha(R: float) -> float:
 
     The closed-form alpha0 makes the pre-opening peak exactly 1.192; the
     balanced alpha in [1/2, alpha0] equates it with the post-jump peak
-    (minimized over the jump rate), which only lowers the maximum.
+    (minimized over the jump rate), which only lowers the maximum.  The
+    jump peak's terms grow as R^3 and are largest at alpha = 1/2; where
+    they overflow there, from R of about 2.4e102 on, it raises
+    RatioOutOfRange.
     """
     hold_peak, _, jump_peak = _plateau_terms(R)
     alpha0 = (149.0 * R + 2.0 * math.sqrt(894.0 * R * (R + 1.0))) / (2.0 * (125.0 * R - 24.0))
@@ -326,9 +327,12 @@ def balanced_alpha(R: float) -> float:
         return hold_peak(alpha) - jump_peak(alpha)
 
     lo, hi = 0.5, alpha0
+    at_lo = gap(lo)
+    if not math.isfinite(at_lo):
+        raise RatioOutOfRange(f"slope ratio {R} is too large: the plateau peaks overflow")
     if gap(hi) < 0.0:
         return hi
-    if gap(lo) > 0.0:
+    if at_lo > 0.0:
         return lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)

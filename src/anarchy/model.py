@@ -64,18 +64,6 @@ class AffineLatency:
     def value(self, x: float) -> float:
         return self.slope * x + self.intercept
 
-    def right_liminf(self, x: float) -> float:
-        # Affine latencies are continuous, the right limit is the value.
-        return self.value(x)
-
-    def term_sizes(self, x: float) -> tuple[float, float]:
-        """|slope*x| + |intercept| for the value and the right limit at x,
-        with x counted as at least the least normal double (see
-        :meth:`PiecewiseLatency.term_sizes`).
-        """
-        size = self.value(max(x, _LEAST_NORMAL))
-        return size, size
-
 
 @dataclass(frozen=True)
 class ParallelNetwork:
@@ -134,11 +122,6 @@ class ParallelNetwork:
             total = grown
             out.append(spread)
         return tuple(out)
-
-    @property
-    def opt_breakpoints(self) -> tuple[float, ...]:
-        """Demands at which a system-optimal flow first touches each link."""
-        return tuple(r / 2.0 for r in self.breakpoints)
 
     def suffix(self, start: int) -> "ParallelNetwork":
         """Sub-instance on links start..k-1 (already sorted and merged)."""
@@ -228,18 +211,20 @@ def normalize_network(raw_links: Iterable[AffineLatency | Mapping[str, float]]) 
 
 def _check_aggregate_identities(net: ParallelNetwork) -> None:
     # off_prefix[i] + breakpoints[j] == intercept_j * eff_prefix[i] for
-    # i = j and i = j-1, while the prefix efficiency is finite.  Each allows
-    # IDENTITY_RTOL of its right side, and one subnormal per summed link as
-    # FlowProfile does.
+    # i = j and i = j-1, while the prefix efficiency is finite and link j
+    # opens at a finite demand.  Each allows IDENTITY_RTOL of its right
+    # side, and one subnormal per summed link as FlowProfile does.  Written
+    # so that a NaN difference fails: a flow offset that overflows makes
+    # both sides inf.
     for j in range(net.k):
-        if not math.isfinite(net.eff_prefix[j]):
+        if not (math.isfinite(net.eff_prefix[j]) and net.breakpoints[j] < INF):
             continue
         bj = net.links[j].intercept
         subnormals = (j + 1) * math.ulp(0.0)
         for i in (j, j - 1) if j else (j,):
             lhs = net.off_prefix[i] + net.breakpoints[j]
             rhs = bj * net.eff_prefix[i]
-            if abs(lhs - rhs) > IDENTITY_RTOL * abs(rhs) + subnormals:
+            if not abs(lhs - rhs) <= IDENTITY_RTOL * abs(rhs) + subnormals:
                 raise InvalidModelValue(
                     f"prefix identity failed at link {j} over links 0..{i}: {lhs} vs {rhs}"
                 )
@@ -378,11 +363,6 @@ class PiecewiseLatency:
                 out.append((v_hi, 0.0, -rate, *held))
                 release = (-held[0], -held[1])
         return tuple(out)
-
-    def is_monotone(self) -> bool:
-        """Re-check monotonicity at the segment corners (construction enforces it)."""
-        segs = self.segments
-        return all(nxt[3] >= prev[4] for prev, nxt in zip(segs, segs[1:]))
 
     def dominates(self, base: AffineLatency) -> bool:
         """True when this latency never undercuts the base affine latency.

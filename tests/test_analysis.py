@@ -8,6 +8,7 @@ import pytest
 
 from anarchy import (
     BoundReport,
+    CostOverflow,
     CostUnderflow,
     NegativeRate,
     NotContinuousAtEquilibrium,
@@ -372,3 +373,14 @@ def test_underflowing_costs_raise_typed_error():
     unit_gap = normalize_network([{"a": 1, "b": 0}, {"a": 1, "b": 1}])
     with pytest.raises(CostUnderflow, match="demand 1e-170"):
         ratio_curve(unit_gap, None, [1e-170])
+
+
+def test_overflowing_costs_raise_typed_error():
+    # Past a demand of about 1e154 both costs overflow to inf, and their
+    # ratio would be NaN, which no comparison in the supremum scan takes.
+    far_gap = normalize_network([{"a": 1, "b": 0}, {"a": 1, "b": 1e160}])
+    with pytest.raises(CostOverflow, match="demand 5e\\+159"):
+        ratio_sup(far_gap)
+    two = normalize_network([{"a": 2, "b": 0}, {"a": 1, "b": 1}])
+    with pytest.raises(CostOverflow, match="demand 1e\\+200"):
+        ratio_curve(two, None, [1.0, 1e200])

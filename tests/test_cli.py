@@ -431,6 +431,36 @@ def test_exit_code_cost_underflow(tmp_path, capsys, links, extra):
     assert "underflows to 0 at demand" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "links,mech,args,message",
+    [
+        # b/a overflows: the prefix identity compares inf with inf.
+        ([{"a": 1e-300, "b": 1e10}], None, ["solve", "--rate", "1"], "prefix identity"),
+        ([{"a": 1e-300, "b": 1e10}], None, ["curve"], "prefix identity"),
+        # Slope ratio 2e300: the plateau peaks overflow.
+        ([{"a": 2, "b": 0}, {"a": 1e-300, "b": 1}], {"kind": "plateau"}, ["curve"],
+         "peaks overflow"),
+        # Costs past a demand of about 1e154 overflow.
+        ([{"a": 2, "b": 0}, {"a": 1, "b": 1}], None, ["curve", "--rmax", "1e200"],
+         "costs overflow"),
+    ],
+)
+def test_exit_code_overflow(tmp_path, capsys, links, mech, args, message):
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"links": links}))
+    command, *rest = args
+    argv = [command, str(net_path), *rest]
+    if mech is not None:
+        mech_path = tmp_path / "mech.json"
+        mech_path.write_text(json.dumps(mech))
+        argv += ["--mechanism", str(mech_path)]
+    if command == "curve":
+        argv += ["--csv", str(tmp_path / "curve.csv")]
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "curve"])
 def test_exit_code_coinciding_plateau_marks(tmp_path, capsys, command):
     # The hold may start at 0, on the first segment start, only where half

@@ -47,7 +47,7 @@ def opt_reference(net, rate):
             for b, e in zip(net.intercepts[:-1], net.efficiency[:-1])
         ) + (rate - used) * bk
         return profile, bk, profile.used_count, cost
-    h = min(_segment_index(net.opt_breakpoints, rate), k)
+    h = min(_segment_index(tuple(b / 2.0 for b in net.breakpoints), rate), k)
     eff_h = net.eff_prefix[h - 1]
     off_h = net.off_prefix[h - 1]
     level = (2.0 * rate + off_h) / eff_h

@@ -34,7 +34,7 @@ def test_pigou_cap(pigou):
     params, lats = build_threshold_mechanism(pigou, [2.0])
     assert params.thresholds == (0.5, None)
     assert params.freeze_points == (0.5,)
-    assert params.super_efficient == (1,)
+    assert tuple(stage.start for stage in params.stages[1:]) == (1,)
     assert lats[0].cap == 0.5
     assert lats[1].cap == math.inf
 
@@ -47,7 +47,7 @@ def test_three_link_caps():
     assert params.thresholds[1] == pytest.approx(0.25)
     assert params.thresholds[2] is None
     assert params.freeze_points == pytest.approx((1.5,))
-    assert params.super_efficient == (2,)
+    assert tuple(stage.start for stage in params.stages[1:]) == (2,)
 
 
 def test_benign_pair_stays_unmodified():
@@ -68,7 +68,17 @@ def test_two_stage_freeze_points_increase():
     # second freeze when total demand is half the last link's breakpoint
     assert params.freeze_points == pytest.approx((0.5, 51.0))
     assert params.stages[1].caps == pytest.approx((50.5,))
-    assert params.super_efficient == (1, 2)
+    assert tuple(stage.start for stage in params.stages[1:]) == (1, 2)
+
+
+def test_threshold_marks_end_each_stage():
+    net = normalize_network(
+        [{"a": 1, "b": 0}, {"a": 0.01, "b": 1}, {"a": 0.0001, "b": 2}]
+    )
+    params, _ = build_threshold_mechanism(net, [2.0, 2.0])
+    assert params.marks == ((params.freeze_points[0], True, "stage0"),
+                            (params.freeze_points[1], True, "stage1"),
+                            (math.inf, True, "stage2"))
 
 
 def test_threshold_parameter_validation(pigou):
@@ -152,8 +162,9 @@ def test_usage_order_seeded():
 def test_solve_plateau_at_ratio_two():
     net = normalize_network([{"a": 2, "b": 0}, {"a": 1, "b": 1}])
     params = solve_plateau_params(net)
-    assert params.alpha == pytest.approx(0.9826357450601995, rel=1e-9)
-    assert params.beta == pytest.approx(1.3900759927726778, rel=1e-9)
+    r2 = net.breakpoints[1]
+    assert params.hold_start / r2 == pytest.approx(0.9826357450601995, rel=1e-9)
+    assert params.jump_rate / r2 == pytest.approx(1.3900759927726778, rel=1e-9)
     assert params.hold_start == pytest.approx(0.49131787253009973, rel=1e-9)
     assert params.resume_rate == pytest.approx(params.jump_rate - params.hold_start + params.hold_end)
 
@@ -163,10 +174,27 @@ def test_plateau_peaks_balanced():
         net = normalize_network([{"a": ratio, "b": 0}, {"a": 1, "b": 1}])
         params = solve_plateau_params(net)
         hold_peak, _, jump_peak = _plateau_terms(ratio)
-        hp = hold_peak(params.alpha)
-        jp = jump_peak(params.alpha)
+        alpha = params.hold_start / net.breakpoints[1]
+        hp = hold_peak(alpha)
+        jp = jump_peak(alpha)
         assert max(hp, jp) <= 1.192 + 1e-9
         assert hp == pytest.approx(jp, abs=1e-9) or hp <= jp  # balanced or seed-capped
+
+
+@pytest.mark.parametrize("a2", [2e-120, 1e-300])
+def test_solve_plateau_refuses_ratios_whose_peaks_overflow(a2):
+    # Slope ratios 1e120 and 2e300: the jump peak's R^3 terms overflow, so
+    # the bisection would steer on NaN, and alpha0 itself overflows at 2e300.
+    net = normalize_network([{"a": 2, "b": 0}, {"a": a2, "b": 1}])
+    with pytest.raises(RatioOutOfRange, match="overflow"):
+        solve_plateau_params(net)
+
+
+def test_solve_plateau_below_overflowing_ratios():
+    net = normalize_network([{"a": 2, "b": 0}, {"a": 2e-100, "b": 1}])
+    params = solve_plateau_params(net)
+    assert 0.5 <= params.hold_start / net.breakpoints[1] <= 1.0
+    assert math.isfinite(params.hold_end) and math.isfinite(params.jump_rate)
 
 
 def test_closed_form_seed_hits_target():
@@ -195,6 +223,13 @@ def test_plateau_latency_shape():
     assert len(lat2.starts) == 1
     # modification never undercuts the original latency
     assert lat1.dominates(net.links[0])
+
+
+def test_plateau_marks_name_its_regions():
+    net = normalize_network([{"a": 2, "b": 0}, {"a": 1, "b": 1}])
+    params = solve_plateau_params(net)
+    assert params.marks == ((params.hold_start, True, "pre"), (params.jump_rate, True, "hold"),
+                            (params.resume_rate, False, "jump"), (math.inf, False, "post"))
 
 
 def test_plateau_identity_below_min_ratio():
@@ -255,7 +290,7 @@ def test_plateau_round_trip():
 def test_plateau_from_dict_solves_when_marks_missing():
     net = normalize_network([{"a": 2, "b": 0}, {"a": 1, "b": 1}])
     params, _ = mechanism_from_dict(net, {"kind": "plateau"})
-    assert params.alpha == pytest.approx(0.9826357450601995, rel=1e-9)
+    assert params.hold_start / net.breakpoints[1] == pytest.approx(0.9826357450601995, rel=1e-9)
 
 
 def test_mechanism_from_dict_rejects_unknown(pigou):
