@@ -110,15 +110,16 @@ def _nash_segs(net: ParallelNetwork) -> Iterator[_Seg]:
 
 def _opt_segs(net: ParallelNetwork) -> Iterator[_Seg]:
     # Optimal cost (r^2 + off_h r) / E_h - W_h / 4 while h links are used,
-    # opening at half the selfish breakpoints; linear past a zero-slope tail.
+    # opening at half the selfish breakpoints; linear past a zero-slope tail
+    # that opens at a finite demand.
     k, flat = net.k, net.has_flat_tail
     for h in range(1, k + 1 - flat):
         e, o = net.eff_prefix[h - 1], net.off_prefix[h - 1]
         hi = net.breakpoints[h] / 2.0 if h < k else INF
         yield _Seg(hi, not (flat and h == k - 1), f"opt{h}", 0.0,
                    -net.spread_prefix[h - 1] / 4.0, o / e, 1.0 / e)
-    if flat:
-        start = net.breakpoints[-1] / 2.0
+    start = net.breakpoints[-1] / 2.0
+    if flat and start < INF:
         bk = net.links[-1].intercept
         yield _Seg(INF, False, f"opt{k}", start, opt_flow(net, start).cost, bk, 0.0)
 

@@ -20,7 +20,7 @@ from operator import is_, itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .config import DEFAULT_TOLERANCE, IDENTITY_RTOL
-from .errors import EmptyNetwork, InfeasibleRate, SchemaError, SegmentMismatch
+from .errors import EmptyNetwork, InfeasibleRate, InvalidModelValue, SchemaError, SegmentMismatch
 from .model import INF, FlowProfile, ParallelNetwork, PiecewiseLatency, check_rate
 
 
@@ -379,6 +379,9 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
             growth, held, cost = growth + dgrowth, held + dheld, cost + dcost
         if not rising:
             growth = 0.0
+        elif not growth > 0.0:
+            raise InvalidModelValue(f"the supply slope cancels to {growth} at level {level}"
+                                    " while links still rise")
         if not n_held:
             held = cost = 0.0
         prev = level

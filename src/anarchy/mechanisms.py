@@ -57,21 +57,23 @@ class FreezeStage:
     """One step of the threshold recursion.
 
     The stage fills the suffix that begins at ``start`` from total demand
-    ``global_start_rate`` on.  When total demand reaches half the breakpoint
-    of the super-efficient link start+len(caps), links
-    start..start+len(caps)-1 freeze at ``caps`` and the next stage begins; a
-    final stage has empty caps and absorbs everything that remains.
+    ``global_start_rate`` on.  Its links run up to the next stage's start,
+    where they freeze at their caps in ``ThresholdParams.thresholds``; the
+    last stage runs to the last link and absorbs everything that remains.
     """
 
     start: int
-    caps: tuple[float, ...]
     global_start_rate: float
     suffix_net: ParallelNetwork
 
 
 @dataclass(frozen=True)
 class ThresholdParams:
-    """Threshold mechanism state built for one network."""
+    """Threshold mechanism state built for one network.
+
+    ``thresholds`` holds each frozen link's cap and None for a link that
+    never freezes; stage s ends at ``freeze_points[s]``.
+    """
 
     R: tuple[float, ...]
     thresholds: tuple[float | None, ...]
@@ -95,43 +97,31 @@ def build_threshold_mechanism(
     demand reaches half the breakpoint of a super-efficient link, every link
     below it freezes at the flow it carries right then; further demand fills
     the remaining links selfishly until the next super-efficient link, and so
-    on.  Links above the last super-efficient one (always including the last
-    link) keep their latencies.
+    on.  A link whose breakpoint overflows never opens at a finite demand,
+    and neither does any link after it, so it triggers no freeze.  Links
+    above the last trigger (always including the last link) keep their
+    latencies.
     """
     if len(R) != net.k - 1:
         raise BadParamCount(f"need {net.k - 1} parameters for {net.k} links, got {len(R)}")
     R = _check_multipliers(R)
 
-    stages: list[FreezeStage] = []
+    triggers = [t + 1 for t in range(net.k - 1)
+                if net.efficiency[t + 1] > R[t] * net.eff_prefix[t]
+                and net.breakpoints[t + 1] < INF]
     thresholds: list[float | None] = [None] * net.k
-    freeze_points: list[float] = []
-    s = 0
-    global_start = 0.0
-    while True:
-        suffix = net.suffix(s)
-        trigger = None
-        for t in range(s, net.k - 1):
-            if net.efficiency[t + 1] > R[t] * net.eff_prefix[t]:
-                trigger = t
-                break
-        if trigger is None:
-            stages.append(FreezeStage(s, (), global_start, suffix))
-            break
-        freeze_total = net.breakpoints[trigger + 1] / 2.0
-        local_freeze = freeze_total - global_start
-        frozen = nash_flow(suffix, local_freeze)
-        caps = frozen.profile.flows[: trigger - s + 1]
-        stages.append(FreezeStage(s, caps, global_start, suffix))
-        for off, cap in enumerate(caps):
-            thresholds[s + off] = cap
-        freeze_points.append(freeze_total)
-        global_start = freeze_total
-        s = trigger + 1
+    freeze_points = tuple(net.breakpoints[t] / 2.0 for t in triggers)
+    stages = [FreezeStage(0, 0.0, net.suffix(0))]
+    for t, freeze in zip(triggers, freeze_points):
+        stage = stages[-1]
+        frozen = nash_flow(stage.suffix_net, freeze - stage.global_start_rate)
+        thresholds[stage.start:t] = frozen.profile.flows[: t - stage.start]
+        stages.append(FreezeStage(t, freeze, net.suffix(t)))
 
     params = ThresholdParams(
         R=R,
         thresholds=tuple(thresholds),
-        freeze_points=tuple(freeze_points),
+        freeze_points=freeze_points,
         stages=tuple(stages),
     )
     lats = [
@@ -149,16 +139,12 @@ def mn_flow(net: ParallelNetwork, params: ThresholdParams, rate: float) -> FlowP
     unmodified selfish flow.
     """
     check_rate(rate)
-    flows = [0.0] * net.k
     # Stage s holds the demands in (freeze_points[s-1], freeze_points[s]],
-    # the same cut that cost_pieces makes.
-    idx = bisect_left(params.freeze_points, rate)
-    for frozen in params.stages[:idx]:
-        flows[frozen.start:frozen.start + len(frozen.caps)] = frozen.caps
-    stage = params.stages[idx]
+    # the same cut that cost_pieces makes; the links before it are frozen.
+    stage = params.stages[bisect_left(params.freeze_points, rate)]
     inner = nash_flow(stage.suffix_net, rate - stage.global_start_rate)
-    flows[stage.start:] = inner.profile.flows
-    return FlowProfile(rate=rate, flows=tuple(flows), latency_family="modified")
+    flows = params.thresholds[:stage.start] + inner.profile.flows
+    return FlowProfile(rate=rate, flows=flows, latency_family="modified")
 
 
 @dataclass(frozen=True)
@@ -183,13 +169,12 @@ def mn_uses_links_no_earlier_than_opt(net: ParallelNetwork,
     the global breakpoint of h, less DEFAULT_TOLERANCE of it.  Frozen-at-zero
     links never open.
     """
-    for stage in params.stages:
-        span = len(stage.caps) if stage.caps else stage.suffix_net.k
-        for off in range(span):
-            h = stage.start + off
-            if stage.caps and stage.caps[off] == 0.0:
+    ends = [stage.start for stage in params.stages[1:]] + [net.k]
+    for stage, end in zip(params.stages, ends):
+        for h in range(stage.start, end):
+            if params.thresholds[h] == 0.0:
                 continue  # frozen before ever opening
-            first_used = stage.global_start_rate + stage.suffix_net.breakpoints[off]
+            first_used = stage.global_start_rate + stage.suffix_net.breakpoints[h - stage.start]
             opt_start = net.breakpoints[h] / 2.0
             if first_used < opt_start * (1.0 - DEFAULT_TOLERANCE):
                 return LinkUsageCheck(False, link=h, first_used_rate=first_used,

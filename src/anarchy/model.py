@@ -77,7 +77,6 @@ class ParallelNetwork:
 
     links: tuple[AffineLatency, ...]
     efficiency: tuple[float, ...]
-    flow_offset: tuple[float, ...]
     eff_prefix: tuple[float, ...]
     off_prefix: tuple[float, ...]
     breakpoints: tuple[float, ...]
@@ -200,7 +199,6 @@ def normalize_network(raw_links: Iterable[AffineLatency | Mapping[str, float]]) 
     net = ParallelNetwork(
         links=tuple(merged),
         efficiency=eff,
-        flow_offset=off,
         eff_prefix=tuple(eff_prefix),
         off_prefix=tuple(off_prefix),
         breakpoints=tuple(breakpoints),

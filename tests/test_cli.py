@@ -16,6 +16,12 @@ PIGOU = {"links": [{"a": 1, "b": 0}, {"a": 0, "b": 1}]}
 # A JSON integer beyond the float range.
 BIG_INT = "1" + "0" * 399
 TWO = {"links": [{"a": 2, "b": 0}, {"a": 1, "b": 1}]}
+CANCELLING = [
+    {"a": 374.28864678836334, "b": 4.056479304682468e+289},
+    {"a": 7.813399645929975e+182, "b": 9.089655238580877e-146},
+    {"a": 6.0175127800589514e+246, "b": 4.580824679445541e+146},
+]
+CANCELLING_MECH = {"kind": "threshold", "R": [6.667927883269054, 6.887850326320335]}
 
 
 @pytest.fixture()
@@ -443,6 +449,11 @@ def test_exit_code_cost_underflow(tmp_path, capsys, links, extra):
         # Costs past a demand of about 1e154 overflow.
         ([{"a": 2, "b": 0}, {"a": 1, "b": 1}], None, ["curve", "--rmax", "1e200"],
          "costs overflow"),
+        # Efficiencies hundreds of orders apart: the sweep's running supply
+        # slope cancels to 0 while a link still rises.
+        (CANCELLING, CANCELLING_MECH, ["solve", "--rate", "1", "--which", "mn"],
+         "supply slope cancels"),
+        (CANCELLING, CANCELLING_MECH, ["curve"], "supply slope cancels"),
     ],
 )
 def test_exit_code_overflow(tmp_path, capsys, links, mech, args, message):
@@ -459,6 +470,26 @@ def test_exit_code_overflow(tmp_path, capsys, links, mech, args, message):
     assert main(argv) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "curve.csv").exists()
+
+
+def test_overflowed_freeze_point_leaves_links_uncapped(tmp_path, capsys):
+    # The second link's breakpoint overflows to inf: it never opens, so it
+    # triggers no freeze and the mechanism equals the plain network.
+    net_path, mech_path = tmp_path / "net.json", tmp_path / "mech.json"
+    net_path.write_text(json.dumps({"links": [{"a": 1e-300, "b": 0}, {"a": 1e-301, "b": 1e10}]}))
+    mech_path.write_text(json.dumps({"kind": "threshold", "R": [2]}))
+    argv = ["--mechanism", str(mech_path)]
+    assert main(["solve", str(net_path), "--rate", "1", "--which", "mn", *argv]) == 0
+    assert main(["curve", str(net_path), "--csv", str(tmp_path / "curve.csv"), *argv]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_curve_with_overflowed_flat_tail(tmp_path, capsys):
+    # The zero-slope last link opens at an infinite demand, never reached.
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"links": [{"a": 1e-300, "b": 0}, {"a": 0, "b": 1e10}]}))
+    assert main(["curve", str(net_path), "--csv", str(tmp_path / "curve.csv")]) == 0
+    assert "ratio peaks at 1 " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["solve", "curve"])

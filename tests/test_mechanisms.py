@@ -67,7 +67,7 @@ def test_two_stage_freeze_points_increase():
     assert params.freeze_points[0] < params.freeze_points[1]
     # second freeze when total demand is half the last link's breakpoint
     assert params.freeze_points == pytest.approx((0.5, 51.0))
-    assert params.stages[1].caps == pytest.approx((50.5,))
+    assert params.thresholds[1] == pytest.approx(50.5)
     assert tuple(stage.start for stage in params.stages[1:]) == (1, 2)
 
 
@@ -134,14 +134,51 @@ def test_mn_flow_stage_matches_curve_regime():
                 idx = int(regime.split("/")[0][len("stage"):])
                 stage = params.stages[idx]
                 want = [0.0] * net.k
-                for frozen in params.stages[:idx]:
-                    want[frozen.start:frozen.start + len(frozen.caps)] = frozen.caps
+                want[:stage.start] = params.thresholds[:stage.start]
                 inner = nash_flow(stage.suffix_net, rate - stage.global_start_rate)
                 want[stage.start:] = inner.profile.flows
                 assert mn_flow(net, params, rate).flows == tuple(want), (
                     net.to_json_dict(), R, rate, regime)
                 checked += 1
     assert checked >= 100
+
+
+def _planted_chain(rng):
+    # Intercepts rise and each link is 1.5 to 12 times as efficient as the
+    # one before, so multipliers in [2, 6] trigger at some links only.
+    k = rng.randint(2, 7)
+    links, a, b = [], rng.uniform(0.5, 5.0), 0.0
+    for _ in range(k):
+        links.append({"a": a, "b": b})
+        a /= rng.uniform(1.5, 12.0)
+        b += rng.uniform(0.1, 3.0)
+    return normalize_network(links), [rng.uniform(2.0, 6.0) for _ in range(k - 1)]
+
+
+def test_threshold_build_matches_brute_force_on_planted_chains():
+    rng = random.Random(2718)
+    frozen_stages = 0
+    for _ in range(150):
+        net, R = _planted_chain(rng)
+        params, lats = build_threshold_mechanism(net, R)
+        triggers = [t for t in range(1, net.k)
+                    if net.efficiency[t] > R[t - 1] * sum(net.efficiency[:t])]
+        want = [None] * net.k
+        start, start_rate = 0, 0.0
+        for t in triggers:
+            freeze = net.breakpoints[t] / 2.0
+            caps = nash_flow(net.suffix(start), freeze - start_rate).profile.flows
+            want[start:t] = caps[:t - start]
+            start, start_rate = t, freeze
+        case = (net.to_json_dict(), R)
+        assert params.freeze_points == tuple(net.breakpoints[t] / 2.0 for t in triggers), case
+        assert params.thresholds == tuple(want), case
+        assert [s.start for s in params.stages] == [0, *triggers], case
+        assert [s.global_start_rate for s in params.stages] == [0.0, *params.freeze_points], case
+        assert all(s.suffix_net == net.suffix(s.start) for s in params.stages), case
+        assert [lat.cap for lat in lats] == [math.inf if c is None else c for c in want], case
+        frozen_stages += len(triggers)
+    assert frozen_stages >= 100
 
 
 def test_usage_order_seeded():
