@@ -184,7 +184,7 @@ def _pieces(net: ParallelNetwork, mechanism: Mechanism | None) -> tuple[CostPiec
     pieces: list[CostPiece] = []
 
     def add(lo: float, hi: float, closed: bool, n: _Seg, d: _Seg) -> None:
-        if hi > lo or closed:
+        if (hi > lo or closed) and hi > 0.0:
             pieces.append(CostPiece(lo, hi, closed, f"{n.tag}/{d.tag}", n.at(lo), d.at(lo)))
 
     lo, i, j = 0.0, 0, 0
@@ -249,10 +249,10 @@ def tail_ratio(net: ParallelNetwork, mechanism: Mechanism | None = None) -> floa
 
 def _ratio(num: float, den: float, r: float) -> float:
     # Both costs are positive and finite at every positive demand, but can
-    # underflow to 0 or overflow to inf.
+    # underflow to 0, or overflow to inf, or to -inf or NaN through a term.
     if den == 0.0:
         raise CostUnderflow(f"the optimal cost underflows to 0 at demand {r!r}")
-    if not (num < INF and den < INF):
+    if not (num < INF and 0.0 < den < INF):
         raise CostOverflow(f"the costs overflow at demand {r!r}: {num!r} / {den!r}")
     return num / den
 

@@ -272,10 +272,7 @@ def water_fill(lats: Sequence, rate: float, *,
     A rate above the sweep's end, the sum of the caps when every link is
     capped, raises InfeasibleRate; an empty latency list raises EmptyNetwork.
     """
-    check_rate(rate)
-    lats = list(lats)
-    if not lats:
-        raise EmptyNetwork("water-filling needs at least one link")
+    lats = tuple(lats)
     seg = _piece_at(lats, rate)
     corner, past = seg.low, (rate - seg.anchor) * seg.a2
     if corner + past >= seg.top:
@@ -338,38 +335,36 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
     # and linear across a flat segment's jump; there the flat links are no
     # longer held, but links that rise past a jump at L still are.  Where the
     # cost can jump the demand is read off the least flows, and while no link
-    # rises it is the flow held, D; the last piece (at first an empty one at
-    # 0), held back until the demand grows again, ends there too.  The sums
-    # snap to 0 once per level when their link counts do.  A last level at
-    # inf ends the last rising piece, or, when every link is capped, ends the
-    # sweep at the sum of their caps.
+    # rises it is the flow held, D.  The piece in progress (at first an empty
+    # one at 0) is kept as all but its end and built when the next starts, at
+    # the demand reached then.  The sums snap to 0 once per level when their
+    # link counts do.  A last level at inf ends the last rising piece, or,
+    # when every link is capped, ends the sweep at the sum of their caps.
     events = sorted(ev for lat in lats for ev in lat.supply_events) + [(INF, 0.0, 0.0, 0.0, 0.0)]
     r = prev = growth = held = cost = 0.0
     rising = n_held = 0
-    last = _Seg(0.0, True, "", 0.0, 0.0, 0.0, 0.0, events[0][0], events[0][0])
+    piece = (True, "", 0.0, 0.0, 0.0, 0.0, events[0][0], events[0][0])
     for level, batch in groupby(events, itemgetter(0)):
         batch = list(batch)
         width = math.fsum([ev[1] for ev in batch])
-        if rising:
+        if width > 0.0 or any([ev[3] < 0.0 for ev in batch]):
+            end = math.fsum([_flow_bounds(lat, level)[0] for lat in lats])
+        elif rising:
             end = r + growth * (level - prev)
         elif level < INF:
             end = held
         else:
             end = math.fsum([lat.cap for lat in lats])
-        if width > 0.0 or any([ev[3] < 0.0 for ev in batch]):
-            end = math.fsum([_flow_bounds(lat, level)[0] for lat in lats])
         if rising:
-            yield last
-            last = _Seg(end, True, "", r, cost + prev * (r - held), prev + (r - held) / growth,
-                        1.0 / growth, prev, level)
-        else:
-            last = last._replace(hi=end)
+            yield _Seg(r, *piece)
+            piece = (True, "", r, cost + prev * (r - held), prev + (r - held) / growth,
+                     1.0 / growth, prev, level)
         r = end
         if width > 0.0:
             flats = [ev for ev in batch if ev[1] > 0.0]
             d, c = held + math.fsum(ev[3] for ev in flats), cost + math.fsum(ev[4] for ev in flats)
-            yield last
-            last = _Seg(r + width, r + width < INF, "", r, c + level * (r - d), level, 0.0, level, level)
+            yield _Seg(r, *piece)
+            piece = (r + width < INF, "", r, c + level * (r - d), level, 0.0, level, level)
             r += width
             if r == INF:
                 break
@@ -385,7 +380,7 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
         if not n_held:
             held = cost = 0.0
         prev = level
-    yield last
+    yield _Seg(r, *piece)
 
 
 # The last latencies swept, by identity, with their pieces and piece ends;
@@ -421,7 +416,11 @@ def _swept(lats: Sequence[PiecewiseLatency]) -> tuple[tuple[_Seg, ...], tuple[fl
 
 def _piece_at(lats: Sequence[PiecewiseLatency], rate: float) -> _Seg:
     # The piece of the kept sweep that holds `rate`, by bisection over the
-    # piece ends.  A rate past the sweep's end raises InfeasibleRate.
+    # piece ends; the one gate of both readers: a bad rate, an empty list,
+    # then a rate past the sweep's end (InfeasibleRate) raise, in that order.
+    check_rate(rate)
+    if not lats:
+        raise EmptyNetwork("water-filling needs at least one link")
     segs, his = _swept(lats)
     if rate > his[-1]:
         raise InfeasibleRate(f"total capacity {his[-1]} below rate {rate}")
@@ -438,9 +437,8 @@ def worst_equilibrium_cost(lats: Sequence[PiecewiseLatency], rate: float) -> flo
     each latency object, so further rates on them cost no new sweep, while
     new or replaced latencies, even equal ones, are swept anew.  A rate
     above the sum of the caps, when every link is capped, raises
-    InfeasibleRate, as :func:`water_fill` does.
+    InfeasibleRate and an empty list EmptyNetwork, as in :func:`water_fill`.
     """
-    check_rate(rate)
     return _piece_at(lats, rate).at(rate)[0]
 
 

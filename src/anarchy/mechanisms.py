@@ -111,7 +111,7 @@ def build_threshold_mechanism(
                 and net.breakpoints[t + 1] < INF]
     thresholds: list[float | None] = [None] * net.k
     freeze_points = tuple(net.breakpoints[t] / 2.0 for t in triggers)
-    stages = [FreezeStage(0, 0.0, net.suffix(0))]
+    stages = [FreezeStage(0, 0.0, net)]
     for t, freeze in zip(triggers, freeze_points):
         stage = stages[-1]
         frozen = nash_flow(stage.suffix_net, freeze - stage.global_start_rate)

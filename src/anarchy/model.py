@@ -107,13 +107,12 @@ class ParallelNetwork:
         ``eff_prefix[h] * W`` equals the sum over pairs i < g <= h of
         e_i e_g (b_g - b_i)^2.  A weighted Welford update adds only
         non-negative terms.  A zero-slope last link has no finite spread and
-        is left out.
+        is left out; an overflowed efficiency before it leaves every later
+        spread non-finite.
         """
         out = []
         total = mean = spread = 0.0
-        for e, link in zip(self.efficiency, self.links):
-            if not math.isfinite(e):
-                break
+        for e, link in zip(self.efficiency[: self.k - self.has_flat_tail], self.links):
             grown = total + e
             delta = link.intercept - mean
             spread += e * total / grown * delta * delta

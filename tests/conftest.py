@@ -10,6 +10,22 @@ def pigou():
     return normalize_network([{"a": 1, "b": 0}, {"a": 0, "b": 1}])
 
 
+# The intercept spread overflows, and the optimal cost comes out -inf.
+NEGATIVE_OPT = [
+    {"a": 6.849242324770906e+233, "b": 5.057866383350227e-217},
+    {"a": 3.137021653725009e-209, "b": 3.451188210731796e-88},
+    {"a": 1.0740747917884396e-115, "b": 3.912848119424984e-148},
+    {"a": 2.5058956042101665e-296, "b": 4.953757606126863e-77},
+    {"a": 1e-300, "b": 1.4524961336438668e+172},
+]
+# 1/a of the second link overflows to inf; it opens below the demand given.
+OVERFLOWED_EFFICIENCY = [
+    ([{"a": 7.138698153057926e-282, "b": 0}, {"a": 3.438020993e-315, "b": 2.852124733339543e-47}],
+     1e300),
+    ([{"a": 1, "b": 0}, {"a": 3e-315, "b": 1}], 1e30),
+]
+
+
 def random_network(rng: random.Random, kmax: int = 5, allow_flat: bool = False):
     """Random normalized instance; optionally give the last link zero slope."""
     k = rng.randint(1, kmax)

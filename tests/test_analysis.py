@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,7 @@ from anarchy import (
     worst_equilibrium_cost,
 )
 from anarchy.mechanisms import MIN_PLATEAU_RATIO, PLATEAU_TARGET, PlateauParams, ThresholdParams
-from conftest import random_network
+from conftest import NEGATIVE_OPT, OVERFLOWED_EFFICIENCY, random_network
 
 
 def test_pigou_sup_four_thirds(pigou):
@@ -384,3 +385,23 @@ def test_overflowing_costs_raise_typed_error():
     two = normalize_network([{"a": 2, "b": 0}, {"a": 1, "b": 1}])
     with pytest.raises(CostOverflow, match="demand 1e\\+200"):
         ratio_curve(two, None, [1.0, 1e200])
+
+
+@pytest.mark.parametrize("links,rate", [(NEGATIVE_OPT, 1e30), *OVERFLOWED_EFFICIENCY])
+def test_non_finite_optimal_cost_raises_overflow(links, rate):
+    # The intercept spread overflows, to inf or NaN, and the optimal cost
+    # with it: to -inf, which is not a cost, or to NaN.
+    net = normalize_network(links)
+    with pytest.raises(CostOverflow, match=re.escape(f"demand {rate!r}")):
+        ratio_curve(net, None, [rate])
+    with pytest.raises(CostOverflow):
+        ratio_sup(net)
+
+
+def test_breakpoint_underflowing_to_zero_opens_no_piece():
+    # The second link's breakpoint 1e-200 / 1e200 underflows to 0: the
+    # pieces cover demands > 0 only, so none ends at 0.
+    net = normalize_network([{"a": 1e200, "b": 0}, {"a": 1, "b": 1e-200}])
+    assert all(p.hi > 0.0 for p in cost_pieces(net))
+    assert 0.0 not in curve_breakpoints(net)
+    assert ratio_sup(net) == (1.0, 1.0)

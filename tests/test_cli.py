@@ -11,6 +11,7 @@ import pytest
 
 import anarchy.cli as cli
 from anarchy.cli import main
+from conftest import NEGATIVE_OPT, OVERFLOWED_EFFICIENCY
 
 PIGOU = {"links": [{"a": 1, "b": 0}, {"a": 0, "b": 1}]}
 # A JSON integer beyond the float range.
@@ -454,6 +455,9 @@ def test_exit_code_cost_underflow(tmp_path, capsys, links, extra):
         (CANCELLING, CANCELLING_MECH, ["solve", "--rate", "1", "--which", "mn"],
          "supply slope cancels"),
         (CANCELLING, CANCELLING_MECH, ["curve"], "supply slope cancels"),
+        # The intercept spread overflows: the optimal cost is -inf or NaN.
+        *[(links, None, ["curve"], "costs overflow")
+          for links in [NEGATIVE_OPT, *(links for links, _ in OVERFLOWED_EFFICIENCY)]],
     ],
 )
 def test_exit_code_overflow(tmp_path, capsys, links, mech, args, message):
@@ -490,6 +494,14 @@ def test_curve_with_overflowed_flat_tail(tmp_path, capsys):
     net_path.write_text(json.dumps({"links": [{"a": 1e-300, "b": 0}, {"a": 0, "b": 1e10}]}))
     assert main(["curve", str(net_path), "--csv", str(tmp_path / "curve.csv")]) == 0
     assert "ratio peaks at 1 " in capsys.readouterr().out
+
+
+def test_curve_with_breakpoint_underflowing_to_zero(tmp_path, capsys):
+    # The second link opens at 1e-200 / 1e200, which underflows to demand 0.
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"links": [{"a": 1e200, "b": 0}, {"a": 1, "b": 1e-200}]}))
+    assert main(["curve", str(net_path), "--csv", str(tmp_path / "curve.csv")]) == 0
+    assert "ratio peaks at 1 (r = 1)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["solve", "curve"])

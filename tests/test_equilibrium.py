@@ -421,6 +421,9 @@ def test_water_fill_infeasible():
 def test_water_fill_empty_latency_list():
     with pytest.raises(EmptyNetwork):
         water_fill([], 0.0)
+    for rate in (0.0, 1.0):
+        with pytest.raises(EmptyNetwork):
+            worst_equilibrium_cost([], rate)
 
 
 def test_water_fill_plateau_interval_is_hold_window():

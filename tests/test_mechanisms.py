@@ -176,6 +176,7 @@ def test_threshold_build_matches_brute_force_on_planted_chains():
         assert [s.start for s in params.stages] == [0, *triggers], case
         assert [s.global_start_rate for s in params.stages] == [0.0, *params.freeze_points], case
         assert all(s.suffix_net == net.suffix(s.start) for s in params.stages), case
+        assert params.stages[0].suffix_net is net, case
         assert [lat.cap for lat in lats] == [math.inf if c is None else c for c in want], case
         frozen_stages += len(triggers)
     assert frozen_stages >= 100
