@@ -20,7 +20,14 @@ from operator import is_, itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .config import DEFAULT_TOLERANCE, IDENTITY_RTOL
-from .errors import EmptyNetwork, InfeasibleRate, InvalidModelValue, SchemaError, SegmentMismatch
+from .errors import (
+    CertificateFailed,
+    EmptyNetwork,
+    InfeasibleRate,
+    InvalidModelValue,
+    SchemaError,
+    SegmentMismatch,
+)
 from .model import INF, FlowProfile, ParallelNetwork, PiecewiseLatency, check_rate
 
 
@@ -67,7 +74,9 @@ def _segment_index(breakpoints: Sequence[float], r: float) -> int:
 
 def _selfish_split(net: ParallelNetwork, rate: float) -> tuple[list[float], float, int]:
     # Selfish flows, their level and the open link count j.  With a zero-slope
-    # last link, j == k only once demand reaches the flat tail.
+    # last link, j == k only once demand reaches the flat tail.  A positive
+    # demand over open links whose summed efficiency overflows would split
+    # as inf * 0, so it raises InvalidModelValue naming the link instead.
     k = net.k
     if net.has_flat_tail and rate >= net.breakpoints[-1]:
         bk = net.links[-1].intercept
@@ -76,6 +85,12 @@ def _selfish_split(net: ParallelNetwork, rate: float) -> tuple[list[float], floa
         return flows, bk, k
     j = min(_segment_index(net.breakpoints, rate), k)
     eff_j = net.eff_prefix[j - 1]
+    if eff_j == INF and rate > 0.0:
+        i = net.eff_prefix.index(INF)
+        raise InvalidModelValue(
+            f"link {i} (slope {net.links[i].slope!r}) takes the summed efficiency 1/a of "
+            f"links 0..{i} past the float range, so a split that opens it cannot be computed"
+        )
     # level - b_i, written as intercept gap plus the demand past the last
     # breakpoint: subtracting b_i from a level that rounds near it would
     # cancel, and a large efficiency multiplies the rounding error.
@@ -176,10 +191,17 @@ def _allowance(size: float) -> float:
 
 
 def _two_least(values: Sequence[float]) -> tuple[int, int | None]:
-    # Indices of the least value and of the least among the others.
-    first = min(range(len(values)), key=values.__getitem__)
-    rest = [g for g in range(len(values)) if g != first]
-    return first, (min(rest, key=values.__getitem__) if rest else None)
+    # Indices of the least value and of the least among the others; of
+    # equal values the first wins, as with min.
+    first = second = None
+    for g, v in enumerate(values):
+        if first is None:
+            first, least = g, v
+        elif v < least:
+            first, second, least, runner = g, first, v, least
+        elif second is None or v < runner:
+            second, runner = g, v
+    return first, second
 
 
 def is_user_equilibrium(lats: Sequence[PiecewiseLatency], profile: FlowProfile) -> EquilibriumCheck:
@@ -204,12 +226,18 @@ def is_user_equilibrium(lats: Sequence[PiecewiseLatency], profile: FlowProfile) 
     most, with the plain value and right limit.
     """
     flows = profile.flows
-    used = [(i, lats[i].value(f)) for i, f in enumerate(flows) if f > 0.0]
+    used, edges, level = [], [], None
+    for i, f in enumerate(flows):
+        lat = lats[i]
+        edges.append(lat.right_liminf(f))
+        if f > 0.0:
+            v = lat.value(f)
+            used.append((i, v))
+            if level is None or v > level:
+                level = v
     if not used:
         return EquilibriumCheck(True)
-    level = max(v for _, v in used)
     slack = DEFAULT_TOLERANCE * level if math.isfinite(level) else 0.0
-    edges = [lats[g].right_liminf(f) for g, f in enumerate(flows)]
     first, second = _two_least(edges)
     loose = None
     for i, vi in used:
@@ -268,7 +296,8 @@ def water_fill(lats: Sequence, rate: float, *,
     is the rest of the rate shared in proportion to 1/slope, the difference
     form :func:`nash_flow` uses, so the rounding of L stays out of the flows.
     The canonical profile spreads the rate across the intervals
-    proportionally to their widths and is verified to be an equilibrium.
+    proportionally to their widths and is verified to be an equilibrium;
+    a profile that fails raises CertificateFailed.
     A rate above the sweep's end, the sum of the caps when every link is
     capped, raises InfeasibleRate; an empty latency list raises EmptyNetwork.
     """
@@ -292,7 +321,7 @@ def water_fill(lats: Sequence, rate: float, *,
     profile = FlowProfile(rate=rate, flows=flows, latency_family=latency_family)
     check = is_user_equilibrium(lats, profile)
     if not check:
-        raise AssertionError(
+        raise CertificateFailed(
             f"water-fill produced a non-equilibrium profile: {check.violator} "
             f"lhs={check.lhs} rhs={check.rhs}"
         )

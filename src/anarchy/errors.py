@@ -65,6 +65,10 @@ class InvalidModelValue(AnarchyError, ValueError):
     """A piecewise latency or flow profile built from inconsistent values."""
 
 
+class CertificateFailed(AnarchyError):
+    """A solved flow failed the solver's own equilibrium certificate."""
+
+
 class NotContinuousAtEquilibrium(AnarchyError):
     """Modified latency is discontinuous at the equilibrium point."""
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .config import DEFAULT_TOLERANCE
 from .equilibrium import nash_flow
@@ -295,6 +295,56 @@ def _plateau_terms(ratio: float) -> tuple:
     return hold_peak, beta_for, jump_peak
 
 
+# The float sign of the peak gap is monotone in alpha except in a zone around
+# its root where the gap is below its own rounding error.  Outside a bracket
+# that holds the root, widened by a band at least as wide as that zone, the
+# sign is known without evaluating: a point with gap < 0 lies below the
+# zone's top, one with gap >= 0 above its bottom.  The gap's slope at its
+# root falls as R grows, so the zone widens: up to 33 ulps of alpha0 for R
+# below 200 and about 1,200 at R = 1.5e5, growing slower than R.  The band
+# is 64 ulps times max(1, R/200): nearly twice the widest zone below 200,
+# and ever wider than it above.
+_GAP_BAND_ULPS = 64
+
+
+def _peak_gap(R: float, root_R: float, alpha: float) -> float:
+    # hold_peak(alpha) - jump_peak(alpha) of _plateau_terms, over the same
+    # expressions in the same order; root_R is math.sqrt(R).
+    hold = 4.0 * (R + 1.0) * alpha * alpha / (4.0 * alpha * R - R + 4.0 * alpha * alpha)
+    b = (R + root_R * math.sqrt(R + 4.0 * alpha * (R - alpha))) / (4.0 * alpha)
+    return hold - 4.0 * b * (R + 1.0) * (b - alpha + R) / (R * (4.0 * b * b + 4.0 * b * R - R))
+
+
+def _gap_bracket(R: float, root_R: float, lo: float, at_lo: float,
+                 hi: float, at_hi: float, width: float) -> tuple[float, float]:
+    # Illinois false position on [lo, hi], with gap < 0 at lo (or lo the
+    # range's own end) and gap >= 0 at hi, until narrower than width.  A
+    # step that would leave the bracket, or divide by a difference that is
+    # not positive (equal values, a NaN), bisects instead.  The replay in
+    # balanced_alpha is exact for any bracket, so the step cap only bounds
+    # the work.
+    side = 0
+    for _ in range(64):
+        if hi - lo < width:
+            break
+        drop = at_hi - at_lo
+        x = hi - at_hi * (hi - lo) / drop if drop > 0.0 else lo
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        at_x = _peak_gap(R, root_R, x)
+        if at_x < 0.0:
+            lo, at_lo = x, at_x
+            if side < 0:
+                at_hi *= 0.5
+            side = -1
+        else:
+            hi, at_hi = x, at_x
+            if side > 0:
+                at_lo *= 0.5
+            side = 1
+    return lo, hi
+
+
 def balanced_alpha(R: float) -> float:
     """Hold mark, in breakpoint units, that balances the two plateau peaks.
 
@@ -304,26 +354,39 @@ def balanced_alpha(R: float) -> float:
     jump peak's terms grow as R^3 and are largest at alpha = 1/2; where
     they overflow there, from R of about 2.4e102 on, it raises
     RatioOutOfRange.
+
+    The answer is that of bisecting the peak gap from [1/2, alpha0] down to
+    adjacent doubles.  A bracketing secant first narrows the root to
+    1e-12 alpha0, or to the band of uncertain signs (_GAP_BAND_ULPS) where
+    that is wider; the bisection is then replayed, evaluating the gap only
+    at midpoints within that band around the bracket, since the gap's sign
+    elsewhere is known.  For R below 200 that takes a median of 22 gap
+    evaluations instead of 53, and never more than the bisection's own.
     """
-    hold_peak, _, jump_peak = _plateau_terms(R)
+    root_R = math.sqrt(R)
     alpha0 = (149.0 * R + 2.0 * math.sqrt(894.0 * R * (R + 1.0))) / (2.0 * (125.0 * R - 24.0))
-
-    def gap(alpha: float) -> float:
-        return hold_peak(alpha) - jump_peak(alpha)
-
     lo, hi = 0.5, alpha0
-    at_lo = gap(lo)
+    at_lo = _peak_gap(R, root_R, lo)
     if not math.isfinite(at_lo):
         raise RatioOutOfRange(f"slope ratio {R} is too large: the plateau peaks overflow")
-    if gap(hi) < 0.0:
+    at_hi = _peak_gap(R, root_R, hi)
+    if at_hi < 0.0:
         return hi
     if at_lo > 0.0:
         return lo
+    band = _GAP_BAND_ULPS * math.ulp(alpha0) * max(1.0, R / 200.0)
+    below, above = lo, hi
+    if band < 1e-7 * alpha0:
+        # Past this width, from R of about 2e9 on, the secant's steps and
+        # the replay inside the band cost more calls than bisecting all of
+        # [1/2, alpha0], which the replay then does.
+        below, above = _gap_bracket(R, root_R, lo, at_lo, hi, at_hi, max(1e-12 * alpha0, band))
+    below, above = below - band, above + band
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if gap(mid) < 0.0:
+        if mid < below or (mid <= above and _peak_gap(R, root_R, mid) < 0.0):
             lo = mid
         else:
             hi = mid

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from .config import DEFAULT_TOLERANCE, IDENTITY_RTOL
 from .errors import (
@@ -246,41 +246,89 @@ class PiecewiseLatency:
     left limit, which keeps the function lower semicontinuous when it jumps.
     Flows strictly above ``cap`` cost +inf; flow exactly at the cap keeps its
     finite value, so a capped link can be loaded to the cap but never past it.
+
+    Construction validates the latency and lists, clipped to the cap:
+
+    ``segments``: the non-empty segments as (lo, hi, slope, v_lo, v_hi).
+    The latency runs linearly from its right limit ``v_lo`` at flow ``lo``
+    to its left limit ``v_hi`` at flow ``hi``; ``v_hi`` is infinite for an
+    unbounded rising segment.  These corner levels are the only places
+    where the flow a link absorbs at a given latency changes its form.
+    Corner levels never decrease: construction lets the value just after a
+    boundary sit below the value just before it by up to IDENTITY_RTOL of
+    the terms the two values sum, and such a dip is lifted to the earlier
+    level, so that a level equal to one segment's end never counts as above
+    the next segment's start.
+
+    ``supply_events``: the corner levels as (level, jump, rate change, held
+    flow, held cost).  The supply, the most flow taken at latency <= L,
+    rises at 1/slope on a rising segment and jumps by a flat segment's
+    width.  Past a segment's end the link holds that flow at that end's
+    latency until its next segment starts, if that start lies higher or
+    there is none.
     """
 
     starts: tuple[float, ...]
     slopes: tuple[float, ...]
     offsets: tuple[float, ...]
     cap: float = INF
+    segments: tuple[tuple[float, float, float, float, float], ...] = field(
+        init=False, repr=False, compare=False)
+    supply_events: tuple[tuple[float, float, float, float, float], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.starts or len(self.starts) != len(self.slopes) or len(self.starts) != len(self.offsets):
             raise InvalidModelValue("segments need matching starts/slopes/offsets")
-        object.__setattr__(self, "starts", tuple(float(s) for s in self.starts))
-        object.__setattr__(self, "slopes", tuple(float(s) for s in self.slopes))
-        object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
-        object.__setattr__(self, "cap", float(self.cap))
-        if self.starts[0] != 0.0:
+        starts = tuple(map(float, self.starts))
+        slopes = tuple(map(float, self.slopes))
+        offsets = tuple(map(float, self.offsets))
+        cap = float(self.cap)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "cap", cap)
+        if starts[0] != 0.0:
             raise InvalidModelValue("first segment must start at 0")
-        for a, b in zip(self.starts, self.starts[1:]):
+        for a, b in zip(starts, starts[1:]):
             if not b > a:
                 raise InvalidModelValue("segment starts must be strictly increasing")
-        for m in self.slopes:
+        for m in slopes:
             if not math.isfinite(m) or m < 0.0:
                 raise InvalidModelValue("segment slopes must be finite and >= 0")
-        for c in self.offsets:
+        for c in offsets:
             if not math.isfinite(c):
                 raise InvalidModelValue("segment offsets must be finite")
-        if math.isnan(self.cap) or self.cap < 0.0:
+        if math.isnan(cap) or cap < 0.0:
             raise InvalidModelValue("cap must be >= 0")
         # Non-decreasing across boundaries: left value <= right value, up to
         # the rounding of the four terms the two values sum.
-        for i in range(1, len(self.starts)):
-            s = self.starts[i]
-            m0, c0, m1, c1 = self.slopes[i - 1], self.offsets[i - 1], self.slopes[i], self.offsets[i]
+        for i in range(1, len(starts)):
+            s = starts[i]
+            m0, c0, m1, c1 = slopes[i - 1], offsets[i - 1], slopes[i], offsets[i]
             left, right = m0 * s + c0, m1 * s + c1
             if not _at_least(right, left, m0 * s + abs(c0) + m1 * s + abs(c1)):
                 raise InvalidModelValue(f"value drops at boundary {s}: {left} -> {right}")
+
+        segments = []
+        top = -INF
+        for lo, end, m, c in zip(starts, starts[1:] + (INF,), slopes, offsets):
+            hi = min(end, cap)
+            if not hi > lo:
+                break
+            v_lo = max(top, m * lo + c)
+            top = max(v_lo, m * hi + c if math.isfinite(hi) else (INF if m > 0.0 else c))
+            segments.append((lo, hi, m, v_lo, top))
+        events, release = [], (0.0, 0.0)
+        for (lo, hi, m, v_lo, v_hi), nxt in zip(segments, segments[1:] + [None]):
+            rate = 1.0 / m if m > 0.0 else 0.0
+            events.append((v_lo, 0.0 if rate else hi - lo, rate, *release))
+            if hi < INF:
+                held = (hi, hi * v_hi) if nxt is None or nxt[3] > v_hi else (0.0, 0.0)
+                events.append((v_hi, 0.0, -rate, *held))
+                release = (-held[0], -held[1])
+        object.__setattr__(self, "segments", tuple(segments))
+        object.__setattr__(self, "supply_events", tuple(events))
 
     @classmethod
     def from_affine(cls, lat: AffineLatency, cap: float = INF) -> "PiecewiseLatency":
@@ -314,52 +362,6 @@ class PiecewiseLatency:
         x = max(x, _LEAST_NORMAL)
         return (abs(self.slopes[left] * x) + abs(self.offsets[left]),
                 abs(self.slopes[right] * x) + abs(self.offsets[right]))
-
-    @cached_property
-    def segments(self) -> tuple[tuple[float, float, float, float, float], ...]:
-        """Non-empty segments clipped to the cap, as (lo, hi, slope, v_lo, v_hi).
-
-        The latency runs linearly from its right limit ``v_lo`` at flow ``lo``
-        to its left limit ``v_hi`` at flow ``hi``; ``v_hi`` is infinite for an
-        unbounded rising segment.  These corner levels are the only places
-        where the flow a link absorbs at a given latency changes its form.
-        Corner levels never decrease: construction lets the value just after
-        a boundary sit below the value just before it by up to IDENTITY_RTOL
-        of the terms the two values sum, and such a dip is lifted to the
-        earlier level, so that a level equal to one segment's end never
-        counts as above the next segment's start.
-        """
-        out = []
-        ends = self.starts[1:] + (INF,)
-        top = -INF
-        for lo, end, m, c in zip(self.starts, ends, self.slopes, self.offsets):
-            hi = min(end, self.cap)
-            if not hi > lo:
-                break
-            v_lo = max(top, m * lo + c)
-            top = max(v_lo, m * hi + c if math.isfinite(hi) else (INF if m > 0.0 else c))
-            out.append((lo, hi, m, v_lo, top))
-        return tuple(out)
-
-    @cached_property
-    def supply_events(self) -> tuple[tuple[float, float, float, float, float], ...]:
-        """Corner levels as (level, jump, rate change, held flow, held cost).
-
-        The supply, the most flow taken at latency <= L, rises at 1/slope on a
-        rising segment and jumps by a flat segment's width.  Past a segment's
-        end the link holds that flow at that end's latency until its next
-        segment starts, if that start lies higher or there is none.
-        """
-        out, release = [], (0.0, 0.0)
-        segs = self.segments
-        for (lo, hi, m, v_lo, v_hi), nxt in zip(segs, segs[1:] + (None,)):
-            rate = 1.0 / m if m > 0.0 else 0.0
-            out.append((v_lo, 0.0 if rate else hi - lo, rate, *release))
-            if hi < INF:
-                held = (hi, hi * v_hi) if nxt is None or nxt[3] > v_hi else (0.0, 0.0)
-                out.append((v_hi, 0.0, -rate, *held))
-                release = (-held[0], -held[1])
-        return tuple(out)
 
     def dominates(self, base: AffineLatency) -> bool:
         """True when this latency never undercuts the base affine latency.

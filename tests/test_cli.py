@@ -10,7 +10,9 @@ import time
 import pytest
 
 import anarchy.cli as cli
+import anarchy.equilibrium
 from anarchy.cli import main
+from anarchy.equilibrium import EquilibriumCheck
 from conftest import NEGATIVE_OPT, OVERFLOWED_EFFICIENCY
 
 PIGOU = {"links": [{"a": 1, "b": 0}, {"a": 0, "b": 1}]}
@@ -474,6 +476,27 @@ def test_exit_code_overflow(tmp_path, capsys, links, mech, args, message):
     assert main(argv) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("which", ["nash", "opt"])
+def test_exit_code_split_past_overflowed_efficiency(tmp_path, capsys, which):
+    # 1/a of the second link overflows: a rate that opens it names that
+    # link's slope, not an internal sum of flows.
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"links": [{"a": 1, "b": 0}, {"a": 3e-315, "b": 1}]}))
+    assert main(["solve", str(net_path), "--rate", "2", "--which", which]) == 3
+    err = capsys.readouterr().err
+    assert "link 1 (slope 3e-315)" in err and "flows sum to" not in err
+    assert main(["solve", str(net_path), "--rate", "0.4", "--which", which]) == 0
+
+
+def test_exit_code_failed_certificate(pigou_file, mech_file, capsys, monkeypatch):
+    monkeypatch.setattr(anarchy.equilibrium, "is_user_equilibrium",
+                        lambda lats, profile: EquilibriumCheck(False, (0, 1), 2.0, 1.0))
+    argv = ["solve", str(pigou_file), "--rate", "1", "--which", "mn",
+            "--mechanism", str(mech_file)]
+    assert main(argv) == 3
+    assert "non-equilibrium profile" in capsys.readouterr().err
 
 
 def test_overflowed_freeze_point_leaves_links_uncapped(tmp_path, capsys):

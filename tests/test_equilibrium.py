@@ -8,9 +8,11 @@ import pytest
 
 from anarchy import (
     AffineLatency,
+    CertificateFailed,
     EmptyNetwork,
     FlowProfile,
     InfeasibleRate,
+    InvalidModelValue,
     NegativeRate,
     PiecewiseLatency,
     SchemaError,
@@ -35,7 +37,7 @@ from anarchy import (
 )
 import anarchy.analysis
 import anarchy.equilibrium
-from anarchy.equilibrium import _equilibrium_segs, _flow_bounds
+from anarchy.equilibrium import EquilibriumCheck, _equilibrium_segs, _flow_bounds, _two_least
 from anarchy.mechanisms import MIN_PLATEAU_RATIO
 from conftest import random_network
 
@@ -545,6 +547,47 @@ def test_is_user_equilibrium_flags_envy():
     assert check.violator == (1, 0)
     assert check.lhs == pytest.approx(2.8)
     assert check.rhs == pytest.approx(0.2)
+
+
+def test_two_least_matches_min_selection():
+    # The least value's index and the least among the others, the first
+    # index winning ties, as two min calls pick them; with infs and NaNs.
+    rng = random.Random(78)
+    pool = [0.0, 1.0, 1.0, 2.0, math.inf, math.inf, math.nan, -0.0]
+    for _ in range(5000):
+        values = [rng.choice(pool) if rng.random() < 0.7 else rng.uniform(0.0, 2.0)
+                  for _ in range(rng.randint(1, 6))]
+        first = min(range(len(values)), key=values.__getitem__)
+        rest = [g for g in range(len(values)) if g != first]
+        second = min(rest, key=values.__getitem__) if rest else None
+        assert _two_least(values) == (first, second), values
+
+
+def test_water_fill_raises_certificate_failed(monkeypatch):
+    lats = [PiecewiseLatency.from_affine(AffineLatency(1.0, 0.0)),
+            PiecewiseLatency.from_affine(AffineLatency(2.0, 0.5))]
+    monkeypatch.setattr(anarchy.equilibrium, "is_user_equilibrium",
+                        lambda lats, profile: EquilibriumCheck(False, (0, 1), 2.0, 1.0))
+    with pytest.raises(CertificateFailed, match="non-equilibrium profile: \\(0, 1\\)"):
+        water_fill(lats, 1.0)
+
+
+@pytest.mark.parametrize("links, link, slope", [
+    ([{"a": 3e-315, "b": 0}], 0, "3e-315"),
+    ([{"a": 1, "b": 0}, {"a": 3e-315, "b": 1}], 1, "3e-315"),
+    # Each efficiency is finite, their sum is not.
+    ([{"a": 1e-308, "b": 0}, {"a": 1e-308, "b": 1}], 1, "1e-308"),
+])
+def test_split_past_an_overflowed_efficiency_raises(links, link, slope):
+    # 1/a summed over the open links overflows, so the split would be
+    # inf * 0; a demand that opens that link names it and its slope.
+    net = normalize_network(links)
+    rate = 1.5 * net.breakpoints[link] + 2.0
+    for solve in (nash_flow, opt_flow):
+        with pytest.raises(InvalidModelValue, match=f"link {link} \\(slope {slope}\\)") as caught:
+            solve(net, rate)
+        assert "flows sum to" not in str(caught.value)
+        assert solve(net, 0.0).profile.flows == (0.0,) * net.k
 
 
 def test_water_fill_certifies_level_zero_past_a_flat_end():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from anarchy import (
     network_from_dict,
     normalize_network,
 )
+from anarchy.config import IDENTITY_RTOL
 
 
 def corners_rise(lat):
@@ -265,3 +267,107 @@ def test_bad_values_raise_one_typed_error():
         PiecewiseLatency(starts=(0.0,), slopes=(1.0,), offsets=(math.inf,))
     with pytest.raises(InvalidModelValue):
         FlowProfile(rate=1.0, flows=(0.4, 0.4))
+
+
+def reference_segments(lat):
+    """Corner table of a latency, by the walk the constructor replaced."""
+    out = []
+    ends = lat.starts[1:] + (math.inf,)
+    top = -math.inf
+    for lo, end, m, c in zip(lat.starts, ends, lat.slopes, lat.offsets):
+        hi = min(end, lat.cap)
+        if not hi > lo:
+            break
+        v_lo = max(top, m * lo + c)
+        top = max(v_lo, m * hi + c if math.isfinite(hi) else (math.inf if m > 0.0 else c))
+        out.append((lo, hi, m, v_lo, top))
+    return tuple(out)
+
+
+def reference_supply_events(lat):
+    """Supply events of a latency, read off its reference corner table."""
+    out, release = [], (0.0, 0.0)
+    segs = reference_segments(lat)
+    for (lo, hi, m, v_lo, v_hi), nxt in zip(segs, segs[1:] + (None,)):
+        rate = 1.0 / m if m > 0.0 else 0.0
+        out.append((v_lo, 0.0 if rate else hi - lo, rate, *release))
+        if hi < math.inf:
+            held = (hi, hi * v_hi) if nxt is None or nxt[3] > v_hi else (0.0, 0.0)
+            out.append((v_hi, 0.0, -rate, *held))
+            release = (-held[0], -held[1])
+    return tuple(out)
+
+
+def _seeded_latency(rng, scale_x, scale_v):
+    # Up to five segments with flat ones, upward jumps and boundary dips
+    # within IDENTITY_RTOL; the cap lies inside a segment, exactly at or
+    # one double before a segment start, at 0 or -0.0, or is absent.
+    starts = [0.0] + sorted(rng.uniform(0.05, 3.0) * scale_x for _ in range(rng.randint(0, 4)))
+    slopes, offsets = [], []
+    left = rng.uniform(0.0, 2.0) * scale_v
+    for i, s in enumerate(starts):
+        m = 0.0 if rng.random() < 0.3 else rng.uniform(0.1, 3.0) * scale_v / scale_x
+        v = left
+        if i and rng.random() < 0.4:
+            v += rng.uniform(0.0, 1.5) * scale_v
+        elif i and rng.random() < 0.2:
+            v -= rng.uniform(0.0, 0.5) * IDENTITY_RTOL * abs(left)
+        slopes.append(m)
+        offsets.append(v - m * s)
+        if i + 1 < len(starts):
+            left = m * starts[i + 1] + offsets[-1]
+    inner = starts[1:] or [1.0]
+    cap = rng.choice([
+        math.inf, math.inf, rng.uniform(0.2, 4.0) * scale_x, rng.choice(inner),
+        math.nextafter(rng.choice(inner), -math.inf), 0.0, -0.0,
+    ])
+    return PiecewiseLatency(tuple(starts), tuple(slopes), tuple(offsets), cap=cap)
+
+
+def test_corner_tables_match_reference_walk():
+    rng = random.Random(21)
+    scales = (1.0, 10.0, 0.1, 1e8, 1e-8, 1e300, 1e-300)
+    built = dipped = 0
+    for _ in range(3000):
+        try:
+            lat = _seeded_latency(rng, rng.choice(scales), rng.choice(scales))
+        except InvalidModelValue:
+            continue
+        built += 1
+        dipped += any(nxt[3] > nxt[2] * nxt[0] + off
+                      for nxt, off in zip(lat.segments[1:], lat.offsets[1:]))
+        assert lat.segments == reference_segments(lat), lat
+        assert lat.supply_events == reference_supply_events(lat), lat
+    assert built > 2500 and dipped > 20
+    flat_cap = PiecewiseLatency((0.0, 1.0), (1.0, 0.0), (0.0, 1.0), cap=-0.0)
+    assert flat_cap.segments == () and flat_cap.supply_events == ()
+
+
+@pytest.mark.parametrize("starts, slopes, offsets, cap, error, message", [
+    ((), (), (), math.inf, InvalidModelValue, "segments need matching"),
+    ((0.0,), (1.0, 2.0), (0.0,), math.inf, InvalidModelValue, "segments need matching"),
+    ((0.5,), (1.0,), (0.0,), math.inf, InvalidModelValue, "first segment must start at 0"),
+    ((0.0, 0.0), (1.0, 1.0), (0.0, 0.0), math.inf, InvalidModelValue, "strictly increasing"),
+    ((0.0, 2.0, 1.0), (-1.0, 1.0, 1.0), (math.inf, 0.0, 0.0), -1.0, InvalidModelValue,
+     "strictly increasing"),
+    ((0.0, math.nan), (1.0, 1.0), (0.0, 0.0), math.inf, InvalidModelValue, "strictly increasing"),
+    ((0.0, 1.0), (1.0, -1.0), (math.nan, -5.0), -1.0, InvalidModelValue, "slopes must be finite"),
+    ((0.0, 1.0), (1.0, math.inf), (0.0, 0.0), math.nan, InvalidModelValue, "slopes must be finite"),
+    ((0.0, 1.0), (1.0, 1.0), (0.0, math.inf), -1.0, InvalidModelValue, "offsets must be finite"),
+    ((0.0, 1.0), (1.0, 1.0), (0.0, -0.5), -1.0, InvalidModelValue, "cap must be >= 0"),
+    ((0.0, 1.0), (1.0, 1.0), (0.0, -0.5), 0.5, InvalidModelValue,
+     "value drops at boundary 1.0: 1.0 -> 0.5"),
+    ((0.0, 1.0, 2.0), (1.0, 1.0, 1.0), (0.0, 0.0, -0.5), 0.5, InvalidModelValue,
+     "value drops at boundary 2.0: 2.0 -> 1.5"),
+    ((0.0, math.inf), (1.0, 1.0), (0.0, 0.0), math.inf, InvalidModelValue,
+     "value drops at boundary inf"),
+    ((0.5, "x"), (1.0, 1.0), (0.0, 0.0), math.inf, ValueError, "'x'"),
+    ((0.0, 1.0), (None, -1.0), (0.0, 0.0), math.inf, TypeError, "NoneType"),
+    ((0.0, 1.0), (1.0, -1.0), (0.0, "y"), math.inf, ValueError, "'y'"),
+    ((0.0, 1.0), (1.0, -1.0), (0.0, 0.0), "z", ValueError, "'z'"),
+])
+def test_invalid_latency_raises_its_first_error(starts, slopes, offsets, cap, error, message):
+    # Conversion first, then starts, slopes, offsets, cap and the boundaries.
+    with pytest.raises(error, match=re.escape(message)) as caught:
+        PiecewiseLatency(starts, slopes, offsets, cap=cap)
+    assert type(caught.value) is error
