@@ -18,11 +18,10 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .config import DEFAULT_TOLERANCE
-from .equilibrium import _Seg, _same, _swept, nash_flow, opt_flow, water_fill
+from .equilibrium import _Seg, _opt_split, _same, _swept, nash_flow, water_fill
 from .errors import (
     CostOverflow,
     CostUnderflow,
@@ -40,6 +39,10 @@ from .mechanisms import (
     balanced_alpha,
 )
 from .model import INF, ParallelNetwork, PiecewiseLatency
+
+if TYPE_CHECKING:
+    # Imported where the exact recurrence runs: `import anarchy` stays lean.
+    from fractions import Fraction
 
 # A mechanism is carried around as (parameters, modified latencies).
 Mechanism = tuple[Union[ThresholdParams, PlateauParams], Sequence[PiecewiseLatency]]
@@ -120,7 +123,7 @@ def _opt_segs(net: ParallelNetwork) -> Iterator[_Seg]:
     start = net.breakpoints[-1] / 2.0
     if flat and start < INF:
         bk = net.links[-1].intercept
-        yield _Seg(INF, False, f"opt{k}", start, opt_flow(net, start).cost, bk, 0.0)
+        yield _Seg(INF, False, f"opt{k}", start, _opt_split(net, start)[2], bk, 0.0)
 
 
 def _cut(segs: Iterator[_Seg], marks: Iterable[tuple[float, bool, str]]) -> Iterator[_Seg]:
@@ -354,10 +357,12 @@ def _prepend(P: Fraction, value: Fraction, R: Fraction | int) -> tuple[Fraction,
     longer suffix.
     """
     P *= 1 + R
-    return P, max(4 * P * P / (3 * P * P + 1), (1 + Fraction(1) / R) ** 2 * value)
+    return P, max(4 * P * P / (3 * P * P + 1), (R + 1) ** 2 * value / (R * R))
 
 
 def _exact_recurrence(Rs: Sequence[Fraction]) -> Fraction:
+    from fractions import Fraction
+
     P = value = Fraction(1)
     for R in reversed(Rs):
         P, value = _prepend(P, value, R)
@@ -383,6 +388,8 @@ def recurrence_bound(R_values: Sequence[float]) -> BoundReport:
     4/3 stays meaningful when doubles saturate.  Multipliers beyond the
     float range raise ParamOutOfRange.
     """
+    from fractions import Fraction
+
     _check_multipliers(R_values)
     Rs = [Fraction(x) for x in R_values]
     exact = _exact_recurrence(Rs)
@@ -410,6 +417,8 @@ def greedy_parameters(k: int) -> list[int]:
     the threshold mechanism needs, from 8 links on; such k raise
     ParamOutOfRange.
     """
+    from fractions import Fraction
+
     if k < 1:
         raise EmptyNetwork(f"need at least one link, got k={k}")
     Rs: list[int] = []

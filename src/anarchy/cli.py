@@ -14,14 +14,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import math
 import os
 import random
 import sys
-from datetime import datetime, timezone
-from fractions import Fraction
 
 from .analysis import (
     Mechanism,
@@ -99,6 +96,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _sha256(path: str) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -108,6 +107,10 @@ def _sha256(path: str) -> str:
 
 def _write_manifest(directory: str, argv: list[str], inputs: list[str],
                     outputs: list[str]) -> str:
+    # datetime here and hashlib in _sha256 are imported on first use: only
+    # commands that write files need them.
+    from datetime import datetime, timezone
+
     manifest = {
         "command": ["anarchy", *argv],
         "version": _version(),
@@ -294,10 +297,14 @@ def _random_network(rng: random.Random, kmax: int = 5) -> ParallelNetwork:
     return normalize_network(links)
 
 
-def _require(cond: object, msg: object) -> None:
-    """Fail a verify check; unlike ``assert``, this also runs under ``python -O``."""
+def _require(cond: object, msg: object, *args: object) -> None:
+    """Fail a verify check; unlike ``assert``, this also runs under ``python -O``.
+
+    With ``args``, ``msg`` is a ``str.format`` template, filled in only when
+    the check fails, so a passing check formats nothing.
+    """
     if not cond:
-        raise AssertionError(msg)
+        raise AssertionError(msg.format(*args) if args else msg)
 
 
 def _require_water_fill_matches_nash(net: ParallelNetwork, rates: tuple[float, ...]) -> None:
@@ -306,14 +313,14 @@ def _require_water_fill_matches_nash(net: ParallelNetwork, rates: tuple[float, .
         wf = water_fill(lats, rate)
         cf = nash_flow(net, rate)
         _require(abs(wf.cost - cf.cost) <= DEFAULT_TOLERANCE * cf.cost,
-                 f"{wf.cost} vs {cf.cost} at rate {rate}")
+                 "{} vs {} at rate {}", wf.cost, cf.cost, rate)
 
 
 def pigou_peak_four_thirds(seed: int) -> None:
     net = normalize_network([{"a": 1, "b": 0}, {"a": 0, "b": 1}])
     val, where = ratio_sup(net)
-    _require(abs(val - 4.0 / 3.0) <= 1e-12, f"peak {val}")
-    _require(abs(where - 1.0) <= 1e-9, f"peak location {where}")
+    _require(abs(val - 4.0 / 3.0) <= 1e-12, "peak {}", val)
+    _require(abs(where - 1.0) <= 1e-9, "peak location {}", where)
 
 
 def pigou_cap_curve_flat(seed: int) -> None:
@@ -321,7 +328,7 @@ def pigou_cap_curve_flat(seed: int) -> None:
     mech = build_threshold_mechanism(net, [2.0])
     rows = [0.01 + 2.99 * i / 200 for i in range(201)]
     for s in ratio_curve(net, mech, rows):
-        _require(abs(s.ratio - 1.0) <= 1e-12, f"ratio {s.ratio} at r={s.r}")
+        _require(abs(s.ratio - 1.0) <= 1e-12, "ratio {} at r={}", s.ratio, s.r)
 
 
 def two_link_bound_meets_at_four(seed: int) -> None:
@@ -336,6 +343,8 @@ def water_fill_matches_closed_form(seed: int) -> None:
 
 
 def recurrence_single_seven(seed: int) -> None:
+    from fractions import Fraction
+
     rep = recurrence_bound([7.0])
     _require(rep.details is not None, "no exact value")
     got = Fraction(int(rep.details["exact_numerator"]),
@@ -400,7 +409,7 @@ def random_usage_order(seed: int) -> None:
         R = [rng.uniform(2.0, 10.0) for _ in range(net.k - 1)]
         params, _ = build_threshold_mechanism(net, R)
         check = mn_uses_links_no_earlier_than_opt(net, params)
-        _require(check, f"link {check.link} opens at {check.first_used_rate}")
+        _require(check, "link {} opens at {}", check.link, check.first_used_rate)
 
 
 # The verify suites, in report order.  Each check is named as it reports,

@@ -22,6 +22,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .config import DEFAULT_TOLERANCE, IDENTITY_RTOL
 from .errors import (
     CertificateFailed,
+    CostOverflow,
     EmptyNetwork,
     InfeasibleRate,
     InvalidModelValue,
@@ -61,9 +62,21 @@ class EquilibriumCheck:
         return self.ok
 
 
+def _cost_sum(terms: Iterator[float]) -> float:
+    # math.fsum of non-negative cost terms, inf where finite terms sum past
+    # the float range (fsum raises OverflowError there).
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return INF
+
+
 def profile_cost(lats: Sequence[PiecewiseLatency], flows: Sequence[float]) -> float:
-    """Total travel cost sum f_i * latency_i(f_i); zero-flow links cost zero."""
-    return math.fsum(f * lats[i].value(f) for i, f in enumerate(flows) if f > 0.0)
+    """Total travel cost sum f_i * latency_i(f_i); zero-flow links cost zero.
+
+    A cost past the float range is inf.
+    """
+    return _cost_sum(f * lats[i].value(f) for i, f in enumerate(flows) if f > 0.0)
 
 
 def _segment_index(breakpoints: Sequence[float], r: float) -> int:
@@ -102,22 +115,63 @@ def _selfish_split(net: ParallelNetwork, rate: float) -> tuple[list[float], floa
     return flows, (rate + net.off_prefix[j - 1]) / eff_j, j
 
 
+def _finite_cost(cost: float, rate: float) -> float:
+    # At demand 0 nothing flows and nothing costs, though a closed form can
+    # read inf * 0 there.  Elsewhere a cost past the float range, or a closed
+    # form that overflows in a term and comes out inf, -inf or NaN, is no cost.
+    if math.isfinite(cost):
+        return cost
+    if rate == 0.0:
+        return 0.0
+    raise CostOverflow(f"the cost overflows at demand {rate!r}: {cost!r}")
+
+
+def _selfish_profile(net: ParallelNetwork, rate: float) -> tuple[FlowProfile, float, int]:
+    # The selfish split as a checked profile, with its level and open link
+    # count: nash_flow without the cost, which can overflow where the flows
+    # do not.
+    check_rate(rate)
+    flows, level, j = _selfish_split(net, rate)
+    return FlowProfile(rate=rate, flows=tuple(flows)), level, j
+
+
 def nash_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     """Selfish flow: used links share one latency level.
 
     With j links open, link i carries rate * eff_i / eff_prefix_j plus a
     rate-independent correction; the level is (rate + off_prefix_j) / eff_prefix_j.
     A zero-slope final link pins the level at its intercept once demand
-    reaches the last breakpoint.
+    reaches the last breakpoint.  A cost that does not come out finite
+    raises CostOverflow.
     """
-    check_rate(rate)
-    flows, level, j = _selfish_split(net, rate)
-    profile = FlowProfile(rate=rate, flows=tuple(flows))
+    profile, level, j = _selfish_profile(net, rate)
     if net.has_flat_tail and j == net.k:
         cost = rate * level
     else:
         cost = (rate * rate + net.off_prefix[j - 1] * rate) / net.eff_prefix[j - 1]
-    return EquilibriumResult(profile, level=level, used_count=profile.used_count, cost=cost)
+    return EquilibriumResult(profile, level=level, used_count=profile.used_count,
+                             cost=_finite_cost(cost, rate))
+
+
+def _opt_split(net: ParallelNetwork, rate: float) -> tuple[FlowProfile, float, float]:
+    # opt_flow's profile, level and cost, the cost unchecked: cost_pieces
+    # takes it as a constant term, which _ratio checks where it is read.
+    check_rate(rate)
+    doubled, level, h = _selfish_split(net, 2.0 * rate)
+    if 2.0 * rate == INF:  # after the split, which names an overflowed efficiency
+        raise CostOverflow(f"twice the demand {rate!r} overflows, so no optimal split is known")
+    flows = tuple(f / 2.0 for f in doubled)
+    profile = FlowProfile(rate=rate, flows=flows)
+    if net.has_flat_tail and h == net.k:
+        bk = level
+        cost = _cost_sum(
+            (bk * bk - b * b) * e / 4.0
+            for b, e in zip(net.intercepts[:-1], net.efficiency[:-1])
+        ) + flows[-1] * bk
+    else:
+        eff_h = net.eff_prefix[h - 1]
+        cost = (rate * rate + net.off_prefix[h - 1] * rate) / eff_h - net.spread_prefix[h - 1] / 4.0
+    return profile, level, cost
 
 
 def opt_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
@@ -128,22 +182,13 @@ def opt_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     and the reported level, the equalized marginal cost, is that flow's
     level.  Link h therefore opens at half its selfish breakpoint.  The cost
     is (rate^2 + off_prefix_h * rate) / eff_prefix_h minus a quarter of the
-    intercept spread ``spread_prefix`` of the used links.
+    intercept spread ``spread_prefix`` of the used links.  A demand whose
+    double leaves the float range, or a cost that does not come out finite,
+    raises CostOverflow.
     """
-    check_rate(rate)
-    doubled, level, h = _selfish_split(net, 2.0 * rate)
-    flows = tuple(f / 2.0 for f in doubled)
-    profile = FlowProfile(rate=rate, flows=flows)
-    if net.has_flat_tail and h == net.k:
-        bk = level
-        cost = math.fsum(
-            (bk * bk - b * b) * e / 4.0
-            for b, e in zip(net.intercepts[:-1], net.efficiency[:-1])
-        ) + flows[-1] * bk
-    else:
-        eff_h = net.eff_prefix[h - 1]
-        cost = (rate * rate + net.off_prefix[h - 1] * rate) / eff_h - net.spread_prefix[h - 1] / 4.0
-    return EquilibriumResult(profile, level=level, used_count=profile.used_count, cost=cost)
+    profile, level, cost = _opt_split(net, rate)
+    return EquilibriumResult(profile, level=level, used_count=profile.used_count,
+                             cost=_finite_cost(cost, rate))
 
 
 def cost_increment(net: ParallelNetwork, s: float, r: float, j: int,
@@ -299,7 +344,8 @@ def water_fill(lats: Sequence, rate: float, *,
     proportionally to their widths and is verified to be an equilibrium;
     a profile that fails raises CertificateFailed.
     A rate above the sweep's end, the sum of the caps when every link is
-    capped, raises InfeasibleRate; an empty latency list raises EmptyNetwork.
+    capped, raises InfeasibleRate; an empty latency list raises EmptyNetwork;
+    a level or cost past the float range raises CostOverflow.
     """
     lats = tuple(lats)
     seg = _piece_at(lats, rate)
@@ -307,15 +353,23 @@ def water_fill(lats: Sequence, rate: float, *,
     if corner + past >= seg.top:
         corner, past = seg.top, 0.0
     level = corner + past
+    if not level < INF:
+        raise CostOverflow(f"the water-fill level overflows at demand {rate!r}")
     intervals = []
     for lat in lats:
         least, most = _flow_bounds(lat, corner, past)
         hi_f = min(most, rate)
         intervals.append((min(least, hi_f), hi_f))
     total_lo = math.fsum(lo for lo, _ in intervals)
-    total_hi = math.fsum(hi for _, hi in intervals)
-    spread = total_hi - total_lo
-    t = 0.0 if spread <= 0.0 else min(1.0, max(0.0, (rate - total_lo) / spread))
+    try:
+        room, spread = rate - total_lo, math.fsum(hi for _, hi in intervals) - total_lo
+    except OverflowError:
+        # The greatest flows sum past the float range; each is at most the
+        # rate, so at 1/n of the scale they do not, and the share is the same.
+        n = len(intervals)
+        room = (rate - total_lo) / n
+        spread = math.fsum(hi / n for _, hi in intervals) - total_lo / n
+    t = 0.0 if spread <= 0.0 else min(1.0, max(0.0, room / spread))
     flows = tuple(min(hi, lo + t * (hi - lo)) for lo, hi in intervals)
 
     profile = FlowProfile(rate=rate, flows=flows, latency_family=latency_family)
@@ -329,7 +383,7 @@ def water_fill(lats: Sequence, rate: float, *,
         profile,
         level=level,
         used_count=profile.used_count,
-        cost=profile_cost(lats, flows),
+        cost=_finite_cost(profile_cost(lats, flows), rate),
         per_link_interval=tuple(intervals),
     )
 
@@ -466,9 +520,10 @@ def worst_equilibrium_cost(lats: Sequence[PiecewiseLatency], rate: float) -> flo
     each latency object, so further rates on them cost no new sweep, while
     new or replaced latencies, even equal ones, are swept anew.  A rate
     above the sum of the caps, when every link is capped, raises
-    InfeasibleRate and an empty list EmptyNetwork, as in :func:`water_fill`.
+    InfeasibleRate and an empty list EmptyNetwork, as in :func:`water_fill`;
+    a cost past the float range raises CostOverflow.
     """
-    return _piece_at(lats, rate).at(rate)[0]
+    return _finite_cost(_piece_at(lats, rate).at(rate)[0], rate)
 
 
 worst_equilibrium_cost_two_links = worst_equilibrium_cost

@@ -17,7 +17,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .config import DEFAULT_TOLERANCE
-from .equilibrium import nash_flow
+from .equilibrium import _selfish_profile
 from .errors import (
     BadParamCount,
     NotTwoLinks,
@@ -56,15 +56,15 @@ def _check_multipliers(values: Sequence[float]) -> tuple[float, ...]:
 class FreezeStage:
     """One step of the threshold recursion.
 
-    The stage fills the suffix that begins at ``start`` from total demand
-    ``global_start_rate`` on.  Its links run up to the next stage's start,
-    where they freeze at their caps in ``ThresholdParams.thresholds``; the
-    last stage runs to the last link and absorbs everything that remains.
+    From total demand ``global_start_rate`` on the stage fills ``segment``,
+    links ``start`` up to the next stage's start (stage 0 keeps the whole
+    network), which freeze there at their caps in ``ThresholdParams.thresholds``;
+    the last stage runs to the last link and absorbs everything that remains.
     """
 
     start: int
     global_start_rate: float
-    suffix_net: ParallelNetwork
+    segment: ParallelNetwork
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,11 @@ def build_threshold_mechanism(
     thresholds: list[float | None] = [None] * net.k
     freeze_points = tuple(net.breakpoints[t] / 2.0 for t in triggers)
     stages = [FreezeStage(0, 0.0, net)]
-    for t, freeze in zip(triggers, freeze_points):
+    for t, end, freeze in zip(triggers, [*triggers[1:], net.k], freeze_points):
         stage = stages[-1]
-        frozen = nash_flow(stage.suffix_net, freeze - stage.global_start_rate)
-        thresholds[stage.start:t] = frozen.profile.flows[: t - stage.start]
-        stages.append(FreezeStage(t, freeze, net.suffix(t)))
+        frozen = _selfish_profile(stage.segment, freeze - stage.global_start_rate)[0]
+        thresholds[stage.start:t] = frozen.flows[: t - stage.start]
+        stages.append(FreezeStage(t, freeze, net.segment(t, end)))
 
     params = ThresholdParams(
         R=R,
@@ -134,16 +134,16 @@ def build_threshold_mechanism(
 def mn_flow(net: ParallelNetwork, params: ThresholdParams, rate: float) -> FlowProfile:
     """Equilibrium flow under the threshold modification.
 
-    Demand fills each stage's suffix selfishly until the stage freezes, then
-    spills into the next suffix; below the first freeze point this is the
-    unmodified selfish flow.
+    Demand fills each stage's segment selfishly until the stage freezes,
+    then spills into the next segment; below the first freeze point this is
+    the unmodified selfish flow.  Links past the segment carry nothing.
     """
     check_rate(rate)
     # Stage s holds the demands in (freeze_points[s-1], freeze_points[s]],
     # the same cut that cost_pieces makes; the links before it are frozen.
     stage = params.stages[bisect_left(params.freeze_points, rate)]
-    inner = nash_flow(stage.suffix_net, rate - stage.global_start_rate)
-    flows = params.thresholds[:stage.start] + inner.profile.flows
+    inner = _selfish_profile(stage.segment, rate - stage.global_start_rate)[0].flows
+    flows = params.thresholds[:stage.start] + inner + (0.0,) * (net.k - stage.start - len(inner))
     return FlowProfile(rate=rate, flows=flows, latency_family="modified")
 
 
@@ -165,7 +165,7 @@ def mn_uses_links_no_earlier_than_opt(net: ParallelNetwork,
     """Verify the modified flow never opens a link before the optimum would.
 
     The rate at which the modified flow first loads link h is the stage's
-    global start plus the suffix breakpoint of h; it must be at least half
+    global start plus the segment breakpoint of h; it must be at least half
     the global breakpoint of h, less DEFAULT_TOLERANCE of it.  Frozen-at-zero
     links never open.
     """
@@ -174,7 +174,7 @@ def mn_uses_links_no_earlier_than_opt(net: ParallelNetwork,
         for h in range(stage.start, end):
             if params.thresholds[h] == 0.0:
                 continue  # frozen before ever opening
-            first_used = stage.global_start_rate + stage.suffix_net.breakpoints[h - stage.start]
+            first_used = stage.global_start_rate + stage.segment.breakpoints[h - stage.start]
             opt_start = net.breakpoints[h] / 2.0
             if first_used < opt_start * (1.0 - DEFAULT_TOLERANCE):
                 return LinkUsageCheck(False, link=h, first_used_rate=first_used,

@@ -121,9 +121,9 @@ class ParallelNetwork:
             out.append(spread)
         return tuple(out)
 
-    def suffix(self, start: int) -> "ParallelNetwork":
-        """Sub-instance on links start..k-1 (already sorted and merged)."""
-        return normalize_network(self.links[start:])
+    def segment(self, start: int, end: int) -> "ParallelNetwork":
+        """Sub-instance on links start..end-1 (already sorted and merged)."""
+        return normalize_network(self.links[start:end])
 
     def to_json_dict(self) -> dict:
         return {"links": [{"a": l.slope, "b": l.intercept} for l in self.links]}

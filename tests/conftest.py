@@ -18,6 +18,11 @@ NEGATIVE_OPT = [
     {"a": 2.5058956042101665e-296, "b": 4.953757606126863e-77},
     {"a": 1e-300, "b": 1.4524961336438668e+172},
 ]
+# Slopes of 1e-300: each efficiency is 1e300, and their product overflows.
+TINY_SLOPES = [{"a": 1e-300, "b": 0}, {"a": 1e-300, "b": 1e-300}]
+# Past the zero-slope tail, the optimal cost sums six finite terms of about
+# 4e307 each, past the float range.
+OVERFLOWING_TAIL = [*({"a": 1e-300, "b": i * 1e-3} for i in range(6)), {"a": 0, "b": 1.3e4}]
 # 1/a of the second link overflows to inf; it opens below the demand given.
 OVERFLOWED_EFFICIENCY = [
     ([{"a": 7.138698153057926e-282, "b": 0}, {"a": 3.438020993e-315, "b": 2.852124733339543e-47}],

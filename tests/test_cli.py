@@ -13,7 +13,7 @@ import anarchy.cli as cli
 import anarchy.equilibrium
 from anarchy.cli import main
 from anarchy.equilibrium import EquilibriumCheck
-from conftest import NEGATIVE_OPT, OVERFLOWED_EFFICIENCY
+from conftest import NEGATIVE_OPT, OVERFLOWED_EFFICIENCY, OVERFLOWING_TAIL, TINY_SLOPES
 
 PIGOU = {"links": [{"a": 1, "b": 0}, {"a": 0, "b": 1}]}
 # A JSON integer beyond the float range.
@@ -184,7 +184,8 @@ def test_import_leaves_package_metadata_unloaded(tmp_path):
         "import sys\n"
         f"sys.path.insert(0, {os.path.abspath(src)!r})\n"
         "import anarchy.cli\n"
-        "assert 'importlib.metadata' not in sys.modules, 'importlib.metadata imported'\n"
+        "for name in ('importlib.metadata', 'fractions', 'hashlib', 'datetime'):\n"
+        "    assert name not in sys.modules, name + ' imported'\n"
     )
     done = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=120)
@@ -460,6 +461,17 @@ def test_exit_code_cost_underflow(tmp_path, capsys, links, extra):
         # The intercept spread overflows: the optimal cost is -inf or NaN.
         *[(links, None, ["curve"], "costs overflow")
           for links in [NEGATIVE_OPT, *(links for links, _ in OVERFLOWED_EFFICIENCY)]],
+        (OVERFLOWING_TAIL, None, ["curve"], "costs overflow"),
+        # The closed-form costs come out -inf, inf or NaN where the costs
+        # are about 8.75e-301 and 5e99, and past the float range at 1.5e308.
+        (TINY_SLOPES, None, ["solve", "--rate", "1", "--which", "opt"], "cost overflows"),
+        (TINY_SLOPES, None, ["solve", "--rate", "1e200", "--which", "nash"], "cost overflows"),
+        (TINY_SLOPES, None, ["solve", "--rate", "1e200", "--which", "opt"], "cost overflows"),
+        (TINY_SLOPES, {"kind": "threshold", "R": [2]},
+         ["solve", "--rate", "1.5e308", "--which", "mn"], "cost overflows"),
+        # Twice the demand overflows; the cost is 4.5e307.
+        ([{"a": 1, "b": 0}, {"a": 0, "b": 0.5}], None,
+         ["solve", "--rate", "9e307", "--which", "opt"], "twice the demand 9e+307"),
     ],
 )
 def test_exit_code_overflow(tmp_path, capsys, links, mech, args, message):
@@ -476,6 +488,19 @@ def test_exit_code_overflow(tmp_path, capsys, links, mech, args, message):
     assert main(argv) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("links, rate, which, cost", [
+    (TINY_SLOPES, "1e200", "mn", "5e+99"),
+    ([{"a": 1, "b": 0}, {"a": 0, "b": 0.5}], "9e307", "nash", "4.5e+307"),
+])
+def test_solve_finite_cost_near_the_float_range(tmp_path, capsys, links, rate, which, cost):
+    net_path, mech_path = tmp_path / "net.json", tmp_path / "mech.json"
+    net_path.write_text(json.dumps({"links": links}))
+    mech_path.write_text(json.dumps({"kind": "threshold", "R": [2]}))
+    argv = ["solve", str(net_path), "--rate", rate, "--which", which]
+    assert main([*argv, "--mechanism", str(mech_path)] if which == "mn" else argv) == 0
+    assert f"cost {cost} " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("which", ["nash", "opt"])
@@ -563,6 +588,26 @@ def test_verify_core(tmp_path, capsys):
     assert report["suite"] == "core"
     assert all(entry["ok"] for entry in report["results"])
     assert (tmp_path / "run_manifest.json").exists()
+
+
+def test_verify_reports_first_bad_row(tmp_path, capsys, monkeypatch):
+    # Two bad curve rows: the check fails, and its witness names the first.
+    real = cli.ratio_curve
+
+    def bad_rows(*args):
+        samples = real(*args)
+        for i in (7, 9):
+            samples[i] = samples[i]._replace(ratio=1.5)
+        return samples
+
+    monkeypatch.setattr(cli, "ratio_curve", bad_rows)
+    assert main(["verify", "--suite", "core", "--out", str(tmp_path)]) == 1
+    r = 0.01 + 2.99 * 7 / 200
+    out = capsys.readouterr().out
+    assert f"FAIL pigou_cap_curve_flat: ratio 1.5 at r={r}\n" in out
+    assert out.count("FAIL") == 1
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["results"][1]["witness"] == f"ratio 1.5 at r={r}"
 
 
 def test_verify_known(tmp_path, capsys):

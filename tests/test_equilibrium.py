@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from bisect import bisect_left
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from anarchy import (
     AffineLatency,
     CertificateFailed,
+    CostOverflow,
     EmptyNetwork,
     FlowProfile,
     InfeasibleRate,
@@ -39,7 +41,7 @@ import anarchy.analysis
 import anarchy.equilibrium
 from anarchy.equilibrium import EquilibriumCheck, _equilibrium_segs, _flow_bounds, _two_least
 from anarchy.mechanisms import MIN_PLATEAU_RATIO
-from conftest import random_network
+from conftest import NEGATIVE_OPT, OVERFLOWING_TAIL, TINY_SLOPES, random_network
 
 # Two-link plateau instance whose water-fill once collapsed the first link's
 # interval: hold_end recomputed from the level came out one ulp off.
@@ -588,6 +590,75 @@ def test_split_past_an_overflowed_efficiency_raises(links, link, slope):
             solve(net, rate)
         assert "flows sum to" not in str(caught.value)
         assert solve(net, 0.0).profile.flows == (0.0,) * net.k
+
+
+@pytest.mark.parametrize("links, rate, solve, shown", [
+    # A Welford term of the intercept spread overflows (e * total = 1e600),
+    # so the optimal cost reads -inf; it is about 8.75e-301.
+    (TINY_SLOPES, 1.0, opt_flow, "-inf"),
+    (NEGATIVE_OPT, 1e30, opt_flow, "-inf"),
+    # rate * rate overflows, where the costs are about 5e99.
+    (TINY_SLOPES, 1e200, nash_flow, "inf"),
+    (TINY_SLOPES, 1e200, opt_flow, "nan"),
+    (OVERFLOWING_TAIL, 1e305, opt_flow, "inf"),
+])
+def test_non_finite_closed_form_cost_raises_overflow(links, rate, solve, shown):
+    with pytest.raises(CostOverflow, match=re.escape(f"demand {rate!r}: {shown}")):
+        solve(normalize_network(links), rate)
+
+
+def test_opt_flow_past_half_the_float_range():
+    # Twice the demand overflows: the doubled selfish split is no split.
+    net = normalize_network([{"a": 1, "b": 0}, {"a": 0, "b": 0.5}])
+    with pytest.raises(CostOverflow, match=re.escape("twice the demand 9e+307")):
+        opt_flow(net, 9e307)
+    assert nash_flow(net, 9e307).cost == 9e307 * 0.5
+
+
+def test_water_fill_past_the_float_range():
+    # Both links can take the whole rate, and the greatest flows sum past
+    # the float range; the split itself is finite.
+    flat = [PiecewiseLatency.from_affine(AffineLatency(0.0, 1.0))] * 2
+    res = water_fill(flat, 1e308)
+    assert res.profile.flows == (5e307, 5e307)
+    assert res.cost == 1e308
+    # The cost itself overflows: in a term, or in the sum of finite terms.
+    with pytest.raises(CostOverflow, match="cost overflows at demand 1.5e"):
+        water_fill(as_pieces(normalize_network(TINY_SLOPES)), 1.5e308)
+    pricier = [PiecewiseLatency.from_affine(AffineLatency(0.0, 1.5))] * 2
+    assert profile_cost(pricier, (7.5e307, 7.5e307)) == math.inf
+    with pytest.raises(CostOverflow, match="cost overflows at demand 1.5e"):
+        water_fill(pricier, 1.5e308)
+    # The level overflows.
+    steep = normalize_network([{"a": 5.731200257119632e+153, "b": 0},
+                               {"a": 8.180374908255603e+18, "b": 8.425159379790497e-72},
+                               {"a": 3.2947012721814057e+214, "b": 2.95270254438802e-44}])
+    with pytest.raises(CostOverflow, match="level overflows at demand 9e"):
+        water_fill(as_pieces(steep), 9e307)
+
+
+def test_worst_equilibrium_cost_past_the_float_range():
+    # Latencies near 1e300 at a demand of 4e291: the costliest equilibrium
+    # overflows, and water_fill fails its own certificate, by 3.6e-9.
+    lats = [
+        PiecewiseLatency((0.0, 0.0786309891558882, 0.2310313258936454, 0.24201022583103526),
+                         (2.38049973516264e+301, 0.0, 2.249471568219311e+301, 5.972693946022616e+300),
+                         (2.188203221727081e+297, 2.4336478814063017e+300, -2.742806692837736e+300,
+                          1.2556915187180626e+300), 0.16541370483903395),
+        PiecewiseLatency((0.0, 2.197645227240988, 2.4704718044987635),
+                         (1.1922007272733874e+299, 1.1279661715181184e+299, 0.0),
+                         (1.9121793504427416e+300, 2.0587664519649988e+300, 3.681430865039991e+300)),
+        PiecewiseLatency((0.0, 15176323.835745148, 180897741.5535984),
+                         (0.21232875171087964, 2.9044026878405016, 0.7866214976393819),
+                         (46685802.7119164, 5830016.867444158, 395886222.16401714), 180897741.5535984),
+        PiecewiseLatency((0.0, 1.713253148779874e-08), (135061311.26492882, 72198173.43873087),
+                         (1.4469706525167916, 2.52397534074596)),
+    ]
+    rate = 4.188959020557902e+291
+    with pytest.raises(CostOverflow, match=re.escape(f"demand {rate!r}: inf")):
+        worst_equilibrium_cost(lats, rate)
+    with pytest.raises(CertificateFailed):
+        water_fill(lats, rate)
 
 
 def test_water_fill_certifies_level_zero_past_a_flat_end():

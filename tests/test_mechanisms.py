@@ -133,10 +133,9 @@ def test_mn_flow_stage_matches_curve_regime():
                 regime = ratio_curve(net, (params, lats), [rate])[0].regime
                 idx = int(regime.split("/")[0][len("stage"):])
                 stage = params.stages[idx]
-                want = [0.0] * net.k
-                want[:stage.start] = params.thresholds[:stage.start]
-                inner = nash_flow(stage.suffix_net, rate - stage.global_start_rate)
-                want[stage.start:] = inner.profile.flows
+                inner = nash_flow(stage.segment, rate - stage.global_start_rate).profile.flows
+                padding = [0.0] * (net.k - stage.start - len(inner))
+                want = [*params.thresholds[:stage.start], *inner, *padding]
                 assert mn_flow(net, params, rate).flows == tuple(want), (
                     net.to_json_dict(), R, rate, regime)
                 checked += 1
@@ -163,23 +162,45 @@ def test_threshold_build_matches_brute_force_on_planted_chains():
         params, lats = build_threshold_mechanism(net, R)
         triggers = [t for t in range(1, net.k)
                     if net.efficiency[t] > R[t - 1] * sum(net.efficiency[:t])]
+        case = (net.to_json_dict(), R)
         want = [None] * net.k
         start, start_rate = 0, 0.0
         for t in triggers:
             freeze = net.breakpoints[t] / 2.0
-            caps = nash_flow(net.suffix(start), freeze - start_rate).profile.flows
+            suffix = normalize_network(net.links[start:])
+            caps = nash_flow(suffix, freeze - start_rate).profile.flows
             want[start:t] = caps[:t - start]
+            # The stage freezes before link t opens in the suffix, so a
+            # segment that ends at t splits the demand as the suffix does.
+            assert freeze - start_rate < suffix.breakpoints[t - start], case
             start, start_rate = t, freeze
-        case = (net.to_json_dict(), R)
         assert params.freeze_points == tuple(net.breakpoints[t] / 2.0 for t in triggers), case
         assert params.thresholds == tuple(want), case
         assert [s.start for s in params.stages] == [0, *triggers], case
         assert [s.global_start_rate for s in params.stages] == [0.0, *params.freeze_points], case
-        assert all(s.suffix_net == net.suffix(s.start) for s in params.stages), case
-        assert params.stages[0].suffix_net is net, case
+        ends = [*triggers[1:], net.k]
+        assert [s.segment for s in params.stages[1:]] == [
+            net.segment(t, end) for t, end in zip(triggers, ends)], case
+        assert params.stages[0].segment is net, case
         assert [lat.cap for lat in lats] == [math.inf if c is None else c for c in want], case
         frozen_stages += len(triggers)
     assert frozen_stages >= 100
+
+
+def test_all_trigger_chain_stages_hold_their_own_links():
+    # The all-trigger chain: every link of a_t = 3.5^-(t - k/2), b_t = t
+    # triggers at R = 2.  Stage 0 keeps the network; each later stage keeps
+    # only its own links, so the build stays linear in k.
+    k = 400
+    net = normalize_network([{"a": 3.5 ** -(t - k / 2), "b": float(t)} for t in range(k)])
+    params, _ = build_threshold_mechanism(net, [2.0] * (k - 1))
+    starts = [s.start for s in params.stages]
+    assert starts == list(range(k))
+    assert params.stages[0].segment is net
+    sizes = [s.segment.k for s in params.stages[1:]]
+    assert sizes == [end - start for start, end in zip(starts[1:], [*starts[2:], k])]
+    assert sum(sizes) == k - starts[1]
+    assert mn_uses_links_no_earlier_than_opt(net, params)
 
 
 def test_usage_order_seeded():

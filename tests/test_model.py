@@ -136,12 +136,17 @@ def test_normalize_network_schema_errors():
         normalize_network([{"a": 1, "b": 0}, 3])
 
 
-def test_suffix_reuses_links():
+def test_segment_keeps_its_links():
     net = normalize_network([{"a": 1, "b": 0}, {"a": 1, "b": 1}, {"a": 1, "b": 2}])
-    suf = net.suffix(1)
-    assert suf.k == 2
-    assert suf.intercepts == (1.0, 2.0)
-    assert suf.breakpoints[1] == pytest.approx(1.0)
+    tail = net.segment(1, 3)
+    assert tail.k == 2
+    assert tail.intercepts == (1.0, 2.0)
+    assert tail.breakpoints[1] == pytest.approx(1.0)
+    # A shorter segment's prefix aggregates are the leading ones of a longer.
+    head = net.segment(1, 2)
+    assert head.links == net.links[1:2]
+    for name in ("efficiency", "eff_prefix", "off_prefix", "breakpoints"):
+        assert getattr(head, name) == getattr(tail, name)[:1], name
 
 
 class TestPiecewiseLatency:
