@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .config import DEFAULT_TOLERANCE
-from .equilibrium import _Seg, _opt_split, _same, _swept, nash_flow, water_fill
+from .equilibrium import _Seg, _same, _swept, nash_flow, water_fill
 from .errors import (
     CostOverflow,
     CostUnderflow,
@@ -98,32 +98,25 @@ class CostPiece(NamedTuple):
         return n0 + u * (n1 + u * n2), d0 + u * (d1 + u * d2)
 
 
-def _nash_segs(net: ParallelNetwork) -> Iterator[_Seg]:
-    # Selfish cost (r^2 + off_j r) / E_j while j links are used; a zero-slope
-    # last link takes every demand from its breakpoint on at its intercept.
+def _cost_segs(net: ParallelNetwork, name: str, scale: float) -> Iterator[_Seg]:
+    # The selfish (scale 1) or optimal (scale 1/2) cost while j links are
+    # used, from scale * breakpoints[j-1] on: C + C' u + u^2 / E_j, anchored
+    # there.  C' is the intercept of the link that opens at the anchor, the
+    # marginal cost there; the selfish cost r * L adds r / E_j to it.  C
+    # carries from piece to piece, adding only non-negative terms.  A
+    # zero-slope tail has 1 / E = 0; a piece past an overflowed summed
+    # efficiency carries NaN, which reads as no cost.
     k, flat = net.k, net.has_flat_tail
-    for j in range(1, k + 1 - flat):
-        e, o = net.eff_prefix[j - 1], net.off_prefix[j - 1]
-        hi = net.breakpoints[j] if j < k else INF
-        yield _Seg(hi, not (flat and j == k - 1), f"nash{j}", 0.0, 0.0, o / e, 1.0 / e)
-    if flat:
-        yield _Seg(INF, False, f"nash{k}", 0.0, 0.0, net.links[-1].intercept, 0.0)
-
-
-def _opt_segs(net: ParallelNetwork) -> Iterator[_Seg]:
-    # Optimal cost (r^2 + off_h r) / E_h - W_h / 4 while h links are used,
-    # opening at half the selfish breakpoints; linear past a zero-slope tail
-    # that opens at a finite demand.
-    k, flat = net.k, net.has_flat_tail
-    for h in range(1, k + 1 - flat):
-        e, o = net.eff_prefix[h - 1], net.off_prefix[h - 1]
-        hi = net.breakpoints[h] / 2.0 if h < k else INF
-        yield _Seg(hi, not (flat and h == k - 1), f"opt{h}", 0.0,
-                   -net.spread_prefix[h - 1] / 4.0, o / e, 1.0 / e)
-    start = net.breakpoints[-1] / 2.0
-    if flat and start < INF:
-        bk = net.links[-1].intercept
-        yield _Seg(INF, False, f"opt{k}", start, _opt_split(net, start)[2], bk, 0.0)
+    cost = 0.0
+    for j in range(1, k + 1):
+        e = net.eff_prefix[j - 1]
+        inv = 1.0 / e if e < INF or net.links[j - 1].slope == 0.0 else math.nan
+        lo = scale * net.breakpoints[j - 1]
+        hi = scale * net.breakpoints[j] if j < k else INF
+        slope = net.links[j - 1].intercept + (lo * inv if name == "nash" else 0.0)
+        yield _Seg(hi, not (flat and j == k - 1), f"{name}{j}", lo, cost, slope, inv)
+        w = hi - lo
+        cost += w * (slope + w * inv)
 
 
 def _cut(segs: Iterator[_Seg], marks: Iterable[tuple[float, bool, str]]) -> Iterator[_Seg]:
@@ -150,7 +143,10 @@ def cost_pieces(net: ParallelNetwork, mechanism: Mechanism | None = None) -> tup
 
     The numerator is the selfish cost of a plain network, or the costliest
     equilibrium cost on a mechanism's latencies, from one sweep over their
-    supply events; the denominator is the optimal cost.  Pieces follow in
+    supply events; the denominator is the optimal cost.  Both plain costs
+    are anchored where a link opens and carried from piece to piece by
+    adding non-negative terms, so neither cancels; past an overflowed
+    efficiency they read NaN, which the ratio rejects.  Pieces follow in
     demand order, cover every demand > 0 exactly once and end with an
     unbounded piece.  A mechanism's numerator is cut and tagged at its
     parameters' ``marks``.  A regime tag names the numerator's form
@@ -178,11 +174,11 @@ def cost_pieces(net: ParallelNetwork, mechanism: Mechanism | None = None) -> tup
 
 def _pieces(net: ParallelNetwork, mechanism: Mechanism | None) -> tuple[CostPiece, ...]:
     if mechanism is None:
-        num = _nash_segs(net)
+        num = _cost_segs(net, "nash", 1.0)
     else:
         params, lats = mechanism
         num = _cut(iter(_swept(lats)[0]), params.marks)
-    nums, dens = list(num), list(_opt_segs(net))
+    nums, dens = list(num), list(_cost_segs(net, "opt", 0.5))
     pieces: list[CostPiece] = []
 
     def add(lo: float, hi: float, closed: bool, n: _Seg, d: _Seg) -> None:
@@ -256,11 +252,14 @@ def tail_ratio(net: ParallelNetwork, mechanism: Mechanism | None = None) -> floa
 
 def _ratio(num: float, den: float, r: float) -> float:
     # Both costs are positive and finite at every positive demand, but can
-    # underflow to 0, or overflow to inf, or to -inf or NaN through a term.
+    # overflow, read NaN past an overflowed efficiency, or leave the normal
+    # range, where they lose their relative precision.
     if den == 0.0:
         raise CostUnderflow(f"the optimal cost underflows to 0 at demand {r!r}")
     if not (num < INF and 0.0 < den < INF):
         raise CostOverflow(f"the costs overflow at demand {r!r}: {num!r} / {den!r}")
+    if den < sys.float_info.min:
+        raise CostUnderflow(f"the optimal cost {den!r} at demand {r!r} is below the normal range")
     return num / den
 
 

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
 from operator import is_, itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .config import DEFAULT_TOLERANCE, IDENTITY_RTOL
 from .errors import (
@@ -62,7 +62,7 @@ class EquilibriumCheck:
         return self.ok
 
 
-def _cost_sum(terms: Iterator[float]) -> float:
+def _cost_sum(terms: Iterable[float]) -> float:
     # math.fsum of non-negative cost terms, inf where finite terms sum past
     # the float range (fsum raises OverflowError there).
     try:
@@ -85,17 +85,16 @@ def _segment_index(breakpoints: Sequence[float], r: float) -> int:
     return max(1, bisect_left(breakpoints, r))
 
 
-def _selfish_split(net: ParallelNetwork, rate: float) -> tuple[list[float], float, int]:
-    # Selfish flows, their level and the open link count j.  With a zero-slope
-    # last link, j == k only once demand reaches the flat tail.  A positive
-    # demand over open links whose summed efficiency overflows would split
-    # as inf * 0, so it raises InvalidModelValue naming the link instead.
+def _selfish_split(net: ParallelNetwork, rate: float) -> tuple[list[float], float]:
+    # Selfish flows and their level.  A positive demand over open links
+    # whose summed efficiency overflows would split as inf * 0, so it raises
+    # InvalidModelValue naming the link instead.
     k = net.k
     if net.has_flat_tail and rate >= net.breakpoints[-1]:
         bk = net.links[-1].intercept
         flows = [(bk - net.links[i].intercept) * net.efficiency[i] for i in range(k - 1)]
         flows.append(rate - math.fsum(flows))
-        return flows, bk, k
+        return flows, bk
     j = min(_segment_index(net.breakpoints, rate), k)
     eff_j = net.eff_prefix[j - 1]
     if eff_j == INF and rate > 0.0:
@@ -112,13 +111,13 @@ def _selfish_split(net: ParallelNetwork, rate: float) -> tuple[list[float], floa
     flows = [0.0] * k
     for i in range(j):
         flows[i] = max(0.0, net.efficiency[i] * ((top - net.links[i].intercept) + past))
-    return flows, (rate + net.off_prefix[j - 1]) / eff_j, j
+    return flows, (rate + net.off_prefix[j - 1]) / eff_j
 
 
 def _finite_cost(cost: float, rate: float) -> float:
-    # At demand 0 nothing flows and nothing costs, though a closed form can
-    # read inf * 0 there.  Elsewhere a cost past the float range, or a closed
-    # form that overflows in a term and comes out inf, -inf or NaN, is no cost.
+    # At demand 0 nothing flows and nothing costs, though a cost can read
+    # inf * 0 there.  Elsewhere a cost past the float range, or one that
+    # reads NaN through an overflowed term, is no cost.
     if math.isfinite(cost):
         return cost
     if rate == 0.0:
@@ -126,13 +125,12 @@ def _finite_cost(cost: float, rate: float) -> float:
     raise CostOverflow(f"the cost overflows at demand {rate!r}: {cost!r}")
 
 
-def _selfish_profile(net: ParallelNetwork, rate: float) -> tuple[FlowProfile, float, int]:
-    # The selfish split as a checked profile, with its level and open link
-    # count: nash_flow without the cost, which can overflow where the flows
-    # do not.
+def _selfish_profile(net: ParallelNetwork, rate: float) -> tuple[FlowProfile, float]:
+    # The selfish split as a checked profile, with its level: nash_flow
+    # without the cost, which can overflow where the flows do not.
     check_rate(rate)
-    flows, level, j = _selfish_split(net, rate)
-    return FlowProfile(rate=rate, flows=tuple(flows)), level, j
+    flows, level = _selfish_split(net, rate)
+    return FlowProfile(rate=rate, flows=tuple(flows)), level
 
 
 def nash_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
@@ -141,37 +139,12 @@ def nash_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     With j links open, link i carries rate * eff_i / eff_prefix_j plus a
     rate-independent correction; the level is (rate + off_prefix_j) / eff_prefix_j.
     A zero-slope final link pins the level at its intercept once demand
-    reaches the last breakpoint.  A cost that does not come out finite
-    raises CostOverflow.
+    reaches the last breakpoint.  Every user pays the level, so the cost is
+    rate * level; one that does not come out finite raises CostOverflow.
     """
-    profile, level, j = _selfish_profile(net, rate)
-    if net.has_flat_tail and j == net.k:
-        cost = rate * level
-    else:
-        cost = (rate * rate + net.off_prefix[j - 1] * rate) / net.eff_prefix[j - 1]
+    profile, level = _selfish_profile(net, rate)
     return EquilibriumResult(profile, level=level, used_count=profile.used_count,
-                             cost=_finite_cost(cost, rate))
-
-
-def _opt_split(net: ParallelNetwork, rate: float) -> tuple[FlowProfile, float, float]:
-    # opt_flow's profile, level and cost, the cost unchecked: cost_pieces
-    # takes it as a constant term, which _ratio checks where it is read.
-    check_rate(rate)
-    doubled, level, h = _selfish_split(net, 2.0 * rate)
-    if 2.0 * rate == INF:  # after the split, which names an overflowed efficiency
-        raise CostOverflow(f"twice the demand {rate!r} overflows, so no optimal split is known")
-    flows = tuple(f / 2.0 for f in doubled)
-    profile = FlowProfile(rate=rate, flows=flows)
-    if net.has_flat_tail and h == net.k:
-        bk = level
-        cost = _cost_sum(
-            (bk * bk - b * b) * e / 4.0
-            for b, e in zip(net.intercepts[:-1], net.efficiency[:-1])
-        ) + flows[-1] * bk
-    else:
-        eff_h = net.eff_prefix[h - 1]
-        cost = (rate * rate + net.off_prefix[h - 1] * rate) / eff_h - net.spread_prefix[h - 1] / 4.0
-    return profile, level, cost
+                             cost=_finite_cost(rate * level, rate))
 
 
 def opt_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
@@ -179,14 +152,20 @@ def opt_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
 
     A link's marginal cost at flow x, 2*slope*x + intercept, is its latency
     at 2x, so the optimal flow is half the selfish flow at twice the demand,
-    and the reported level, the equalized marginal cost, is that flow's
-    level.  Link h therefore opens at half its selfish breakpoint.  The cost
-    is (rate^2 + off_prefix_h * rate) / eff_prefix_h minus a quarter of the
-    intercept spread ``spread_prefix`` of the used links.  A demand whose
-    double leaves the float range, or a cost that does not come out finite,
-    raises CostOverflow.
+    and the reported level, the equalized marginal cost M, is that flow's
+    level.  Link h therefore opens at half its selfish breakpoint.  Each
+    used link's latency is (M + intercept_i) / 2, so the cost is
+    (rate * M + sum x_i * intercept_i) / 2, a sum of non-negative terms.  A
+    demand whose double leaves the float range, or a cost past it, raises
+    CostOverflow.
     """
-    profile, level, cost = _opt_split(net, rate)
+    check_rate(rate)
+    doubled, level = _selfish_split(net, 2.0 * rate)
+    if 2.0 * rate == INF:  # after the split, which names an overflowed efficiency
+        raise CostOverflow(f"twice the demand {rate!r} overflows, so no optimal split is known")
+    flows = tuple(f / 2.0 for f in doubled)
+    profile = FlowProfile(rate=rate, flows=flows)
+    cost = _cost_sum([rate * level, *(x * b for x, b in zip(flows, net.intercepts))]) / 2.0
     return EquilibriumResult(profile, level=level, used_count=profile.used_count,
                              cost=_finite_cost(cost, rate))
 

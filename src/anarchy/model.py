@@ -13,7 +13,6 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .config import DEFAULT_TOLERANCE, IDENTITY_RTOL
 from .errors import (
@@ -97,29 +96,6 @@ class ParallelNetwork:
     def has_flat_tail(self) -> bool:
         """True when the last link has zero slope (unbounded capacity at fixed cost)."""
         return self.links[-1].slope == 0.0
-
-    @cached_property
-    def spread_prefix(self) -> tuple[float, ...]:
-        """Efficiency-weighted spread of the intercepts over links 0..h.
-
-        ``spread_prefix[h]`` is W = sum_i e_i (b_i - m)^2 over links 0..h,
-        with m the efficiency-weighted mean intercept, so that
-        ``eff_prefix[h] * W`` equals the sum over pairs i < g <= h of
-        e_i e_g (b_g - b_i)^2.  A weighted Welford update adds only
-        non-negative terms.  A zero-slope last link has no finite spread and
-        is left out; an overflowed efficiency before it leaves every later
-        spread non-finite.
-        """
-        out = []
-        total = mean = spread = 0.0
-        for e, link in zip(self.efficiency[: self.k - self.has_flat_tail], self.links):
-            grown = total + e
-            delta = link.intercept - mean
-            spread += e * total / grown * delta * delta
-            mean += delta * e / grown
-            total = grown
-            out.append(spread)
-        return tuple(out)
 
     def segment(self, start: int, end: int) -> "ParallelNetwork":
         """Sub-instance on links start..end-1 (already sorted and merged)."""

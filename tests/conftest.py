@@ -10,7 +10,8 @@ def pigou():
     return normalize_network([{"a": 1, "b": 0}, {"a": 0, "b": 1}])
 
 
-# The intercept spread overflows, and the optimal cost comes out -inf.
+# The efficiency-weighted spread of the intercepts overflows, so a closed
+# form that subtracts it reads the optimal cost as -inf.
 NEGATIVE_OPT = [
     {"a": 6.849242324770906e+233, "b": 5.057866383350227e-217},
     {"a": 3.137021653725009e-209, "b": 3.451188210731796e-88},
@@ -18,10 +19,18 @@ NEGATIVE_OPT = [
     {"a": 2.5058956042101665e-296, "b": 4.953757606126863e-77},
     {"a": 1e-300, "b": 1.4524961336438668e+172},
 ]
+# Cancelling the intercept spread reads this optimal cost at demand
+# 5.371637362363765e-171 as -8.1e-252; it is 3.558188437418522e-223.
+CANCELLING_OPT = [{"a": 4.7559646512727246e+109, "b": 6.624029478657258e-53},
+                  {"a": 1.351583560220586e+146, "b": 7.772376368555479e-112}]
+# The optimal cost at the ratio's peak is the subnormal 1e-323, where a
+# ratio of the rounded costs reads 2.
+SUBNORMAL_OPT = [{"a": 4.287123305807745e+113, "b": 0},
+                 {"a": 1.1128978814043246e+91, "b": 3.7560510236320286e-105}]
 # Slopes of 1e-300: each efficiency is 1e300, and their product overflows.
 TINY_SLOPES = [{"a": 1e-300, "b": 0}, {"a": 1e-300, "b": 1e-300}]
-# Past the zero-slope tail, the optimal cost sums six finite terms of about
-# 4e307 each, past the float range.
+# The zero-slope tail at 1.3e4 opens near demand 7.8e304; at 1e305 both
+# costs, about rate * 1.3e4, pass the float range.
 OVERFLOWING_TAIL = [*({"a": 1e-300, "b": i * 1e-3} for i in range(6)), {"a": 0, "b": 1.3e4}]
 # 1/a of the second link overflows to inf; it opens below the demand given.
 OVERFLOWED_EFFICIENCY = [
@@ -29,6 +38,9 @@ OVERFLOWED_EFFICIENCY = [
      1e300),
     ([{"a": 1, "b": 0}, {"a": 3e-315, "b": 1}], 1e30),
 ]
+# Each efficiency 1/a is finite, their sum is not; the second link opens at
+# demand 1e8.
+OVERFLOWED_SUM = [{"a": 1e-308, "b": 0}, {"a": 1e-308, "b": 1e-300}]
 
 
 def random_network(rng: random.Random, kmax: int = 5, allow_flat: bool = False):

@@ -38,7 +38,7 @@ from anarchy import (
     worst_equilibrium_cost,
 )
 from anarchy.mechanisms import MIN_PLATEAU_RATIO, PLATEAU_TARGET, PlateauParams, ThresholdParams
-from conftest import NEGATIVE_OPT, OVERFLOWED_EFFICIENCY, random_network
+from conftest import NEGATIVE_OPT, OVERFLOWED_EFFICIENCY, OVERFLOWED_SUM, SUBNORMAL_OPT, random_network
 
 
 def test_pigou_sup_four_thirds(pigou):
@@ -374,6 +374,10 @@ def test_underflowing_costs_raise_typed_error():
     unit_gap = normalize_network([{"a": 1, "b": 0}, {"a": 1, "b": 1}])
     with pytest.raises(CostUnderflow, match="demand 1e-170"):
         ratio_curve(unit_gap, None, [1e-170])
+    # A subnormal optimal cost has lost its relative precision: at the
+    # peak the rounded costs read a ratio of 2.
+    with pytest.raises(CostUnderflow, match="1e-323 at demand 4.38"):
+        ratio_sup(normalize_network(SUBNORMAL_OPT))
 
 
 def test_overflowing_costs_raise_typed_error():
@@ -387,15 +391,27 @@ def test_overflowing_costs_raise_typed_error():
         ratio_curve(two, None, [1.0, 1e200])
 
 
-@pytest.mark.parametrize("links,rate", [(NEGATIVE_OPT, 1e30), *OVERFLOWED_EFFICIENCY])
+@pytest.mark.parametrize("links,rate", [(OVERFLOWED_SUM, 1e30), *OVERFLOWED_EFFICIENCY])
 def test_non_finite_optimal_cost_raises_overflow(links, rate):
-    # The intercept spread overflows, to inf or NaN, and the optimal cost
-    # with it: to -inf, which is not a cost, or to NaN.
+    # The summed efficiency of the open links overflows: the pieces from
+    # there on carry NaN, which is no cost.
     net = normalize_network(links)
     with pytest.raises(CostOverflow, match=re.escape(f"demand {rate!r}")):
         ratio_curve(net, None, [rate])
     with pytest.raises(CostOverflow):
         ratio_sup(net)
+
+
+def test_optimal_cost_with_overflowing_intercept_spread():
+    # Both costs at 1e30 are the exact costs rounded once; their ratio is
+    # within an ulp of the exact 1.0008039390697412.  The supremum is 4/3.
+    net = normalize_network(NEGATIVE_OPT)
+    (sample,) = ratio_curve(net, None, [1e30])
+    assert sample.cost_den == 3.448415894465519e-58
+    assert sample.ratio == pytest.approx(1.0008039390697412, rel=2 * 2.0 ** -52)
+    value, where = ratio_sup(net)
+    assert value == pytest.approx(4.0 / 3.0, rel=4 * 2.0 ** -52)
+    assert where == pytest.approx(3.21317e27, rel=1e-5)
 
 
 def test_breakpoint_underflowing_to_zero_opens_no_piece():

@@ -13,7 +13,15 @@ import anarchy.cli as cli
 import anarchy.equilibrium
 from anarchy.cli import main
 from anarchy.equilibrium import EquilibriumCheck
-from conftest import NEGATIVE_OPT, OVERFLOWED_EFFICIENCY, OVERFLOWING_TAIL, TINY_SLOPES
+from conftest import (
+    CANCELLING_OPT,
+    NEGATIVE_OPT,
+    OVERFLOWED_EFFICIENCY,
+    OVERFLOWED_SUM,
+    OVERFLOWING_TAIL,
+    SUBNORMAL_OPT,
+    TINY_SLOPES,
+)
 
 PIGOU = {"links": [{"a": 1, "b": 0}, {"a": 0, "b": 1}]}
 # A JSON integer beyond the float range.
@@ -458,15 +466,15 @@ def test_exit_code_cost_underflow(tmp_path, capsys, links, extra):
         (CANCELLING, CANCELLING_MECH, ["solve", "--rate", "1", "--which", "mn"],
          "supply slope cancels"),
         (CANCELLING, CANCELLING_MECH, ["curve"], "supply slope cancels"),
-        # The intercept spread overflows: the optimal cost is -inf or NaN.
+        # A summed efficiency overflows: the optimal cost past it is NaN.
         *[(links, None, ["curve"], "costs overflow")
-          for links in [NEGATIVE_OPT, *(links for links, _ in OVERFLOWED_EFFICIENCY)]],
+          for links in [OVERFLOWED_SUM, *(links for links, _ in OVERFLOWED_EFFICIENCY)]],
         (OVERFLOWING_TAIL, None, ["curve"], "costs overflow"),
-        # The closed-form costs come out -inf, inf or NaN where the costs
-        # are about 8.75e-301 and 5e99, and past the float range at 1.5e308.
-        (TINY_SLOPES, None, ["solve", "--rate", "1", "--which", "opt"], "cost overflows"),
-        (TINY_SLOPES, None, ["solve", "--rate", "1e200", "--which", "nash"], "cost overflows"),
-        (TINY_SLOPES, None, ["solve", "--rate", "1e200", "--which", "opt"], "cost overflows"),
+        # The costs pass the float range.
+        (OVERFLOWING_TAIL, None, ["solve", "--rate", "1e305", "--which", "opt"], "cost overflows"),
+        (OVERFLOWING_TAIL, None, ["solve", "--rate", "1e305", "--which", "nash"], "cost overflows"),
+        ([{"a": 2, "b": 0}, {"a": 1, "b": 1}], None,
+         ["solve", "--rate", "1e200", "--which", "opt"], "cost overflows"),
         (TINY_SLOPES, {"kind": "threshold", "R": [2]},
          ["solve", "--rate", "1.5e308", "--which", "mn"], "cost overflows"),
         # Twice the demand overflows; the cost is 4.5e307.
@@ -493,6 +501,11 @@ def test_exit_code_overflow(tmp_path, capsys, links, mech, args, message):
 @pytest.mark.parametrize("links, rate, which, cost", [
     (TINY_SLOPES, "1e200", "mn", "5e+99"),
     ([{"a": 1, "b": 0}, {"a": 0, "b": 0.5}], "9e307", "nash", "4.5e+307"),
+    (TINY_SLOPES, "1", "opt", "8.75e-301"),
+    (TINY_SLOPES, "1e200", "nash", "5e+99"),
+    (TINY_SLOPES, "1e200", "opt", "5e+99"),
+    (NEGATIVE_OPT, "1e30", "opt", "3.44842e-58"),
+    (CANCELLING_OPT, "5.371637362363765e-171", "opt", "3.55819e-223"),
 ])
 def test_solve_finite_cost_near_the_float_range(tmp_path, capsys, links, rate, which, cost):
     net_path, mech_path = tmp_path / "net.json", tmp_path / "mech.json"
@@ -501,6 +514,18 @@ def test_solve_finite_cost_near_the_float_range(tmp_path, capsys, links, rate, w
     argv = ["solve", str(net_path), "--rate", rate, "--which", which]
     assert main([*argv, "--mechanism", str(mech_path)] if which == "mn" else argv) == 0
     assert f"cost {cost} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("links, code, shown", [
+    (NEGATIVE_OPT, 0, "ratio peaks at 1.33333 (r = 3.21317e+27)"),
+    (SUBNORMAL_OPT, 3, "below the normal range"),
+])
+def test_curve_near_the_float_range(tmp_path, capsys, links, code, shown):
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"links": links}))
+    assert main(["curve", str(net_path), "--csv", str(tmp_path / "curve.csv")]) == code
+    out, err = capsys.readouterr()
+    assert shown in (err if code else out)
 
 
 @pytest.mark.parametrize("which", ["nash", "opt"])

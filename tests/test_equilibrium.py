@@ -41,7 +41,7 @@ import anarchy.analysis
 import anarchy.equilibrium
 from anarchy.equilibrium import EquilibriumCheck, _equilibrium_segs, _flow_bounds, _two_least
 from anarchy.mechanisms import MIN_PLATEAU_RATIO
-from conftest import NEGATIVE_OPT, OVERFLOWING_TAIL, TINY_SLOPES, random_network
+from conftest import CANCELLING_OPT, NEGATIVE_OPT, OVERFLOWING_TAIL, TINY_SLOPES, random_network
 
 # Two-link plateau instance whose water-fill once collapsed the first link's
 # interval: hold_end recomputed from the level came out one ulp off.
@@ -133,27 +133,6 @@ def test_zero_rate(pigou):
     res = nash_flow(pigou, 0.0)
     assert res.cost == 0.0
     assert res.used_count == 0
-
-
-def pairwise_spread(net, h):
-    # sum over pairs i < g < h of (b_g - b_i)^2 eff_g eff_i / (4 eff_prefix_h),
-    # the fixed saving an optimal flow on h links extracts from intercept spread.
-    terms = [
-        (net.links[g].intercept - net.links[i].intercept) ** 2 * net.efficiency[g] * net.efficiency[i]
-        for g in range(1, h) for i in range(g)
-    ]
-    return math.fsum(terms) / (4.0 * net.eff_prefix[h - 1])
-
-
-def test_spread_prefix_matches_pairwise_sum():
-    rng = random.Random(44)
-    for _ in range(200):
-        net = random_network(rng, kmax=9, allow_flat=True)
-        finite = net.k - net.has_flat_tail
-        assert len(net.spread_prefix) == finite
-        for h in range(1, finite + 1):
-            want = pairwise_spread(net, h)
-            assert net.spread_prefix[h - 1] / 4.0 == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 # ------------------------------------------------------------------ increments
@@ -592,17 +571,26 @@ def test_split_past_an_overflowed_efficiency_raises(links, link, slope):
         assert solve(net, 0.0).profile.flows == (0.0,) * net.k
 
 
+@pytest.mark.parametrize("links, rate, solve, cost", [
+    # A form that subtracts the intercept spread cancels or overflows here.
+    (TINY_SLOPES, 1.0, opt_flow, 8.75e-301),
+    (NEGATIVE_OPT, 1e30, opt_flow, 3.448415894465519e-58),
+    (CANCELLING_OPT, 5.371637362363765e-171, opt_flow, 3.558188437418522e-223),
+    # rate * rate overflows, but rate * level and rate * M do not.
+    (TINY_SLOPES, 1e200, nash_flow, 5e+99),
+    (TINY_SLOPES, 1e200, opt_flow, 5e+99),
+])
+def test_cost_near_the_float_range_is_exact(links, rate, solve, cost):
+    # Each cost is the exact cost, rounded once.
+    assert solve(normalize_network(links), rate).cost == cost
+
+
 @pytest.mark.parametrize("links, rate, solve, shown", [
-    # A Welford term of the intercept spread overflows (e * total = 1e600),
-    # so the optimal cost reads -inf; it is about 8.75e-301.
-    (TINY_SLOPES, 1.0, opt_flow, "-inf"),
-    (NEGATIVE_OPT, 1e30, opt_flow, "-inf"),
-    # rate * rate overflows, where the costs are about 5e99.
-    (TINY_SLOPES, 1e200, nash_flow, "inf"),
-    (TINY_SLOPES, 1e200, opt_flow, "nan"),
     (OVERFLOWING_TAIL, 1e305, opt_flow, "inf"),
+    (OVERFLOWING_TAIL, 1e305, nash_flow, "inf"),
 ])
 def test_non_finite_closed_form_cost_raises_overflow(links, rate, solve, shown):
+    # Past the zero-slope tail, rate * 1.3e4 leaves the float range.
     with pytest.raises(CostOverflow, match=re.escape(f"demand {rate!r}: {shown}")):
         solve(normalize_network(links), rate)
 

@@ -2,15 +2,23 @@
 
 Both now read one shared selfish split; the optimal flow is half the
 selfish flow at twice the demand.  The references below are the separate
-closed forms each solver used to carry, and the outputs must match them
-bit for bit: flows, level, cost and used-link count.
+closed forms each solver used to carry, and the flows, level and used-link
+count must match them bit for bit.  The costs are compared with the exact
+costs of the same links, in rational arithmetic.
 """
 
 import math
 import random
+from bisect import bisect_right
+from fractions import Fraction
 
 from anarchy import FlowProfile, nash_flow, normalize_network, opt_flow
 from anarchy.equilibrium import _segment_index
+
+# A sum or product of a few rounded non-negative terms; below the normal
+# range rounding is absolute, a few subnormals.
+COST_RTOL = 4 * 2.0 ** -52
+COST_ATOL = 4 * math.ulp(0.0)
 
 
 def nash_reference(net, rate):
@@ -20,7 +28,7 @@ def nash_reference(net, rate):
         flows = [(bk - net.links[i].intercept) * net.efficiency[i] for i in range(k - 1)]
         flows.append(rate - math.fsum(flows))
         profile = FlowProfile(rate=rate, flows=tuple(flows))
-        return profile, bk, profile.used_count, rate * bk
+        return profile, bk, profile.used_count
     j = min(_segment_index(net.breakpoints, rate), k)
     eff_j = net.eff_prefix[j - 1]
     off_j = net.off_prefix[j - 1]
@@ -31,7 +39,7 @@ def nash_reference(net, rate):
     for i in range(j):
         flows[i] = max(0.0, net.efficiency[i] * ((top - net.links[i].intercept) + past))
     profile = FlowProfile(rate=rate, flows=tuple(flows))
-    return profile, level, profile.used_count, (rate * rate + off_j * rate) / eff_j
+    return profile, level, profile.used_count
 
 
 def opt_reference(net, rate):
@@ -39,14 +47,9 @@ def opt_reference(net, rate):
     if net.has_flat_tail and 2.0 * rate >= net.breakpoints[-1]:
         bk = net.links[-1].intercept
         flows = [(bk - net.links[i].intercept) * net.efficiency[i] / 2.0 for i in range(k - 1)]
-        used = math.fsum(flows)
-        flows.append(rate - used)
+        flows.append(rate - math.fsum(flows))
         profile = FlowProfile(rate=rate, flows=tuple(flows))
-        cost = math.fsum(
-            (bk * bk - b * b) * e / 4.0
-            for b, e in zip(net.intercepts[:-1], net.efficiency[:-1])
-        ) + (rate - used) * bk
-        return profile, bk, profile.used_count, cost
+        return profile, bk, profile.used_count
     h = min(_segment_index(tuple(b / 2.0 for b in net.breakpoints), rate), k)
     eff_h = net.eff_prefix[h - 1]
     off_h = net.off_prefix[h - 1]
@@ -57,8 +60,50 @@ def opt_reference(net, rate):
     for i in range(h):
         flows[i] = max(0.0, net.efficiency[i] * ((top - net.links[i].intercept) + past) / 2.0)
     profile = FlowProfile(rate=rate, flows=tuple(flows))
-    cost = (rate * rate + off_h * rate) / eff_h - net.spread_prefix[h - 1] / 4.0
-    return profile, level, profile.used_count, cost
+    return profile, level, profile.used_count
+
+
+def exact_costs(net):
+    """The exact selfish and optimal cost of `net` at a demand, as a function.
+
+    In rational arithmetic nothing cancels, so the closed forms serve.  With
+    links 0..h-1 used and E, O the sums of e_i = 1/a_i and e_i b_i over
+    them, the selfish cost is (r^2 + O r) / E; the optimal cost is the same
+    less the sum over pairs i < g of e_i e_g (b_g - b_i)^2 / (4 E), with h
+    the links the selfish flow uses at twice the demand.  Past a zero-slope
+    last link at intercept B, the selfish cost is r B and the optimal cost
+    sum_i e_i (B^2 - b_i^2) / 4 + (r - S / 2) B, with S the demand at which
+    that link opens.
+    """
+    links = [(Fraction(l.slope), Fraction(l.intercept)) for l in net.links]
+    top = links[-1][1] if links[-1][0] == 0 else None
+    rising = links if top is None else links[:-1]
+    effs = [1 / a for a, _ in rising]
+    opens, forms = [], []
+    eff = off = Fraction(0)
+    for h, (e, (_, b)) in enumerate(zip(effs, rising)):
+        opens.append(sum(e_i * (b - b_i) for e_i, (_, b_i) in zip(effs[:h], rising)))
+        eff, off = eff + e, off + e * b
+        pairs = sum(effs[i] * effs[g] * (rising[g][1] - rising[i][1]) ** 2
+                    for g in range(h + 1) for i in range(g))
+        forms.append((eff, off, pairs / (4 * eff)))
+    if top is not None:
+        opens.append(sum(e * (top - b) for e, (_, b) in zip(effs, rising)))
+        saved = sum(e * (top * top - b * b) for e, (_, b) in zip(effs, rising)) / 4
+
+    def cost(r, demand, optimal):
+        # The cost at r over the links the selfish flow uses at `demand`.
+        used = bisect_right(opens, demand)
+        if used > len(forms):
+            return saved + (r - opens[-1] / 2) * top if optimal else r * top
+        eff, off, spread = forms[used - 1]
+        return (r * r + off * r) / eff - (spread if optimal else 0)
+
+    def costs(rate):
+        r = Fraction(rate)
+        return cost(r, r, False), cost(r, 2 * r, True)
+
+    return costs
 
 
 def _networks(rng, count):
@@ -84,18 +129,21 @@ def _rates(rng, net):
     return [r for r in out if r >= 0.0]
 
 
-def _same(result, reference):
-    profile, level, used, cost = reference
+def _same(result, reference, exact_cost):
+    profile, level, used = reference
     return (result.profile.flows == profile.flows and result.level == level
-            and result.used_count == used and result.cost == cost)
+            and result.used_count == used
+            and abs(Fraction(result.cost) - exact_cost) <= COST_RTOL * exact_cost + COST_ATOL)
 
 
 def test_flows_match_former_closed_forms():
     rng = random.Random(4242)
     compared = 0
     for net in _networks(rng, 300):
+        exact = exact_costs(net)
         for r in _rates(rng, net):
-            assert _same(nash_flow(net, r), nash_reference(net, r)), (net.to_json_dict(), r)
-            assert _same(opt_flow(net, r), opt_reference(net, r)), (net.to_json_dict(), r)
+            nash_cost, opt_cost = exact(r)
+            assert _same(nash_flow(net, r), nash_reference(net, r), nash_cost), (net.to_json_dict(), r)
+            assert _same(opt_flow(net, r), opt_reference(net, r), opt_cost), (net.to_json_dict(), r)
             compared += 1
     assert compared >= 5000
