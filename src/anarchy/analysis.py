@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .config import DEFAULT_TOLERANCE
-from .equilibrium import _Seg, _same, _swept, nash_flow, water_fill
+from .equilibrium import _cost_segs, _Seg, _same, _swept, nash_flow, water_fill
 from .errors import (
     CostOverflow,
     CostUnderflow,
@@ -34,8 +34,10 @@ from .errors import (
 from .mechanisms import (
     PlateauParams,
     ThresholdParams,
+    _beta_for,
     _check_multipliers,
-    _plateau_terms,
+    _hold_peak,
+    _jump_peak,
     balanced_alpha,
 )
 from .model import INF, ParallelNetwork, PiecewiseLatency
@@ -96,27 +98,6 @@ class CostPiece(NamedTuple):
         n0, n1, n2 = self.num
         d0, d1, d2 = self.den
         return n0 + u * (n1 + u * n2), d0 + u * (d1 + u * d2)
-
-
-def _cost_segs(net: ParallelNetwork, name: str, scale: float) -> Iterator[_Seg]:
-    # The selfish (scale 1) or optimal (scale 1/2) cost while j links are
-    # used, from scale * breakpoints[j-1] on: C + C' u + u^2 / E_j, anchored
-    # there.  C' is the intercept of the link that opens at the anchor, the
-    # marginal cost there; the selfish cost r * L adds r / E_j to it.  C
-    # carries from piece to piece, adding only non-negative terms.  A
-    # zero-slope tail has 1 / E = 0; a piece past an overflowed summed
-    # efficiency carries NaN, which reads as no cost.
-    k, flat = net.k, net.has_flat_tail
-    cost = 0.0
-    for j in range(1, k + 1):
-        e = net.eff_prefix[j - 1]
-        inv = 1.0 / e if e < INF or net.links[j - 1].slope == 0.0 else math.nan
-        lo = scale * net.breakpoints[j - 1]
-        hi = scale * net.breakpoints[j] if j < k else INF
-        slope = net.links[j - 1].intercept + (lo * inv if name == "nash" else 0.0)
-        yield _Seg(hi, not (flat and j == k - 1), f"{name}{j}", lo, cost, slope, inv)
-        w = hi - lo
-        cost += w * (slope + w * inv)
 
 
 def _cut(segs: Iterator[_Seg], marks: Iterable[tuple[float, bool, str]]) -> Iterator[_Seg]:
@@ -454,14 +435,13 @@ def lower_bound_value(R: float) -> BoundReport:
     R = float(R)
     if not 2.0 <= R <= 4.0:
         raise RatioOutOfRange(f"slope ratio must be in [2, 4], got {R}")
-    x1 = balanced_alpha(R)
-    hold_peak, beta_for, jump_peak = _plateau_terms(R)
+    x1, root_R = balanced_alpha(R), math.sqrt(R)
     return BoundReport(
         name="two_link_lower",
-        value=min(1.2, max(hold_peak(x1), jump_peak(x1))),
+        value=min(1.2, max(_hold_peak(R, x1), _jump_peak(R, root_R, x1))),
         inputs=(R,),
         formula="min(6/5, min over hold flow of max(hold peak, jump peak))",
-        details={"x1": x1, "jump_rate": max(1.0, beta_for(x1))},
+        details={"x1": x1, "jump_rate": max(1.0, _beta_for(R, root_R, x1))},
     )
 
 

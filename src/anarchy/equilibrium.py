@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice
 from operator import is_, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -44,9 +44,13 @@ class EquilibriumResult:
 
     profile: FlowProfile
     level: float
-    used_count: int
     cost: float
     per_link_interval: tuple[tuple[float, float], ...] | None = None
+
+    @property
+    def used_count(self) -> int:
+        """Number of links with positive flow."""
+        return self.profile.used_count
 
 
 @dataclass(frozen=True)
@@ -74,8 +78,10 @@ def _cost_sum(terms: Iterable[float]) -> float:
 def profile_cost(lats: Sequence[PiecewiseLatency], flows: Sequence[float]) -> float:
     """Total travel cost sum f_i * latency_i(f_i); zero-flow links cost zero.
 
-    A cost past the float range is inf.
+    A cost past the float range is inf; unequal counts raise InvalidModelValue.
     """
+    if len(lats) != len(flows):
+        raise InvalidModelValue(f"latency count {len(lats)} differs from flow count {len(flows)}")
     return _cost_sum(f * lats[i].value(f) for i, f in enumerate(flows) if f > 0.0)
 
 
@@ -143,8 +149,7 @@ def nash_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     rate * level; one that does not come out finite raises CostOverflow.
     """
     profile, level = _selfish_profile(net, rate)
-    return EquilibriumResult(profile, level=level, used_count=profile.used_count,
-                             cost=_finite_cost(rate * level, rate))
+    return EquilibriumResult(profile, level=level, cost=_finite_cost(rate * level, rate))
 
 
 def opt_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
@@ -166,16 +171,17 @@ def opt_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     flows = tuple(f / 2.0 for f in doubled)
     profile = FlowProfile(rate=rate, flows=flows)
     cost = _cost_sum([rate * level, *(x * b for x, b in zip(flows, net.intercepts))]) / 2.0
-    return EquilibriumResult(profile, level=level, used_count=profile.used_count,
-                             cost=_finite_cost(cost, rate))
+    return EquilibriumResult(profile, level=level, cost=_finite_cost(cost, rate))
 
 
 def cost_increment(net: ParallelNetwork, s: float, r: float, j: int,
                    which: str = "nash") -> float:
     """Exact cost growth of a flow that keeps using j links from rate s to r.
 
-    Equals ((r-s)^2 + (off_prefix_j + 2s)(r-s)) / eff_prefix_j.  Both rates
-    must sit in the segment where the named flow uses exactly j links.
+    Reads the anchored piece C + C' u + u^2 / E_j of the selfish or optimal
+    cost that :func:`~anarchy.analysis.cost_pieces` reads (1/E = 0 on a
+    zero-slope tail): with d = r - s it is d * (C'(s) + d / E_j).  Both rates
+    must sit in that piece; an increment that is not finite raises CostOverflow.
     """
     check_rate(s)
     check_rate(r)
@@ -185,21 +191,16 @@ def cost_increment(net: ParallelNetwork, s: float, r: float, j: int,
         raise SegmentMismatch(f"start rate {s} exceeds end rate {r}")
     if not 1 <= j <= net.k:
         raise SegmentMismatch(f"link count {j} outside 1..{net.k}")
-    scale = 0.5 if which == "opt" else 1.0
-    lo = net.breakpoints[j - 1] * scale
-    hi = net.breakpoints[j] * scale if j < net.k else INF
+    seg = next(islice(_cost_segs(net, which, 0.5 if which == "opt" else 1.0), j - 1, None))
+    lo, hi = seg.anchor, seg.hi
     eps = IDENTITY_RTOL * (hi if math.isfinite(hi) else lo)
     if s < lo - eps or r > hi + eps:
         raise SegmentMismatch(
             f"rates [{s}, {r}] leave the {which} segment [{lo}, {hi}] for {j} links"
         )
-    if j == net.k and net.has_flat_tail:
-        # Constant-latency tail: cost grows linearly at the final intercept.
-        return (r - s) * net.links[-1].intercept
-    eff_j = net.eff_prefix[j - 1]
-    off_j = net.off_prefix[j - 1]
+    _, slope, curvature = seg.at(s)
     d = r - s
-    return (d * d + (off_j + 2.0 * s) * d) / eff_j
+    return _finite_cost(d * (slope + d * curvature), r)
 
 
 # The rounding of a latency's two terms and of their sum, and that of a
@@ -247,9 +248,12 @@ def is_user_equilibrium(lats: Sequence[PiecewiseLatency], profile: FlowProfile) 
     reads, link g those of the segment its right limit reads.  Each side
     gets its own allowance, so a link with large terms widens no other
     link's comparison.  A failure reports link i and the link it envies
-    most, with the plain value and right limit.
+    most, with the plain value and right limit.  Unequal counts of
+    latencies and flows raise InvalidModelValue.
     """
     flows = profile.flows
+    if len(lats) != len(flows):
+        raise InvalidModelValue(f"latency count {len(lats)} differs from flow count {len(flows)}")
     used, edges, level = [], [], None
     for i, f in enumerate(flows):
         lat = lats[i]
@@ -361,7 +365,6 @@ def water_fill(lats: Sequence, rate: float, *,
     return EquilibriumResult(
         profile,
         level=level,
-        used_count=profile.used_count,
         cost=_finite_cost(profile_cost(lats, flows), rate),
         per_link_interval=tuple(intervals),
     )
@@ -388,6 +391,27 @@ class _Seg(NamedTuple):
         # and a2 are >= 0 and the slope terms add without cancellation.
         s = lo - self.anchor
         return self.a0 + s * (self.a1 + s * self.a2), self.a1 + 2.0 * s * self.a2, self.a2
+
+
+def _cost_segs(net: ParallelNetwork, name: str, scale: float) -> Iterator[_Seg]:
+    # The selfish (scale 1) or optimal (scale 1/2) cost while j links are
+    # used, from scale * breakpoints[j-1] on: C + C' u + u^2 / E_j, anchored
+    # there.  C' is the intercept of the link that opens at the anchor, the
+    # marginal cost there; the selfish cost r * L adds r / E_j to it.  C
+    # carries from piece to piece, adding only non-negative terms.  A
+    # zero-slope tail has 1 / E = 0; a piece past an overflowed summed
+    # efficiency carries NaN, which reads as no cost.
+    k, flat = net.k, net.has_flat_tail
+    cost = 0.0
+    for j in range(1, k + 1):
+        e = net.eff_prefix[j - 1]
+        inv = 1.0 / e if e < INF or net.links[j - 1].slope == 0.0 else math.nan
+        lo = scale * net.breakpoints[j - 1]
+        hi = scale * net.breakpoints[j] if j < k else INF
+        slope = net.links[j - 1].intercept + (lo * inv if name == "nash" else 0.0)
+        yield _Seg(hi, not (flat and j == k - 1), f"{name}{j}", lo, cost, slope, inv)
+        w = hi - lo
+        cost += w * (slope + w * inv)
 
 
 def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:

@@ -272,27 +272,22 @@ def build_plateau_mechanism(
     return modified, unchanged
 
 
-def _plateau_terms(ratio: float) -> tuple:
-    """Normalized peak-ratio terms of the plateau construction.
+# Normalized peak-ratio terms of the plateau construction, at slope ratio
+# R (root_R is math.sqrt(R)): alpha and beta are the hold start and jump
+# rate in breakpoint units.  The hold peak is the ratio just before the
+# second link opens, the jump peak the ratio just after the modified flow
+# jumps, at the beta that minimizes it for the given alpha.
+def _hold_peak(R: float, alpha: float) -> float:
+    return 4.0 * (R + 1.0) * alpha * alpha / (4.0 * alpha * R - R + 4.0 * alpha * alpha)
 
-    alpha and beta are the hold start and jump rate in breakpoint units.
-    hold_peak is the ratio just before the second link opens; jump_peak the
-    ratio just after the modified flow jumps.  beta_for minimizes the jump
-    peak for a given alpha.
-    """
-    R = ratio
 
-    def hold_peak(alpha: float) -> float:
-        return 4.0 * (R + 1.0) * alpha * alpha / (4.0 * alpha * R - R + 4.0 * alpha * alpha)
+def _beta_for(R: float, root_R: float, alpha: float) -> float:
+    return (R + root_R * math.sqrt(R + 4.0 * alpha * (R - alpha))) / (4.0 * alpha)
 
-    def beta_for(alpha: float) -> float:
-        return (R + math.sqrt(R) * math.sqrt(R + 4.0 * alpha * (R - alpha))) / (4.0 * alpha)
 
-    def jump_peak(alpha: float) -> float:
-        b = beta_for(alpha)
-        return 4.0 * b * (R + 1.0) * (b - alpha + R) / (R * (4.0 * b * b + 4.0 * b * R - R))
-
-    return hold_peak, beta_for, jump_peak
+def _jump_peak(R: float, root_R: float, alpha: float) -> float:
+    b = _beta_for(R, root_R, alpha)
+    return 4.0 * b * (R + 1.0) * (b - alpha + R) / (R * (4.0 * b * b + 4.0 * b * R - R))
 
 
 # The float sign of the peak gap is monotone in alpha except in a zone around
@@ -308,11 +303,7 @@ _GAP_BAND_ULPS = 64
 
 
 def _peak_gap(R: float, root_R: float, alpha: float) -> float:
-    # hold_peak(alpha) - jump_peak(alpha) of _plateau_terms, over the same
-    # expressions in the same order; root_R is math.sqrt(R).
-    hold = 4.0 * (R + 1.0) * alpha * alpha / (4.0 * alpha * R - R + 4.0 * alpha * alpha)
-    b = (R + root_R * math.sqrt(R + 4.0 * alpha * (R - alpha))) / (4.0 * alpha)
-    return hold - 4.0 * b * (R + 1.0) * (b - alpha + R) / (R * (4.0 * b * b + 4.0 * b * R - R))
+    return _hold_peak(R, alpha) - _jump_peak(R, root_R, alpha)
 
 
 def _gap_bracket(R: float, root_R: float, lo: float, at_lo: float,
@@ -408,9 +399,8 @@ def solve_plateau_params(net: ParallelNetwork) -> PlateauParams:
             f"slope ratio {R} is at most {MIN_PLATEAU_RATIO}; no modification needed"
         )
     alpha = balanced_alpha(R)
-    _, beta_for, _ = _plateau_terms(R)
     r2 = net.breakpoints[1]
-    beta = beta_for(alpha)
+    beta = _beta_for(R, math.sqrt(R), alpha)
     hold_start = alpha * r2
     hold_end = r2 * ((beta - alpha) / R + 1.0)
     return PlateauParams.from_flows(net, hold_start, hold_end)

@@ -19,8 +19,9 @@ from anarchy.mechanisms import (
     _GAP_BAND_ULPS,
     MIN_PLATEAU_RATIO,
     _gap_bracket,
+    _hold_peak,
+    _jump_peak,
     _peak_gap,
-    _plateau_terms,
     balanced_alpha,
 )
 
@@ -99,11 +100,11 @@ def _alpha0(R):
 
 def reference_balanced_alpha(R):
     """The plain bisection of the peak gap from [1/2, alpha0] down to
-    adjacent doubles, over the terms of _plateau_terms."""
-    hold_peak, _, jump_peak = _plateau_terms(R)
+    adjacent doubles, over the hold and jump peaks."""
+    root_R = math.sqrt(R)
 
     def gap(alpha):
-        return hold_peak(alpha) - jump_peak(alpha)
+        return _hold_peak(R, alpha) - _jump_peak(R, root_R, alpha)
 
     lo, hi = 0.5, _alpha0(R)
     at_lo = gap(lo)
@@ -180,16 +181,6 @@ def test_balanced_alpha_gap_evaluations(monkeypatch):
         except RatioOutOfRange:
             continue
         assert count <= 54, R
-
-
-def test_peak_gap_is_the_difference_of_the_plateau_terms():
-    rng = random.Random(23)
-    for R in _plateau_ratios(23, 500) + _log_sweep()[::25]:
-        hold_peak, _, jump_peak = _plateau_terms(R)
-        for alpha in (0.5, _alpha0(R), rng.uniform(0.5, _alpha0(R))):
-            want = hold_peak(alpha) - jump_peak(alpha)
-            got = _peak_gap(R, math.sqrt(R), alpha)
-            assert got == want or (math.isnan(got) and math.isnan(want)), (R, alpha)
 
 
 def _gap_sign_below(R, alpha):

@@ -168,6 +168,20 @@ def test_flat_tail_increment(pigou):
     assert inc == pytest.approx(2.5)  # linear growth at the final intercept
 
 
+@pytest.mark.parametrize("s, r, which", [(1.0, 1e200, "nash"), (0.5, 1e200, "opt")])
+def test_increment_near_the_float_range_is_exact(s, r, which):
+    # (r - s)^2 overflows, but the increment, the cost at r less a cost
+    # near 1e-300, does not.
+    assert cost_increment(normalize_network(TINY_SLOPES), s, r, 2, which=which) == 5e+99
+
+
+def test_increment_past_an_overflowed_efficiency_raises():
+    # 1/a of the second link overflows, so its piece reads NaN.
+    net = normalize_network([{"a": 1, "b": 0}, {"a": 3e-315, "b": 1}])
+    with pytest.raises(CostOverflow, match=re.escape("demand 2.0: nan")):
+        cost_increment(net, 1.0, 2.0, 2)
+
+
 # ----------------------------------------------------------- brute-force oracle
 
 
@@ -528,6 +542,18 @@ def test_is_user_equilibrium_flags_envy():
     assert check.violator == (1, 0)
     assert check.lhs == pytest.approx(2.8)
     assert check.rhs == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_latency_and_flow_counts_must_match(extra):
+    # A third, free link would go uncompared; a missing one was an IndexError.
+    x = PiecewiseLatency.from_affine(AffineLatency(1.0, 0.0))
+    lats = [x, x, PiecewiseLatency.from_affine(AffineLatency(0.0, 0.0))][: 2 + extra]
+    profile = FlowProfile(1.0, (0.5, 0.5))
+    with pytest.raises(InvalidModelValue, match="latency count"):
+        is_user_equilibrium(lats, profile)
+    with pytest.raises(InvalidModelValue, match="latency count"):
+        profile_cost(lats, profile.flows)
 
 
 def test_two_least_matches_min_selection():

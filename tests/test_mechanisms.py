@@ -23,7 +23,7 @@ from anarchy import (
     ratio_curve,
     solve_plateau_params,
 )
-from anarchy.mechanisms import MIN_PLATEAU_RATIO, _plateau_terms
+from anarchy.mechanisms import MIN_PLATEAU_RATIO, _hold_peak, _jump_peak
 from conftest import random_network
 
 
@@ -232,10 +232,9 @@ def test_plateau_peaks_balanced():
     for ratio in (2.0, 3.0, 10.0):
         net = normalize_network([{"a": ratio, "b": 0}, {"a": 1, "b": 1}])
         params = solve_plateau_params(net)
-        hold_peak, _, jump_peak = _plateau_terms(ratio)
         alpha = params.hold_start / net.breakpoints[1]
-        hp = hold_peak(alpha)
-        jp = jump_peak(alpha)
+        hp = _hold_peak(ratio, alpha)
+        jp = _jump_peak(ratio, math.sqrt(ratio), alpha)
         assert max(hp, jp) <= 1.192 + 1e-9
         assert hp == pytest.approx(jp, abs=1e-9) or hp <= jp  # balanced or seed-capped
 
@@ -259,11 +258,10 @@ def test_solve_plateau_below_overflowing_ratios():
 def test_closed_form_seed_hits_target():
     # the alpha0 seed makes the pre-opening peak exactly 1.192
     for ratio in (2.0, 2.5, 5.0, 50.0):
-        hold_peak, _, _ = _plateau_terms(ratio)
         alpha0 = (149.0 * ratio + 2.0 * math.sqrt(894.0 * ratio * (ratio + 1.0))) / (
             2.0 * (125.0 * ratio - 24.0)
         )
-        assert hold_peak(alpha0) == pytest.approx(1.192, abs=1e-12)
+        assert _hold_peak(ratio, alpha0) == pytest.approx(1.192, abs=1e-12)
 
 
 def test_plateau_latency_shape():
