@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .config import DEFAULT_TOLERANCE
-from .equilibrium import _cost_segs, _Seg, _same, _swept, nash_flow, water_fill
+from .equilibrium import _cost_segs, _keep, _Seg, _swept, nash_flow, water_fill
 from .errors import (
     CostOverflow,
     CostUnderflow,
@@ -115,10 +115,6 @@ def _cut(segs: Iterator[_Seg], marks: Iterable[tuple[float, bool, str]]) -> Iter
             lo = hi
 
 
-# The last network, parameters and latencies cut, by identity, with their pieces.
-_last_pieces: tuple | None = None
-
-
 def cost_pieces(net: ParallelNetwork, mechanism: Mechanism | None = None) -> tuple[CostPiece, ...]:
     """Cut the demand axis into pieces on which both costs are quadratics.
 
@@ -137,29 +133,22 @@ def cost_pieces(net: ParallelNetwork, mechanism: Mechanism | None = None) -> tup
     Built in O(k), or O(n log n) in the n segments of a mechanism's
     latencies.
 
-    Keeps its last result, keyed on the identity of the network, the
-    parameters and each latency: all are frozen, so the same objects carry
-    the same values, and the memo holds them, so their ids cannot be reused
-    while it does.  The curve, its breakpoints, its tail and its supremum on
-    one mechanism therefore share one build, and the sweep it reads is the
-    one :func:`~anarchy.equilibrium.worst_equilibrium_cost` looks rates up in.
+    Kept for the last network, parameters and latencies, keyed on each of
+    them, so the curve, its breakpoints, its tail and its supremum on one
+    mechanism share one build, and the sweep it reads is the one
+    :func:`~anarchy.equilibrium.worst_equilibrium_cost` looks rates up in.
     """
-    global _last_pieces
     params, lats = (None, ()) if mechanism is None else mechanism
-    key = (net, params, *lats)
-    memo = _last_pieces
-    if memo is None or not _same(memo[0], key):
-        memo = _last_pieces = (key, _pieces(net, mechanism))
-    return memo[1]
+    return _keep("pieces", (net, params, *lats), lambda: _pieces(net, mechanism))
 
 
 def _pieces(net: ParallelNetwork, mechanism: Mechanism | None) -> tuple[CostPiece, ...]:
     if mechanism is None:
-        num = _cost_segs(net, "nash", 1.0)
+        num = _cost_segs(net, 1.0)
     else:
         params, lats = mechanism
         num = _cut(iter(_swept(lats)[0]), params.marks)
-    nums, dens = list(num), list(_cost_segs(net, "opt", 0.5))
+    nums, dens = list(num), list(_cost_segs(net, 0.5))
     pieces: list[CostPiece] = []
 
     def add(lo: float, hi: float, closed: bool, n: _Seg, d: _Seg) -> None:

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby, islice
 from operator import is_, itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import DEFAULT_TOLERANCE, IDENTITY_RTOL
 from .errors import (
@@ -85,24 +85,26 @@ def profile_cost(lats: Sequence[PiecewiseLatency], flows: Sequence[float]) -> fl
     return _cost_sum(f * lats[i].value(f) for i, f in enumerate(flows) if f > 0.0)
 
 
-def _segment_index(breakpoints: Sequence[float], r: float) -> int:
-    # Number of breakpoints strictly below r; exactly at a breakpoint the
+def _segment_index(breakpoints: Sequence[float], r: float, scale: float = 1.0) -> int:
+    # Number of scaled breakpoints strictly below r; exactly at one the
     # smaller segment wins (the two closed forms agree there).
-    return max(1, bisect_left(breakpoints, r))
+    return max(1, bisect_left(breakpoints, r, key=scale.__mul__))
 
 
-def _selfish_split(net: ParallelNetwork, rate: float) -> tuple[list[float], float]:
-    # Selfish flows and their level.  A positive demand over open links
-    # whose summed efficiency overflows would split as inf * 0, so it raises
+def _split(net: ParallelNetwork, rate: float, scale: float) -> tuple[list[float], float]:
+    # Flows and level of the selfish split with every efficiency 1/a, and
+    # so every aggregate, times scale: 1 gives the selfish split, 1/2 the
+    # optimal one.  A positive demand over open links whose summed
+    # efficiency overflows would split as inf * 0, so it raises
     # InvalidModelValue naming the link instead.
     k = net.k
-    if net.has_flat_tail and rate >= net.breakpoints[-1]:
+    if net.has_flat_tail and rate >= scale * net.breakpoints[-1]:
         bk = net.links[-1].intercept
-        flows = [(bk - net.links[i].intercept) * net.efficiency[i] for i in range(k - 1)]
+        flows = [(bk - net.links[i].intercept) * (scale * net.efficiency[i]) for i in range(k - 1)]
         flows.append(rate - math.fsum(flows))
         return flows, bk
-    j = min(_segment_index(net.breakpoints, rate), k)
-    eff_j = net.eff_prefix[j - 1]
+    j = min(_segment_index(net.breakpoints, rate, scale), k)
+    eff_j = scale * net.eff_prefix[j - 1]
     if eff_j == INF and rate > 0.0:
         i = net.eff_prefix.index(INF)
         raise InvalidModelValue(
@@ -113,11 +115,11 @@ def _selfish_split(net: ParallelNetwork, rate: float) -> tuple[list[float], floa
     # breakpoint: subtracting b_i from a level that rounds near it would
     # cancel, and a large efficiency multiplies the rounding error.
     top = net.links[j - 1].intercept
-    past = (rate - net.breakpoints[j - 1]) / eff_j
+    past = (rate - scale * net.breakpoints[j - 1]) / eff_j
     flows = [0.0] * k
     for i in range(j):
-        flows[i] = max(0.0, net.efficiency[i] * ((top - net.links[i].intercept) + past))
-    return flows, (rate + net.off_prefix[j - 1]) / eff_j
+        flows[i] = max(0.0, scale * net.efficiency[i] * ((top - net.links[i].intercept) + past))
+    return flows, (rate + scale * net.off_prefix[j - 1]) / eff_j
 
 
 def _finite_cost(cost: float, rate: float) -> float:
@@ -131,11 +133,11 @@ def _finite_cost(cost: float, rate: float) -> float:
     raise CostOverflow(f"the cost overflows at demand {rate!r}: {cost!r}")
 
 
-def _selfish_profile(net: ParallelNetwork, rate: float) -> tuple[FlowProfile, float]:
-    # The selfish split as a checked profile, with its level: nash_flow
+def _profile(net: ParallelNetwork, rate: float, scale: float) -> tuple[FlowProfile, float]:
+    # The split at `scale` as a checked profile, with its level: the flows
     # without the cost, which can overflow where the flows do not.
     check_rate(rate)
-    flows, level = _selfish_split(net, rate)
+    flows, level = _split(net, rate, scale)
     return FlowProfile(rate=rate, flows=tuple(flows)), level
 
 
@@ -148,7 +150,7 @@ def nash_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     reaches the last breakpoint.  Every user pays the level, so the cost is
     rate * level; one that does not come out finite raises CostOverflow.
     """
-    profile, level = _selfish_profile(net, rate)
+    profile, level = _profile(net, rate, 1.0)
     return EquilibriumResult(profile, level=level, cost=_finite_cost(rate * level, rate))
 
 
@@ -156,21 +158,17 @@ def opt_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     """System-optimal flow: used links share one marginal cost.
 
     A link's marginal cost at flow x, 2*slope*x + intercept, is its latency
-    at 2x, so the optimal flow is half the selfish flow at twice the demand,
-    and the reported level, the equalized marginal cost M, is that flow's
-    level.  Link h therefore opens at half its selfish breakpoint.  Each
-    used link's latency is (M + intercept_i) / 2, so the cost is
-    (rate * M + sum x_i * intercept_i) / 2, a sum of non-negative terms.  A
-    demand whose double leaves the float range, or a cost past it, raises
+    at 2x, that is the latency of a link with half its efficiency 1/slope at
+    x.  So the optimal flow is the selfish split with every efficiency
+    halved, and the reported level, the equalized marginal cost M, is that
+    split's level.  Link h therefore opens at half its selfish breakpoint.
+    Each used link's latency is (M + intercept_i) / 2, so the cost is
+    (rate * M + sum x_i * intercept_i) / 2 over the reported flows, a sum of
+    non-negative terms; one that does not come out finite raises
     CostOverflow.
     """
-    check_rate(rate)
-    doubled, level = _selfish_split(net, 2.0 * rate)
-    if 2.0 * rate == INF:  # after the split, which names an overflowed efficiency
-        raise CostOverflow(f"twice the demand {rate!r} overflows, so no optimal split is known")
-    flows = tuple(f / 2.0 for f in doubled)
-    profile = FlowProfile(rate=rate, flows=flows)
-    cost = _cost_sum([rate * level, *(x * b for x, b in zip(flows, net.intercepts))]) / 2.0
+    profile, level = _profile(net, rate, 0.5)
+    cost = _cost_sum([rate * level, *(x * b for x, b in zip(profile.flows, net.intercepts))]) / 2.0
     return EquilibriumResult(profile, level=level, cost=_finite_cost(cost, rate))
 
 
@@ -191,7 +189,7 @@ def cost_increment(net: ParallelNetwork, s: float, r: float, j: int,
         raise SegmentMismatch(f"start rate {s} exceeds end rate {r}")
     if not 1 <= j <= net.k:
         raise SegmentMismatch(f"link count {j} outside 1..{net.k}")
-    seg = next(islice(_cost_segs(net, which, 0.5 if which == "opt" else 1.0), j - 1, None))
+    seg = next(islice(_cost_segs(net, 1.0 if which == "nash" else 0.5), j - 1, None))
     lo, hi = seg.anchor, seg.hi
     eps = IDENTITY_RTOL * (hi if math.isfinite(hi) else lo)
     if s < lo - eps or r > hi + eps:
@@ -393,7 +391,7 @@ class _Seg(NamedTuple):
         return self.a0 + s * (self.a1 + s * self.a2), self.a1 + 2.0 * s * self.a2, self.a2
 
 
-def _cost_segs(net: ParallelNetwork, name: str, scale: float) -> Iterator[_Seg]:
+def _cost_segs(net: ParallelNetwork, scale: float) -> Iterator[_Seg]:
     # The selfish (scale 1) or optimal (scale 1/2) cost while j links are
     # used, from scale * breakpoints[j-1] on: C + C' u + u^2 / E_j, anchored
     # there.  C' is the intercept of the link that opens at the anchor, the
@@ -401,14 +399,14 @@ def _cost_segs(net: ParallelNetwork, name: str, scale: float) -> Iterator[_Seg]:
     # carries from piece to piece, adding only non-negative terms.  A
     # zero-slope tail has 1 / E = 0; a piece past an overflowed summed
     # efficiency carries NaN, which reads as no cost.
-    k, flat = net.k, net.has_flat_tail
-    cost = 0.0
+    k, flat, selfish = net.k, net.has_flat_tail, scale == 1.0
+    name, cost = "nash" if selfish else "opt", 0.0
     for j in range(1, k + 1):
         e = net.eff_prefix[j - 1]
         inv = 1.0 / e if e < INF or net.links[j - 1].slope == 0.0 else math.nan
         lo = scale * net.breakpoints[j - 1]
         hi = scale * net.breakpoints[j] if j < k else INF
-        slope = net.links[j - 1].intercept + (lo * inv if name == "nash" else 0.0)
+        slope = net.links[j - 1].intercept + (lo * inv if selfish else 0.0)
         yield _Seg(hi, not (flat and j == k - 1), f"{name}{j}", lo, cost, slope, inv)
         w = hi - lo
         cost += w * (slope + w * inv)
@@ -469,35 +467,40 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
     yield _Seg(r, *piece)
 
 
-# The last latencies swept, by identity, with their pieces and piece ends;
-# replaced whole, so a thread that races another at worst sweeps again.
-_last_sweep: tuple | None = None
+# The last key and result of each kept build, by name; an entry is replaced
+# whole, so a thread that races another at worst builds again.
+_kept: dict[str, tuple] = {}
 
 
-def _same(a: tuple, b: tuple) -> bool:
-    # The same objects in the same order.
-    return len(a) == len(b) and all(map(is_, a, b))
+def _keep(name: str, key: tuple, build: Callable[[], tuple]) -> tuple:
+    """The result of ``build()``, kept under `name` for one key at a time.
+
+    Keys match when they hold the same objects in the same order.  Those are
+    frozen, so the same objects carry the same values, and the kept key holds
+    them, so their ids cannot be reused while it is kept.
+    """
+    kept = _kept.get(name)
+    if kept is None or len(kept[0]) != len(key) or not all(map(is_, kept[0], key)):
+        kept = _kept[name] = (key, build())
+    return kept[1]
 
 
 def _swept(lats: Sequence[PiecewiseLatency]) -> tuple[tuple[_Seg, ...], tuple[float, ...]]:
     """The sweep of `lats` without its empty pieces, and the piece ends.
 
-    :func:`water_fill` and :func:`worst_equilibrium_cost` look rates up in it.
-
-    Keeps its last result, keyed on the identity of each latency: they are
-    frozen, so the same objects carry the same values, and the memo holds
-    them, so their ids cannot be reused while it does.
+    :func:`water_fill` and :func:`worst_equilibrium_cost` look rates up in
+    it.  Kept for the last latencies, keyed on each of them.
     """
-    global _last_sweep
     key = tuple(lats)
-    memo = _last_sweep
-    if memo is None or not _same(memo[0], key):
+
+    def build() -> tuple:
         segs: list[_Seg] = []
         for seg in _equilibrium_segs(key):
             if not segs or seg.hi > segs[-1].hi:
                 segs.append(seg)
-        memo = _last_sweep = (key, tuple(segs), tuple(seg.hi for seg in segs))
-    return memo[1], memo[2]
+        return tuple(segs), tuple(seg.hi for seg in segs)
+
+    return _keep("sweep", key, build)
 
 
 def _piece_at(lats: Sequence[PiecewiseLatency], rate: float) -> _Seg:

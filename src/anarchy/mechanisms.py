@@ -17,7 +17,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .config import DEFAULT_TOLERANCE
-from .equilibrium import _selfish_profile
+from .equilibrium import _profile
 from .errors import (
     BadParamCount,
     NotTwoLinks,
@@ -114,7 +114,7 @@ def build_threshold_mechanism(
     stages = [FreezeStage(0, 0.0, net)]
     for t, end, freeze in zip(triggers, [*triggers[1:], net.k], freeze_points):
         stage = stages[-1]
-        frozen = _selfish_profile(stage.segment, freeze - stage.global_start_rate)[0]
+        frozen = _profile(stage.segment, freeze - stage.global_start_rate, 1.0)[0]
         thresholds[stage.start:t] = frozen.flows[: t - stage.start]
         stages.append(FreezeStage(t, freeze, net.segment(t, end)))
 
@@ -142,7 +142,7 @@ def mn_flow(net: ParallelNetwork, params: ThresholdParams, rate: float) -> FlowP
     # Stage s holds the demands in (freeze_points[s-1], freeze_points[s]],
     # the same cut that cost_pieces makes; the links before it are frozen.
     stage = params.stages[bisect_left(params.freeze_points, rate)]
-    inner = _selfish_profile(stage.segment, rate - stage.global_start_rate)[0].flows
+    inner = _profile(stage.segment, rate - stage.global_start_rate, 1.0)[0].flows
     flows = params.thresholds[:stage.start] + inner + (0.0,) * (net.k - stage.start - len(inner))
     return FlowProfile(rate=rate, flows=flows, latency_family="modified")
 

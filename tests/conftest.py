@@ -32,6 +32,12 @@ TINY_SLOPES = [{"a": 1e-300, "b": 0}, {"a": 1e-300, "b": 1e-300}]
 # The zero-slope tail at 1.3e4 opens near demand 7.8e304; at 1e305 both
 # costs, about rate * 1.3e4, pass the float range.
 OVERFLOWING_TAIL = [*({"a": 1e-300, "b": i * 1e-3} for i in range(6)), {"a": 0, "b": 1.3e4}]
+# Past the zero-slope tail at demand 6.551735390898654e+233, the tail's
+# remainder of the optimal split rounds to -1.77e218, which the profile
+# clips to 0; a cost over the unclipped flows sums -inf with inf.
+CLIPPED_TAIL = [{"a": 5.3148406078049895e-95, "b": 8.860483117855546e-105},
+                {"a": 8.767676068412692e-17, "b": 3.750959709778704e+139},
+                {"a": 0.0, "b": 6.964285861428253e+139}]
 # 1/a of the second link overflows to inf; it opens below the demand given.
 OVERFLOWED_EFFICIENCY = [
     ([{"a": 7.138698153057926e-282, "b": 0}, {"a": 3.438020993e-315, "b": 2.852124733339543e-47}],

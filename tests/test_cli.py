@@ -15,6 +15,7 @@ from anarchy.cli import main
 from anarchy.equilibrium import EquilibriumCheck
 from conftest import (
     CANCELLING_OPT,
+    CLIPPED_TAIL,
     NEGATIVE_OPT,
     OVERFLOWED_EFFICIENCY,
     OVERFLOWED_SUM,
@@ -477,9 +478,8 @@ def test_exit_code_cost_underflow(tmp_path, capsys, links, extra):
          ["solve", "--rate", "1e200", "--which", "opt"], "cost overflows"),
         (TINY_SLOPES, {"kind": "threshold", "R": [2]},
          ["solve", "--rate", "1.5e308", "--which", "mn"], "cost overflows"),
-        # Twice the demand overflows; the cost is 4.5e307.
-        ([{"a": 1, "b": 0}, {"a": 0, "b": 0.5}], None,
-         ["solve", "--rate", "9e307", "--which", "opt"], "twice the demand 9e+307"),
+        (CLIPPED_TAIL, None, ["solve", "--rate", "6.551735390898654e+233", "--which", "opt"],
+         "cost overflows"),
     ],
 )
 def test_exit_code_overflow(tmp_path, capsys, links, mech, args, message):
@@ -506,6 +506,8 @@ def test_exit_code_overflow(tmp_path, capsys, links, mech, args, message):
     (TINY_SLOPES, "1e200", "opt", "5e+99"),
     (NEGATIVE_OPT, "1e30", "opt", "3.44842e-58"),
     (CANCELLING_OPT, "5.371637362363765e-171", "opt", "3.55819e-223"),
+    # Twice the demand overflows; the optimal split never forms it.
+    ([{"a": 1, "b": 0}, {"a": 0, "b": 0.5}], "9e307", "opt", "4.5e+307"),
 ])
 def test_solve_finite_cost_near_the_float_range(tmp_path, capsys, links, rate, which, cost):
     net_path, mech_path = tmp_path / "net.json", tmp_path / "mech.json"

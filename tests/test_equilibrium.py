@@ -41,7 +41,8 @@ import anarchy.analysis
 import anarchy.equilibrium
 from anarchy.equilibrium import EquilibriumCheck, _equilibrium_segs, _flow_bounds, _two_least
 from anarchy.mechanisms import MIN_PLATEAU_RATIO
-from conftest import CANCELLING_OPT, NEGATIVE_OPT, OVERFLOWING_TAIL, TINY_SLOPES, random_network
+from conftest import (CANCELLING_OPT, CLIPPED_TAIL, NEGATIVE_OPT, OVERFLOWING_TAIL, TINY_SLOPES,
+                      random_network)
 
 # Two-link plateau instance whose water-fill once collapsed the first link's
 # interval: hold_end recomputed from the level came out one ulp off.
@@ -614,18 +615,22 @@ def test_cost_near_the_float_range_is_exact(links, rate, solve, cost):
 @pytest.mark.parametrize("links, rate, solve, shown", [
     (OVERFLOWING_TAIL, 1e305, opt_flow, "inf"),
     (OVERFLOWING_TAIL, 1e305, nash_flow, "inf"),
+    (CLIPPED_TAIL, 6.551735390898654e+233, opt_flow, "inf"),
 ])
 def test_non_finite_closed_form_cost_raises_overflow(links, rate, solve, shown):
-    # Past the zero-slope tail, rate * 1.3e4 leaves the float range.
+    # Past the zero-slope tail, rate times its intercept leaves the float
+    # range; the cost reads the clipped flows, so no term is -inf.
     with pytest.raises(CostOverflow, match=re.escape(f"demand {rate!r}: {shown}")):
         solve(normalize_network(links), rate)
 
 
 def test_opt_flow_past_half_the_float_range():
-    # Twice the demand overflows: the doubled selfish split is no split.
+    # Twice the demand overflows, but the split with halved efficiencies
+    # never forms it.
     net = normalize_network([{"a": 1, "b": 0}, {"a": 0, "b": 0.5}])
-    with pytest.raises(CostOverflow, match=re.escape("twice the demand 9e+307")):
-        opt_flow(net, 9e307)
+    res = opt_flow(net, 9e307)
+    assert res.profile.flows == (0.25, 9e307)
+    assert res.cost == 4.5e307
     assert nash_flow(net, 9e307).cost == 9e307 * 0.5
 
 
