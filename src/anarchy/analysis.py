@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .config import DEFAULT_TOLERANCE
@@ -40,7 +39,7 @@ from .mechanisms import (
     _jump_peak,
     balanced_alpha,
 )
-from .model import INF, ParallelNetwork, PiecewiseLatency
+from .model import INF, ParallelNetwork, PiecewiseLatency, _Checked
 
 if TYPE_CHECKING:
     # Imported where the exact recurrence runs: `import anarchy` stays lean.
@@ -60,20 +59,27 @@ class CurveSample(NamedTuple):
     regime: str
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """A named worst-case bound with the inputs that produced it."""
-
+class _BoundFields(NamedTuple):
     name: str
     value: float
     inputs: tuple[float, ...]
     formula: str
-    details: Mapping[str, object] | None = None
-    strictly_below_four_thirds: bool | None = None
+    details: Mapping[str, object] | None
+    strictly_below_four_thirds: bool | None
 
-    def __post_init__(self) -> None:
-        if not self.value >= 1.0:
-            raise ValueError(f"bound {self.name} below 1: {self.value}")
+
+class BoundReport(_Checked, _BoundFields):
+    """A named worst-case bound with the inputs that produced it."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, value: float, inputs: tuple[float, ...], formula: str,
+                details: Mapping[str, object] | None = None,
+                strictly_below_four_thirds: bool | None = None) -> BoundReport:
+        if not value >= 1.0:
+            raise ValueError(f"bound {name} below 1: {value}")
+        return tuple.__new__(cls, (name, value, inputs, formula, details,
+                                   strictly_below_four_thirds))
 
 
 class CostPiece(NamedTuple):
@@ -434,8 +440,7 @@ def lower_bound_value(R: float) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
-class ContinuityCheck:
+class ContinuityCheck(NamedTuple):
     """Outcome of the no-improvement check for continuous modifications."""
 
     ok: bool

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import groupby, islice
-from operator import is_, itemgetter
+from itertools import islice
+from operator import is_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import DEFAULT_TOLERANCE, IDENTITY_RTOL
@@ -32,8 +31,7 @@ from .errors import (
 from .model import INF, FlowProfile, ParallelNetwork, PiecewiseLatency, check_rate
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(NamedTuple):
     """Solved flow with its equalized level.
 
     ``level`` is the common latency of used links for equilibrium solves and
@@ -53,8 +51,7 @@ class EquilibriumResult:
         return self.profile.used_count
 
 
-@dataclass(frozen=True)
-class EquilibriumCheck:
+class EquilibriumCheck(NamedTuple):
     """Outcome of an equilibrium test, with a violating pair if any."""
 
     ok: bool
@@ -97,10 +94,10 @@ def _split(net: ParallelNetwork, rate: float, scale: float) -> tuple[list[float]
     # optimal one.  A positive demand over open links whose summed
     # efficiency overflows would split as inf * 0, so it raises
     # InvalidModelValue naming the link instead.
-    k = net.k
+    k, links, efficiency = net.k, net.links, net.efficiency
     if net.has_flat_tail and rate >= scale * net.breakpoints[-1]:
-        bk = net.links[-1].intercept
-        flows = [(bk - net.links[i].intercept) * (scale * net.efficiency[i]) for i in range(k - 1)]
+        bk = links[-1].intercept
+        flows = [(bk - links[i].intercept) * (scale * efficiency[i]) for i in range(k - 1)]
         flows.append(rate - math.fsum(flows))
         return flows, bk
     j = min(_segment_index(net.breakpoints, rate, scale), k)
@@ -114,11 +111,11 @@ def _split(net: ParallelNetwork, rate: float, scale: float) -> tuple[list[float]
     # level - b_i, written as intercept gap plus the demand past the last
     # breakpoint: subtracting b_i from a level that rounds near it would
     # cancel, and a large efficiency multiplies the rounding error.
-    top = net.links[j - 1].intercept
+    top = links[j - 1].intercept
     past = (rate - scale * net.breakpoints[j - 1]) / eff_j
     flows = [0.0] * k
     for i in range(j):
-        flows[i] = max(0.0, scale * net.efficiency[i] * ((top - net.links[i].intercept) + past))
+        flows[i] = max(0.0, scale * efficiency[i] * ((top - links[i].intercept) + past))
     return flows, (rate + scale * net.off_prefix[j - 1]) / eff_j
 
 
@@ -400,13 +397,14 @@ def _cost_segs(net: ParallelNetwork, scale: float) -> Iterator[_Seg]:
     # zero-slope tail has 1 / E = 0; a piece past an overflowed summed
     # efficiency carries NaN, which reads as no cost.
     k, flat, selfish = net.k, net.has_flat_tail, scale == 1.0
+    eff_prefix, breakpoints = net.eff_prefix, net.breakpoints
     name, cost = "nash" if selfish else "opt", 0.0
-    for j in range(1, k + 1):
-        e = net.eff_prefix[j - 1]
-        inv = 1.0 / e if e < INF or net.links[j - 1].slope == 0.0 else math.nan
-        lo = scale * net.breakpoints[j - 1]
-        hi = scale * net.breakpoints[j] if j < k else INF
-        slope = net.links[j - 1].intercept + (lo * inv if selfish else 0.0)
+    for j, link in enumerate(net.links, 1):
+        e = eff_prefix[j - 1]
+        inv = 1.0 / e if e < INF or link.slope == 0.0 else math.nan
+        lo = scale * breakpoints[j - 1]
+        hi = scale * breakpoints[j] if j < k else INF
+        slope = link.intercept + (lo * inv if selfish else 0.0)
         yield _Seg(hi, not (flat and j == k - 1), f"{name}{j}", lo, cost, slope, inv)
         w = hi - lo
         cost += w * (slope + w * inv)
@@ -421,17 +419,29 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
     # cost can jump the demand is read off the least flows, and while no link
     # rises it is the flow held, D.  The piece in progress (at first an empty
     # one at 0) is kept as all but its end and built when the next starts, at
-    # the demand reached then.  The sums snap to 0 once per level when their
-    # link counts do.  A last level at inf ends the last rising piece, or,
-    # when every link is capped, ends the sweep at the sum of their caps.
+    # the demand reached then.  Each level's events[i:j] are read twice: for
+    # the flats' widths and releases, and whether any link releases a held
+    # flow, before the pieces that end there; then, in event order, for the
+    # sums and link counts, which snap to 0 once their counts do.  A last
+    # level at inf ends the last rising piece, or, when every link is capped,
+    # ends the sweep at the sum of their caps.
     events = sorted(ev for lat in lats for ev in lat.supply_events) + [(INF, 0.0, 0.0, 0.0, 0.0)]
     r = prev = growth = held = cost = 0.0
     rising = n_held = 0
     piece = (True, "", 0.0, 0.0, 0.0, 0.0, events[0][0], events[0][0])
-    for level, batch in groupby(events, itemgetter(0)):
-        batch = list(batch)
-        width = math.fsum([ev[1] for ev in batch])
-        if width > 0.0 or any([ev[3] < 0.0 for ev in batch]):
+    i, n = 0, len(events)
+    while i < n:
+        level = events[i][0]
+        width = freed = freed_cost = 0.0
+        release = False
+        j = i
+        while j < n and events[j][0] == level:
+            _, w, _, dheld, dcost = events[j]
+            if w > 0.0:
+                width, freed, freed_cost = width + w, freed + dheld, freed_cost + dcost
+            release |= dheld < 0.0
+            j += 1
+        if width > 0.0 or release:
             end = math.fsum([_flow_bounds(lat, level)[0] for lat in lats])
         elif rising:
             end = r + growth * (level - prev)
@@ -445,14 +455,14 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
                      1.0 / growth, prev, level)
         r = end
         if width > 0.0:
-            flats = [ev for ev in batch if ev[1] > 0.0]
-            d, c = held + math.fsum(ev[3] for ev in flats), cost + math.fsum(ev[4] for ev in flats)
+            d, c = held + freed, cost + freed_cost
             yield _Seg(r, *piece)
             piece = (r + width < INF, "", r, c + level * (r - d), level, 0.0, level, level)
             r += width
             if r == INF:
                 break
-        for _, _, dgrowth, dheld, dcost in batch:
+        for m in range(i, j):
+            _, _, dgrowth, dheld, dcost = events[m]
             rising += (dgrowth > 0.0) - (dgrowth < 0.0)
             n_held += (dheld > 0.0) - (dheld < 0.0)
             growth, held, cost = growth + dgrowth, held + dheld, cost + dcost
@@ -463,7 +473,7 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
                                     " while links still rise")
         if not n_held:
             held = cost = 0.0
-        prev = level
+        prev, i = level, j
     yield _Seg(r, *piece)
 
 

@@ -14,7 +14,7 @@ import math
 import sys
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import DEFAULT_TOLERANCE
 from .equilibrium import _profile
@@ -52,8 +52,7 @@ def _check_multipliers(values: Sequence[float]) -> tuple[float, ...]:
     return tuple(float(x) for x in values)
 
 
-@dataclass(frozen=True)
-class FreezeStage:
+class FreezeStage(NamedTuple):
     """One step of the threshold recursion.
 
     From total demand ``global_start_rate`` on the stage fills ``segment``,
@@ -67,8 +66,7 @@ class FreezeStage:
     segment: ParallelNetwork
 
 
-@dataclass(frozen=True)
-class ThresholdParams:
+class ThresholdParams(NamedTuple):
     """Threshold mechanism state built for one network.
 
     ``thresholds`` holds each frozen link's cap and None for a link that
@@ -147,8 +145,7 @@ def mn_flow(net: ParallelNetwork, params: ThresholdParams, rate: float) -> FlowP
     return FlowProfile(rate=rate, flows=flows, latency_family="modified")
 
 
-@dataclass(frozen=True)
-class LinkUsageCheck:
+class LinkUsageCheck(NamedTuple):
     """Outcome of the usage-order check, with the first offending link if any."""
 
     ok: bool
@@ -192,8 +189,7 @@ def _two_links(net: ParallelNetwork) -> tuple[AffineLatency, AffineLatency]:
     return first, second
 
 
-@dataclass(frozen=True)
-class PlateauParams:
+class PlateauParams(NamedTuple):
     """Two-link plateau marks and the rates they induce.
 
     The first latency is held constant at its hold_end value while flow is

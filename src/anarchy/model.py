@@ -12,7 +12,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .config import DEFAULT_TOLERANCE, IDENTITY_RTOL
 from .errors import (
@@ -34,19 +34,40 @@ def check_rate(rate: float) -> None:
         raise NegativeRate(f"rate must be finite and >= 0, got {rate}")
 
 
-@dataclass(frozen=True)
-class AffineLatency:
-    """Latency slope*x + intercept of one link."""
+class _Checked:
+    """Base of a NamedTuple record whose ``__new__`` checks or derives fields.
 
+    ``copy`` and ``pickle`` rebuild a record through ``__new__`` from
+    :meth:`__getnewargs__`, the constructor's arguments; ``_replace`` does
+    the same with the changes applied, where a bare NamedTuple's would skip
+    the checks.
+    """
+
+    __slots__ = ()
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self.__getnewargs__()), **changes))
+
+
+def _coefficient(name: str, value: float) -> float:
+    v = float(value)
+    if not math.isfinite(v) or v < 0.0:
+        raise NegativeCoefficient(f"{name} must be finite and >= 0, got {v!r}")
+    return v
+
+
+class _AffineFields(NamedTuple):
     slope: float
     intercept: float
 
-    def __post_init__(self) -> None:
-        for name in ("slope", "intercept"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise NegativeCoefficient(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, v)
+
+class AffineLatency(_Checked, _AffineFields):
+    """Latency slope*x + intercept of one link."""
+
+    __slots__ = ()
+
+    def __new__(cls, slope: float, intercept: float) -> AffineLatency:
+        return tuple.__new__(cls, (_coefficient("slope", slope), _coefficient("intercept", intercept)))
 
     @property
     def efficiency(self) -> float:
@@ -64,8 +85,7 @@ class AffineLatency:
         return self.slope * x + self.intercept
 
 
-@dataclass(frozen=True)
-class ParallelNetwork:
+class ParallelNetwork(NamedTuple):
     """Normalized instance: links sorted by intercept, prefix sums cached.
 
     Instances are produced by :func:`normalize_network`.  ``eff_prefix[j]``
@@ -189,14 +209,15 @@ def _check_aggregate_identities(net: ParallelNetwork) -> None:
     # side, and one subnormal per summed link as FlowProfile does.  Written
     # so that a NaN difference fails: a flow offset that overflows makes
     # both sides inf.
-    for j in range(net.k):
-        if not (math.isfinite(net.eff_prefix[j]) and net.breakpoints[j] < INF):
+    eff_prefix, off_prefix, breakpoints = net.eff_prefix, net.off_prefix, net.breakpoints
+    for j, link in enumerate(net.links):
+        if not (math.isfinite(eff_prefix[j]) and breakpoints[j] < INF):
             continue
-        bj = net.links[j].intercept
+        bj = link.intercept
         subnormals = (j + 1) * math.ulp(0.0)
         for i in (j, j - 1) if j else (j,):
-            lhs = net.off_prefix[i] + net.breakpoints[j]
-            rhs = bj * net.eff_prefix[i]
+            lhs = off_prefix[i] + breakpoints[j]
+            rhs = bj * eff_prefix[i]
             if not abs(lhs - rhs) <= IDENTITY_RTOL * abs(rhs) + subnormals:
                 raise InvalidModelValue(
                     f"prefix identity failed at link {j} over links 0..{i}: {lhs} vs {rhs}"
@@ -213,8 +234,16 @@ def network_from_dict(obj: object) -> ParallelNetwork:
     return normalize_network(entries)
 
 
-@dataclass(frozen=True)
-class PiecewiseLatency:
+class _PiecewiseFields(NamedTuple):
+    starts: tuple[float, ...]
+    slopes: tuple[float, ...]
+    offsets: tuple[float, ...]
+    cap: float
+    segments: tuple[tuple[float, float, float, float, float], ...]
+    supply_events: tuple[tuple[float, float, float, float, float], ...]
+
+
+class PiecewiseLatency(_Checked, _PiecewiseFields):
     """Non-decreasing piecewise-affine latency with optional hard cap.
 
     Segment i applies on the interval (starts[i], starts[i+1]]; the first
@@ -244,26 +273,16 @@ class PiecewiseLatency:
     there is none.
     """
 
-    starts: tuple[float, ...]
-    slopes: tuple[float, ...]
-    offsets: tuple[float, ...]
-    cap: float = INF
-    segments: tuple[tuple[float, float, float, float, float], ...] = field(
-        init=False, repr=False, compare=False)
-    supply_events: tuple[tuple[float, float, float, float, float], ...] = field(
-        init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.starts or len(self.starts) != len(self.slopes) or len(self.starts) != len(self.offsets):
+    def __new__(cls, starts: Sequence[float], slopes: Sequence[float],
+                offsets: Sequence[float], cap: float = INF) -> PiecewiseLatency:
+        if not starts or len(starts) != len(slopes) or len(starts) != len(offsets):
             raise InvalidModelValue("segments need matching starts/slopes/offsets")
-        starts = tuple(map(float, self.starts))
-        slopes = tuple(map(float, self.slopes))
-        offsets = tuple(map(float, self.offsets))
-        cap = float(self.cap)
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "cap", cap)
+        starts = tuple(map(float, starts))
+        slopes = tuple(map(float, slopes))
+        offsets = tuple(map(float, offsets))
+        cap = float(cap)
         if starts[0] != 0.0:
             raise InvalidModelValue("first segment must start at 0")
         for a, b in zip(starts, starts[1:]):
@@ -303,8 +322,16 @@ class PiecewiseLatency:
                 held = (hi, hi * v_hi) if nxt is None or nxt[3] > v_hi else (0.0, 0.0)
                 events.append((v_hi, 0.0, -rate, *held))
                 release = (-held[0], -held[1])
-        object.__setattr__(self, "segments", tuple(segments))
-        object.__setattr__(self, "supply_events", tuple(events))
+        return tuple.__new__(cls, (starts, slopes, offsets, cap, tuple(segments), tuple(events)))
+
+    # The derived segments and supply events are neither constructor
+    # arguments nor shown.
+    def __getnewargs__(self) -> tuple:
+        return self[:4]
+
+    def __repr__(self) -> str:
+        return (f"PiecewiseLatency(starts={self.starts!r}, slopes={self.slopes!r}, "
+                f"offsets={self.offsets!r}, cap={self.cap!r})")
 
     @classmethod
     def from_affine(cls, lat: AffineLatency, cap: float = INF) -> "PiecewiseLatency":
@@ -364,8 +391,13 @@ def _at_least(v: float, ref: float, size: float) -> bool:
     return v >= ref - IDENTITY_RTOL * size
 
 
-@dataclass(frozen=True)
-class FlowProfile:
+class _FlowFields(NamedTuple):
+    rate: float
+    flows: tuple[float, ...]
+    latency_family: str
+
+
+class FlowProfile(_Checked, _FlowFields):
     """Per-link flows for one demand rate.
 
     ``latency_family`` records which latencies the profile was computed
@@ -374,13 +406,12 @@ class FlowProfile:
     flow.
     """
 
-    rate: float
-    flows: tuple[float, ...]
-    latency_family: str = "original"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rate = float(self.rate)
-        flows = [float(f) for f in self.flows]
+    def __new__(cls, rate: float, flows: Iterable[float],
+                latency_family: str = "original") -> FlowProfile:
+        rate = float(rate)
+        flows = [float(f) for f in flows]
         # DEFAULT_TOLERANCE of the rate, and one subnormal per flow: below
         # the normal range each flow is rounded to an absolute unit.
         slack = DEFAULT_TOLERANCE * abs(rate) + len(flows) * math.ulp(0.0)
@@ -392,8 +423,7 @@ class FlowProfile:
         total = math.fsum(flows)
         if abs(total - rate) > slack:
             raise InvalidModelValue(f"flows sum to {total}, expected {rate}")
-        object.__setattr__(self, "rate", rate)
-        object.__setattr__(self, "flows", tuple(flows))
+        return tuple.__new__(cls, (rate, tuple(flows), latency_family))
 
     @property
     def used_count(self) -> int:

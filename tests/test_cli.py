@@ -193,7 +193,8 @@ def test_import_leaves_package_metadata_unloaded(tmp_path):
         "import sys\n"
         f"sys.path.insert(0, {os.path.abspath(src)!r})\n"
         "import anarchy.cli\n"
-        "for name in ('importlib.metadata', 'fractions', 'hashlib', 'datetime'):\n"
+        "for name in ('importlib.metadata', 'fractions', 'hashlib', 'datetime', 'dataclasses',\n"
+        "             'inspect'):\n"
         "    assert name not in sys.modules, name + ' imported'\n"
     )
     done = subprocess.run([sys.executable, "-S", "-c", code],

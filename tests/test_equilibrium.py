@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import re
@@ -1007,7 +1006,7 @@ def test_equilibrium_segs_match_worst_equilibrium_cost(seed):
     compared = 0
     for _ in range(200):
         lats = [_random_piecewise(rng) for _ in range(rng.randint(2, 4))]
-        lats[-1] = dataclasses.replace(lats[-1], cap=math.inf)
+        lats[-1] = lats[-1]._replace(cap=math.inf)
         ends, _ = swept_cost(lats, [])
         rates = [rng.uniform(0.0, 2.0 * max(ends, default=1.0)) for _ in range(20)] + ends
         rates = [r for r in rates if r > 0.0]
@@ -1087,7 +1086,7 @@ def test_memo_rebuilds_for_equal_but_distinct_inputs(monkeypatch):
     net, mech = _plateau_mechanism(links)
     first = anarchy.cost_pieces(net, mech)
     assert anarchy.cost_pieces(net, mech) is first and len(builds) == 1
-    twin = [dataclasses.replace(lat) for lat in mech[1]]
+    twin = [lat._replace() for lat in mech[1]]
     assert twin == list(mech[1])
     assert anarchy.cost_pieces(net, (mech[0], twin)) == first
     assert len(builds) == 2 and len(sweeps) == 2
@@ -1126,10 +1125,10 @@ def _all_capped():
     yield [PiecewiseLatency.from_affine(AffineLatency(1.0, 1.0), cap=0.9),
            PiecewiseLatency((0.0,), (0.0,), (0.5,), cap=0.1)]
     # Links 0 and 1 end on their flats at level 1; link 2 rises on to its cap.
-    yield [dataclasses.replace(lat, cap=cap) for lat, cap in zip(three_link_flats(), (2.0, 1.0, 1.5))]
+    yield [lat._replace(cap=cap) for lat, cap in zip(three_link_flats(), (2.0, 1.0, 1.5))]
     rng = random.Random(88)
     for _ in range(100):
-        yield [dataclasses.replace(lat, cap=rng.uniform(0.2, 4.0))
+        yield [lat._replace(cap=rng.uniform(0.2, 4.0))
                for lat in (_random_piecewise(rng) for _ in range(rng.randint(1, 4)))]
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 
@@ -263,6 +265,39 @@ def test_flow_profile_validation():
     with pytest.raises(ValueError):
         FlowProfile(rate=1e-12, flows=(1e-12, 5e-10))
     assert FlowProfile(rate=1e-323, flows=(1e-323, 5e-324)).used_count == 2
+
+
+# Each record type with checked or derived fields: its constructor's
+# arguments, a change that gives another valid record, and a change that the
+# constructor refuses with its typed error.
+CHECKED_RECORDS = [
+    (AffineLatency, {"slope": 2.0, "intercept": 1}, {"slope": 3}, {"slope": -1.0},
+     NegativeCoefficient),
+    (PiecewiseLatency, {"starts": (0.0, 1.0), "slopes": (1.0, 0.0), "offsets": (0.0, 1.0),
+                        "cap": 3.0}, {"cap": 0.5}, {"cap": -1.0}, InvalidModelValue),
+    (FlowProfile, {"rate": 1, "flows": (0.25, 0.75)}, {"flows": [0.5, 0.5]},
+     {"flows": (0.5, 0.25)}, InvalidModelValue),
+]
+
+
+@pytest.mark.parametrize("cls, args, change, bad, error", CHECKED_RECORDS,
+                         ids=[case[0].__name__ for case in CHECKED_RECORDS])
+def test_copies_go_through_the_constructor(cls, args, change, bad, error):
+    record = cls(**args)
+    for copied in (copy.copy(record), copy.deepcopy(record),
+                   pickle.loads(pickle.dumps(record)), record._replace()):
+        assert type(copied) is cls and copied == cls(**args) and copied is not record
+    changed = record._replace(**change)
+    fresh = cls(**{**args, **change})
+    assert type(changed) is cls and changed == fresh and changed != record
+    if cls is PiecewiseLatency:
+        # A cap of 0.5 drops the flat segment that starts at 1, and its events.
+        assert changed.segments == fresh.segments != record.segments
+        assert changed.supply_events == fresh.supply_events != record.supply_events
+    with pytest.raises(error):
+        record._replace(**bad)
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], getattr(record, cls._fields[0]))
 
 
 def test_bad_values_raise_one_typed_error():

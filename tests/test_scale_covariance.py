@@ -7,7 +7,6 @@ supremum's location scales with demand.  Checked across twelve orders of
 magnitude for plain, threshold and plateau instances.
 """
 
-import dataclasses
 import math
 import random
 
@@ -148,8 +147,8 @@ def test_checks_reject_bad_inputs_at_every_scale(lam, mu):
     net3 = normalize_network(links + [{"a": 0.01 * lam, "b": 2.0 * mu}])
     params, _ = build_threshold_mechanism(net3, [2.0, 2.0])
     last = params.stages[-1]
-    early = dataclasses.replace(last, global_start_rate=0.6 * last.global_start_rate)
-    params = dataclasses.replace(params, stages=params.stages[:-1] + (early,))
+    early = last._replace(global_start_rate=0.6 * last.global_start_rate)
+    params = params._replace(stages=params.stages[:-1] + (early,))
     assert not mn_uses_links_no_earlier_than_opt(net3, params)
     # A rate half again past the end of the one-link segment.
     with pytest.raises(SegmentMismatch):
