@@ -95,28 +95,31 @@ def _split(net: ParallelNetwork, rate: float, scale: float) -> tuple[list[float]
     # efficiency overflows would split as inf * 0, so it raises
     # InvalidModelValue naming the link instead.
     k, links, efficiency = net.k, net.links, net.efficiency
-    if net.has_flat_tail and rate >= scale * net.breakpoints[-1]:
-        bk = links[-1].intercept
-        flows = [(bk - links[i].intercept) * (scale * efficiency[i]) for i in range(k - 1)]
-        flows.append(rate - math.fsum(flows))
-        return flows, bk
-    j = min(_segment_index(net.breakpoints, rate, scale), k)
-    eff_j = scale * net.eff_prefix[j - 1]
-    if eff_j == INF and rate > 0.0:
-        i = net.eff_prefix.index(INF)
-        raise InvalidModelValue(
-            f"link {i} (slope {net.links[i].slope!r}) takes the summed efficiency 1/a of "
-            f"links 0..{i} past the float range, so a split that opens it cannot be computed"
-        )
-    # level - b_i, written as intercept gap plus the demand past the last
-    # breakpoint: subtracting b_i from a level that rounds near it would
-    # cancel, and a large efficiency multiplies the rounding error.
-    top = links[j - 1].intercept
-    past = (rate - scale * net.breakpoints[j - 1]) / eff_j
+    tail = net.has_flat_tail and rate >= scale * net.breakpoints[-1]
+    if tail:
+        # The zero-slope last link takes all further demand at its intercept.
+        j, top, past = k - 1, links[-1].intercept, 0.0
+    else:
+        j = min(_segment_index(net.breakpoints, rate, scale), k)
+        eff_j = scale * net.eff_prefix[j - 1]
+        if eff_j == INF and rate > 0.0:
+            i = net.eff_prefix.index(INF)
+            raise InvalidModelValue(
+                f"link {i} (slope {net.links[i].slope!r}) takes the summed efficiency 1/a of "
+                f"links 0..{i} past the float range, so a split that opens it cannot be computed"
+            )
+        top = links[j - 1].intercept
+        past = (rate - scale * net.breakpoints[j - 1]) / eff_j
+    # The level is top + past, and level - b_i the intercept gap plus the
+    # demand past the last breakpoint: subtracting b_i from a level that
+    # rounds near it would cancel, and a large efficiency multiplies the
+    # rounding error.
     flows = [0.0] * k
     for i in range(j):
         flows[i] = max(0.0, scale * efficiency[i] * ((top - links[i].intercept) + past))
-    return flows, (rate + scale * net.off_prefix[j - 1]) / eff_j
+    if tail:
+        flows[-1] = rate - math.fsum(flows)
+    return flows, top + past
 
 
 def _finite_cost(cost: float, rate: float) -> float:
@@ -141,11 +144,12 @@ def _profile(net: ParallelNetwork, rate: float, scale: float) -> tuple[FlowProfi
 def nash_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     """Selfish flow: used links share one latency level.
 
-    With j links open, link i carries rate * eff_i / eff_prefix_j plus a
-    rate-independent correction; the level is (rate + off_prefix_j) / eff_prefix_j.
-    A zero-slope final link pins the level at its intercept once demand
-    reaches the last breakpoint.  Every user pays the level, so the cost is
-    rate * level; one that does not come out finite raises CostOverflow.
+    With j links open, the level is the intercept of link j-1 plus the
+    demand past its breakpoint over eff_prefix_j, and link i carries eff_i
+    times the level less its own intercept.  A zero-slope final link pins
+    the level at its intercept once demand reaches the last breakpoint.
+    Every user pays the level, so the cost is rate * level; one that does
+    not come out finite raises CostOverflow.
     """
     profile, level = _profile(net, rate, 1.0)
     return EquilibriumResult(profile, level=level, cost=_finite_cost(rate * level, rate))

@@ -33,6 +33,7 @@ from .model import (
     ParallelNetwork,
     PiecewiseLatency,
     check_rate,
+    real_number,
 )
 
 # Below this slope ratio the unmodified two-link instance already meets the
@@ -423,15 +424,15 @@ def mechanism_from_dict(net: ParallelNetwork, obj: object):
         if not isinstance(R, Sequence) or isinstance(R, (str, bytes)):
             raise SchemaError('threshold mechanism needs an "R" list')
         try:
-            R = [float(x) for x in R]
+            R = [real_number(x) for x in R]
         except (TypeError, ValueError) as exc:
             raise SchemaError('"R" entries must be numeric') from exc
         return build_threshold_mechanism(net, R)
     if kind == "plateau":
         if "x1" in obj or "x2" in obj:
             try:
-                x1 = float(obj["x1"])
-                x2 = float(obj["x2"])
+                x1 = real_number(obj["x1"])
+                x2 = real_number(obj["x2"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError('plateau mechanism needs numeric "x1" and "x2"') from exc
             params = PlateauParams.from_flows(net, x1, x2)

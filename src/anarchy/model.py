@@ -49,6 +49,14 @@ class _Checked:
         return type(self)(**dict(zip(self._fields, self.__getnewargs__()), **changes))
 
 
+def real_number(value: object) -> float:
+    """float(value) for a JSON number; a string, bytes or bool, which float()
+    would also read, raises TypeError."""
+    if isinstance(value, (str, bytes, bool)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
 def _coefficient(name: str, value: float) -> float:
     v = float(value)
     if not math.isfinite(v) or v < 0.0:
@@ -91,7 +99,8 @@ class ParallelNetwork(NamedTuple):
     Instances are produced by :func:`normalize_network`.  ``eff_prefix[j]``
     and ``off_prefix[j]`` accumulate ``efficiency`` and ``flow_offset`` over
     links ``0..j``; ``breakpoints[j]`` is the demand at which a selfish flow
-    first touches link ``j``.
+    first touches link ``j``.  No solver reads ``off_prefix``: a flow offset
+    b/a can overflow where the split it would give does not.
     """
 
     links: tuple[AffineLatency, ...]
@@ -141,7 +150,7 @@ def normalize_network(raw_links: Iterable[AffineLatency | Mapping[str, float]]) 
             links.append(item)
         elif isinstance(item, Mapping):
             try:
-                a, b = float(item["a"]), float(item["b"])
+                a, b = real_number(item["a"]), real_number(item["b"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f'link {i} needs numeric "a" and "b"') from exc
             links.append(AffineLatency(a, b))
@@ -191,37 +200,13 @@ def normalize_network(raw_links: Iterable[AffineLatency | Mapping[str, float]]) 
         gap = merged[j].intercept - merged[j - 1].intercept
         breakpoints.append(breakpoints[-1] + gap * eff_prefix[j - 1])
 
-    net = ParallelNetwork(
+    return ParallelNetwork(
         links=tuple(merged),
         efficiency=eff,
         eff_prefix=tuple(eff_prefix),
         off_prefix=tuple(off_prefix),
         breakpoints=tuple(breakpoints),
     )
-    _check_aggregate_identities(net)
-    return net
-
-
-def _check_aggregate_identities(net: ParallelNetwork) -> None:
-    # off_prefix[i] + breakpoints[j] == intercept_j * eff_prefix[i] for
-    # i = j and i = j-1, while the prefix efficiency is finite and link j
-    # opens at a finite demand.  Each allows IDENTITY_RTOL of its right
-    # side, and one subnormal per summed link as FlowProfile does.  Written
-    # so that a NaN difference fails: a flow offset that overflows makes
-    # both sides inf.
-    eff_prefix, off_prefix, breakpoints = net.eff_prefix, net.off_prefix, net.breakpoints
-    for j, link in enumerate(net.links):
-        if not (math.isfinite(eff_prefix[j]) and breakpoints[j] < INF):
-            continue
-        bj = link.intercept
-        subnormals = (j + 1) * math.ulp(0.0)
-        for i in (j, j - 1) if j else (j,):
-            lhs = off_prefix[i] + breakpoints[j]
-            rhs = bj * eff_prefix[i]
-            if not abs(lhs - rhs) <= IDENTITY_RTOL * abs(rhs) + subnormals:
-                raise InvalidModelValue(
-                    f"prefix identity failed at link {j} over links 0..{i}: {lhs} vs {rhs}"
-                )
 
 
 def network_from_dict(obj: object) -> ParallelNetwork:

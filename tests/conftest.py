@@ -47,6 +47,12 @@ OVERFLOWED_EFFICIENCY = [
 # Each efficiency 1/a is finite, their sum is not; the second link opens at
 # demand 1e8.
 OVERFLOWED_SUM = [{"a": 1e-308, "b": 0}, {"a": 1e-308, "b": 1e-300}]
+# The flow offset b/a overflows to inf; the level is the intercept 1e10.
+OVERFLOWED_OFFSET = [{"a": 1e-300, "b": 1e10}]
+# The flow offset b/a is subnormal: (rate + b/a) * a read the level at
+# demand 0 as 1.2077781844505036e-270 (selfish) and 1.166130660848762e-270
+# (optimal).
+SUBNORMAL_OFFSET = [{"a": 8.429552621661882e+51, "b": 1.205319570959975e-270}]
 
 
 def random_network(rng: random.Random, kmax: int = 5, allow_flat: bool = False):

@@ -18,6 +18,7 @@ from conftest import (
     CLIPPED_TAIL,
     NEGATIVE_OPT,
     OVERFLOWED_EFFICIENCY,
+    OVERFLOWED_OFFSET,
     OVERFLOWED_SUM,
     OVERFLOWING_TAIL,
     SUBNORMAL_OPT,
@@ -339,6 +340,18 @@ def test_exit_code_schema(tmp_path, capsys):
     assert main(["solve", str(path), "--rate", "1"]) == 2
 
 
+@pytest.mark.parametrize("links", [
+    pytest.param([{"a": True, "b": False}, {"a": 1, "b": 1}], id="bool"),
+    pytest.param([{"a": "2", "b": "0"}], id="string"),
+])
+def test_exit_code_non_numeric_coefficient(tmp_path, capsys, links):
+    # float() would read both, but neither is a JSON number.
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"links": links}))
+    assert main(["solve", str(path), "--rate", "1"]) == 2
+    assert 'needs numeric "a" and "b"' in capsys.readouterr().err
+
+
 def test_exit_code_domain(pigou_file, capsys):
     assert main(["solve", str(pigou_file), "--rate", "-1"]) == 3
     assert "rate" in capsys.readouterr().err
@@ -389,6 +402,11 @@ def test_exit_code_bad_numbers(pigou_file, mech_file, capsys, rate, which, code,
     pytest.param('{"kind": "threshold", "R": [1e400]}', 3, id="R-1e400"),
     pytest.param('{"kind": "threshold", "R": [%s]}' % BIG_INT, 3, id="R-400-digits"),
     pytest.param('{"kind": "threshold", "R": "29"}', 2, id="R-string"),
+    # float() would read a numeric string or a bool, but neither is a number.
+    pytest.param('{"kind": "threshold", "R": ["3"]}', 2, id="R-string-entry"),
+    pytest.param('{"kind": "threshold", "R": [true]}', 2, id="R-bool-entry"),
+    pytest.param('{"kind": "plateau", "x1": "0.2", "x2": 0.5}', 2, id="x1-string"),
+    pytest.param('{"kind": "plateau", "x1": 0.2, "x2": true}', 2, id="x2-bool"),
 ])
 def test_exit_code_non_finite_plateau_mark(tmp_path, capsys, mech, code):
     net_path = tmp_path / "net.json"
@@ -454,9 +472,10 @@ def test_exit_code_cost_underflow(tmp_path, capsys, links, extra):
 @pytest.mark.parametrize(
     "links,mech,args,message",
     [
-        # b/a overflows: the prefix identity compares inf with inf.
-        ([{"a": 1e-300, "b": 1e10}], None, ["solve", "--rate", "1"], "prefix identity"),
-        ([{"a": 1e-300, "b": 1e10}], None, ["curve"], "prefix identity"),
+        # b/a overflows, which no solver reads, and the costs pass the float
+        # range at a demand near 1e300.
+        (OVERFLOWED_OFFSET, None, ["solve", "--rate", "1e300"], "cost overflows"),
+        (OVERFLOWED_OFFSET, None, ["curve", "--rmax", "1e300"], "costs overflow"),
         # Slope ratio 2e300: the plateau peaks overflow.
         ([{"a": 2, "b": 0}, {"a": 1e-300, "b": 1}], {"kind": "plateau"}, ["curve"],
          "peaks overflow"),
@@ -529,6 +548,26 @@ def test_curve_near_the_float_range(tmp_path, capsys, links, code, shown):
     assert main(["curve", str(net_path), "--csv", str(tmp_path / "curve.csv")]) == code
     out, err = capsys.readouterr()
     assert shown in (err if code else out)
+
+
+@pytest.mark.parametrize("args, shown", [
+    pytest.param(["solve", "--rate", "1", "--which", "nash"], "cost 1e+10  level 1e+10",
+                 id="solve-nash"),
+    pytest.param(["solve", "--rate", "1", "--which", "opt"], "cost 1e+10  level 1e+10",
+                 id="solve-opt"),
+    pytest.param(["curve"], "ratio peaks at 1 (", id="curve"),
+])
+def test_overflowed_flow_offset_solves(tmp_path, capsys, args, shown):
+    # b/a overflows to inf, but the split reads only the link's intercept
+    # and the demand past its breakpoint.
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"links": OVERFLOWED_OFFSET}))
+    command, *rest = args
+    argv = [command, str(net_path), *rest]
+    if command == "curve":
+        argv += ["--csv", str(tmp_path / "curve.csv")]
+    assert main(argv) == 0
+    assert shown in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("which", ["nash", "opt"])

@@ -40,8 +40,8 @@ import anarchy.analysis
 import anarchy.equilibrium
 from anarchy.equilibrium import EquilibriumCheck, _equilibrium_segs, _flow_bounds, _two_least
 from anarchy.mechanisms import MIN_PLATEAU_RATIO
-from conftest import (CANCELLING_OPT, CLIPPED_TAIL, NEGATIVE_OPT, OVERFLOWING_TAIL, TINY_SLOPES,
-                      random_network)
+from conftest import (CANCELLING_OPT, CLIPPED_TAIL, NEGATIVE_OPT, OVERFLOWED_OFFSET,
+                      OVERFLOWING_TAIL, SUBNORMAL_OFFSET, TINY_SLOPES, random_network)
 
 # Two-link plateau instance whose water-fill once collapsed the first link's
 # interval: hold_end recomputed from the level came out one ulp off.
@@ -609,6 +609,16 @@ def test_split_past_an_overflowed_efficiency_raises(links, link, slope):
 def test_cost_near_the_float_range_is_exact(links, rate, solve, cost):
     # Each cost is the exact cost, rounded once.
     assert solve(normalize_network(links), rate).cost == cost
+
+
+@pytest.mark.parametrize("links, rate, level", [
+    (SUBNORMAL_OFFSET, 0.0, 1.205319570959975e-270),
+    (OVERFLOWED_OFFSET, 1.0, 1e10),
+])
+@pytest.mark.parametrize("solve", [nash_flow, opt_flow])
+def test_level_near_the_float_range_is_exact(links, rate, level, solve):
+    # The level is the exact level, rounded once.
+    assert solve(normalize_network(links), rate).level == level
 
 
 @pytest.mark.parametrize("links, rate, solve, shown", [

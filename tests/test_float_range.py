@@ -1,15 +1,34 @@
-"""Plain costs and ratios on networks whose coefficients span the float range.
+"""Costs, ratios and mechanisms on networks whose coefficients span the float range.
 
 An affine network's selfish cost is at most 4/3 of the optimal cost, and
-both costs are finite and non-negative.  Near the ends of the float range a
-result may instead be a typed error, but never a value that breaks these
-bounds, nor an exception that is not an AnarchyError.
+both costs are finite and non-negative; so are the levels and flows of the
+splits, plain or under a mechanism, and no mechanism's ratio falls below 1.
+Near the ends of the float range a result may instead be a typed error, but
+never a value that breaks these bounds, nor an exception that is not an
+AnarchyError.
 """
 
 import math
 import random
 
-from anarchy import AnarchyError, nash_flow, normalize_network, opt_flow, ratio_sup
+import pytest
+
+from anarchy import (
+    AnarchyError,
+    InvalidModelValue,
+    PiecewiseLatency,
+    build_plateau_mechanism,
+    build_threshold_mechanism,
+    mn_flow,
+    nash_flow,
+    normalize_network,
+    opt_flow,
+    ratio_curve,
+    ratio_sup,
+    solve_plateau_params,
+    water_fill,
+    worst_equilibrium_cost,
+)
 
 # Rounding of a few ulps in either cost.
 RATIO_RTOL = 1e-12
@@ -33,41 +52,117 @@ def _draws(rng, count, decades):
         yield links, coefficient()
 
 
-def _rates(net, rate):
-    # The drawn demand, and where the optimal flow opens each link: half
-    # each finite breakpoint, and the next double above it.
-    out = [rate]
-    for b in net.breakpoints:
-        if b < math.inf:
-            out += [b / 2.0, math.nextafter(b / 2.0, math.inf)]
-    return out
+HIGH = 4.0 / 3.0 * (1.0 + RATIO_RTOL)
 
 
-def _call(faults, fn, *args):
-    # fn(*args), or None on a typed error; any other exception is a fault.
-    try:
-        return fn(*args)
-    except AnarchyError:
-        return None
-    except Exception as exc:
-        faults.append((fn.__name__, args, repr(exc)))
-        return None
+def _non_negative(*values):
+    return all(math.isfinite(v) and v >= 0.0 for v in values)
 
 
-def test_plain_costs_and_ratios_stay_in_bounds():
+def _split_ok(res):
+    return _non_negative(res.cost, res.level, *res.profile.flows)
+
+
+def _ratio_ok(ratio, high=math.inf):
+    return 1.0 - RATIO_RTOL <= ratio <= high
+
+
+# Each entry point's bound on its value; a typed error always passes.
+PLAIN = {
+    "normalize_network": lambda net: True,
+    "ratio_sup": lambda sup: _ratio_ok(sup[0], HIGH),
+    "ratio_curve": lambda samples: all(_ratio_ok(s.ratio, HIGH) for s in samples),
+    "nash_flow": _split_ok,
+    "opt_flow": _split_ok,
+    "water_fill": _split_ok,
+    "worst_equilibrium_cost": _non_negative,
+}
+MECHANISMS = {
+    "build_threshold_mechanism": lambda built: True,
+    "threshold ratio_sup": lambda sup: _ratio_ok(sup[0]),
+    "mn_flow": lambda profile: _non_negative(*profile.flows),
+    "solve_plateau_params": lambda params: True,
+    "build_plateau_mechanism": lambda lats: True,
+    "plateau ratio_sup": lambda sup: _ratio_ok(sup[0]),
+}
+BOUNDS = {**PLAIN, **MECHANISMS}
+# The splits whose flows can miss the rate past FlowProfile's tolerance.
+ESCAPES = ("nash_flow", "opt_flow", "water_fill", "mn_flow")
+
+
+@pytest.fixture(scope="module")
+def faults():
+    """Every call on the seeded draws at 10^±150 and 10^±300 that broke its
+    bound or raised an exception other than an AnarchyError, by entry point;
+    under "flows sum to", the splits that raised FlowProfile's sum check."""
+    found = {name: [] for name in (*PLAIN, *MECHANISMS, "flows sum to")}
+
+    def call(name, fn, *args):
+        # fn(*args), or None on an exception; `links` is the current draw.
+        try:
+            value = fn(*args)
+        except AnarchyError as exc:
+            if name in ESCAPES and "flows sum to" in str(exc):
+                found["flows sum to"].append((name, links, args[-1], str(exc)))
+            return None
+        except Exception as exc:
+            found[name].append((links, args[1:], repr(exc)))
+            return None
+        if not BOUNDS[name](value):
+            found[name].append((links, args[1:], value))
+        return value
+
     rng = random.Random(1)
-    faults = []
     for decades in (150, 300):
         for links, rate in _draws(rng, 1500, decades):
-            net = _call(faults, normalize_network, links)
+            net = call("normalize_network", normalize_network, links)
             if net is None:
                 continue
-            sup = _call(faults, ratio_sup, net)
-            if sup is not None and not 1.0 - RATIO_RTOL <= sup[0] <= 4.0 / 3.0 * (1.0 + RATIO_RTOL):
-                faults.append(("ratio_sup", links, *sup))
-            for r in _rates(net, rate):
-                for solve in (nash_flow, opt_flow):
-                    res = _call(faults, solve, net, r)
-                    if res is not None and not (math.isfinite(res.cost) and res.cost >= 0.0):
-                        faults.append((solve.__name__, links, r, res.cost))
-    assert not faults, (len(faults), faults[:3])
+            # The drawn demand, and where the optimal flow opens each link:
+            # half each finite breakpoint, and the next double above it.
+            rates = [rate]
+            for b in net.breakpoints:
+                if b < math.inf:
+                    rates += [b / 2.0, math.nextafter(b / 2.0, math.inf)]
+            call("ratio_sup", ratio_sup, net)
+            call("ratio_curve", ratio_curve, net, None, [r for r in rates if r > 0.0])
+            lats = [PiecewiseLatency.from_affine(link) for link in net.links]
+            threshold = call("build_threshold_mechanism", build_threshold_mechanism, net,
+                             [2.0] * (net.k - 1))
+            for r in rates:
+                call("nash_flow", nash_flow, net, r)
+                call("opt_flow", opt_flow, net, r)
+                call("water_fill", water_fill, lats, r)
+                call("worst_equilibrium_cost", worst_equilibrium_cost, lats, r)
+                if threshold is not None:
+                    call("mn_flow", mn_flow, net, threshold[0], r)
+            if threshold is not None:
+                call("threshold ratio_sup", ratio_sup, net, threshold)
+            if net.k == 2:
+                params = call("solve_plateau_params", solve_plateau_params, net)
+                if params is not None:
+                    plateau = call("build_plateau_mechanism", build_plateau_mechanism, net, params)
+                    if plateau is not None:
+                        call("plateau ratio_sup", ratio_sup, net, (params, plateau))
+    return found
+
+
+def _summary(found, names):
+    bad = {name: found[name] for name in names if found[name]}
+    return {name: (len(cases), cases[:2]) for name, cases in bad.items()}
+
+
+def test_plain_costs_and_ratios_stay_in_bounds(faults):
+    assert not _summary(faults, PLAIN)
+
+
+def test_mechanisms_stay_in_bounds(faults):
+    assert not _summary(faults, MECHANISMS)
+
+
+@pytest.mark.xfail(strict=True, reason="share-form flows can miss the rate past "
+                   "FlowProfile's tolerance (ROADMAP item 1)")
+def test_no_flow_sum_escapes(faults):
+    # A network that normalizes splits every rate, or raises a typed error
+    # that names the cause; FlowProfile's own sum check is no such error.
+    assert not _summary(faults, ["flows sum to"])

@@ -2,13 +2,14 @@
 
 Both now read one shared split; the optimal flow is the selfish split with
 every efficiency halved.  The references below are the separate closed
-forms each solver used to carry, and the flows, level and used-link count
-must match them bit for bit.  Halving is exact in the normal range, so the
+forms each solver used to carry, and the flows and used-link count must
+match them bit for bit.  Halving is exact in the normal range, so the
 optimal reference, which solves at twice the demand and halves the flows,
 agrees there; at a subnormal demand, where the doubled form can lose the
 rate, optimal flows that differ from it must sum to the rate exactly.  The
-costs are compared with the exact costs of the same links, in rational
-arithmetic.
+level, the intercept of the last open link plus the demand past its
+breakpoint, and the costs are compared with the exact level and costs of
+the same links, in rational arithmetic.
 """
 
 import math
@@ -24,6 +25,8 @@ from anarchy.equilibrium import _segment_index
 # range rounding is absolute, a few subnormals.
 COST_RTOL = 4 * 2.0 ** -52
 COST_ATOL = 4 * math.ulp(0.0)
+# The level is a sum of an intercept and a quotient of rounded terms.
+LEVEL_ULPS = 3
 
 
 def nash_reference(net, rate):
@@ -33,18 +36,16 @@ def nash_reference(net, rate):
         flows = [(bk - net.links[i].intercept) * net.efficiency[i] for i in range(k - 1)]
         flows.append(rate - math.fsum(flows))
         profile = FlowProfile(rate=rate, flows=tuple(flows))
-        return profile, bk, profile.used_count
+        return profile, profile.used_count
     j = min(_segment_index(net.breakpoints, rate), k)
     eff_j = net.eff_prefix[j - 1]
-    off_j = net.off_prefix[j - 1]
-    level = (rate + off_j) / eff_j
     top = net.links[j - 1].intercept
     past = (rate - net.breakpoints[j - 1]) / eff_j
     flows = [0.0] * k
     for i in range(j):
         flows[i] = max(0.0, net.efficiency[i] * ((top - net.links[i].intercept) + past))
     profile = FlowProfile(rate=rate, flows=tuple(flows))
-    return profile, level, profile.used_count
+    return profile, profile.used_count
 
 
 def opt_reference(net, rate):
@@ -54,22 +55,21 @@ def opt_reference(net, rate):
         flows = [(bk - net.links[i].intercept) * net.efficiency[i] / 2.0 for i in range(k - 1)]
         flows.append(rate - math.fsum(flows))
         profile = FlowProfile(rate=rate, flows=tuple(flows))
-        return profile, bk, profile.used_count
+        return profile, profile.used_count
     h = min(_segment_index(tuple(b / 2.0 for b in net.breakpoints), rate), k)
     eff_h = net.eff_prefix[h - 1]
-    off_h = net.off_prefix[h - 1]
-    level = (2.0 * rate + off_h) / eff_h
     top = net.links[h - 1].intercept
     past = (2.0 * rate - net.breakpoints[h - 1]) / eff_h
     flows = [0.0] * k
     for i in range(h):
         flows[i] = max(0.0, net.efficiency[i] * ((top - net.links[i].intercept) + past) / 2.0)
     profile = FlowProfile(rate=rate, flows=tuple(flows))
-    return profile, level, profile.used_count
+    return profile, profile.used_count
 
 
-def exact_costs(net):
-    """The exact selfish and optimal cost of `net` at a demand, as a function.
+def exact_solution(net):
+    """The exact selfish and optimal cost and level of `net` at a demand, as
+    a function.
 
     In rational arithmetic nothing cancels, so the closed forms serve.  With
     links 0..h-1 used and E, O the sums of e_i = 1/a_i and e_i b_i over
@@ -78,7 +78,9 @@ def exact_costs(net):
     the links the selfish flow uses at twice the demand.  Past a zero-slope
     last link at intercept B, the selfish cost is r B and the optimal cost
     sum_i e_i (B^2 - b_i^2) / 4 + (r - S / 2) B, with S the demand at which
-    that link opens.
+    that link opens.  The selfish level is (r + O) / E, or B past that
+    link; the optimal level, the marginal cost, is the selfish level at
+    twice the demand.
     """
     links = [(Fraction(l.slope), Fraction(l.intercept)) for l in net.links]
     top = links[-1][1] if links[-1][0] == 0 else None
@@ -104,11 +106,19 @@ def exact_costs(net):
         eff, off, spread = forms[used - 1]
         return (r * r + off * r) / eff - (spread if optimal else 0)
 
-    def costs(rate):
-        r = Fraction(rate)
-        return cost(r, r, False), cost(r, 2 * r, True)
+    def level(demand):
+        used = bisect_right(opens, demand)
+        if used > len(forms):
+            return top
+        eff, off, _ = forms[used - 1]
+        return (demand + off) / eff
 
-    return costs
+    def solution(rate):
+        # The selfish cost and level, then the optimal ones.
+        r = Fraction(rate)
+        return cost(r, r, False), level(r), cost(r, 2 * r, True), level(2 * r)
+
+    return solution
 
 
 def _networks(rng, count):
@@ -138,26 +148,32 @@ def _near(cost, exact_cost):
     return abs(Fraction(cost) - exact_cost) <= COST_RTOL * exact_cost + COST_ATOL
 
 
-def _same(result, reference, exact_cost):
-    profile, level, used = reference
-    return (result.profile.flows == profile.flows and result.level == level
-            and result.used_count == used and _near(result.cost, exact_cost))
+def _level_near(level, exact_level):
+    return abs(Fraction(level) - exact_level) <= LEVEL_ULPS * Fraction(math.ulp(float(exact_level)))
+
+
+def _same(result, reference, exact_cost, exact_level):
+    profile, used = reference
+    return (result.profile.flows == profile.flows and result.used_count == used
+            and _near(result.cost, exact_cost) and _level_near(result.level, exact_level))
 
 
 def test_flows_match_former_closed_forms():
     rng = random.Random(4242)
     compared = 0
     for net in _networks(rng, 300):
-        exact = exact_costs(net)
+        exact = exact_solution(net)
         for r in _rates(rng, net):
-            nash_cost, opt_cost = exact(r)
-            assert _same(nash_flow(net, r), nash_reference(net, r), nash_cost), (net.to_json_dict(), r)
+            nash_cost, nash_level, opt_cost, opt_level = exact(r)
+            assert _same(nash_flow(net, r), nash_reference(net, r), nash_cost, nash_level), (
+                net.to_json_dict(), r)
             opt, reference = opt_flow(net, r), opt_reference(net, r)
             if 0.0 < r < sys.float_info.min and opt.profile.flows != reference[0].flows:
                 # The doubled demand of the reference loses bits of the rate.
                 flows = opt.profile.flows
                 assert math.fsum(flows) == r and _near(opt.cost, opt_cost), (net.to_json_dict(), r)
+                assert _level_near(opt.level, opt_level), (net.to_json_dict(), r)
             else:
-                assert _same(opt, reference, opt_cost), (net.to_json_dict(), r)
+                assert _same(opt, reference, opt_cost, opt_level), (net.to_json_dict(), r)
             compared += 1
     assert compared >= 5000

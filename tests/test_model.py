@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -81,13 +82,11 @@ def test_pigou_breakpoints(pigou):
     assert pigou.has_flat_tail
 
 
-def test_normalize_rejects_overflowed_flow_offset():
-    # b/a overflows to inf, and so does b*eff: their difference is NaN,
-    # which must fail the identity rather than pass it.
-    with pytest.raises(InvalidModelValue, match="prefix identity"):
-        normalize_network([{"a": 1e-300, "b": 1e10}])
-    # A link whose breakpoint overflows never opens at a finite demand, so
-    # its identities, inf against inf, are not checked.
+def test_normalize_accepts_overflowed_flow_offset():
+    # b/a overflows to inf, but no solver reads the flow offsets.
+    net = normalize_network([{"a": 1e-300, "b": 1e10}])
+    assert net.off_prefix == (math.inf,)
+    # A link whose breakpoint overflows never opens at a finite demand.
     net = normalize_network([{"a": 1e-300, "b": 0}, {"a": 1, "b": 1e10}])
     assert net.breakpoints[1] == math.inf
 
@@ -131,9 +130,13 @@ def test_network_from_dict_schema_errors():
 
 
 def test_normalize_network_schema_errors():
-    for links in ([{"a": "x", "b": 1}], [{"a": None, "b": 1}]):
+    # float() would read a numeric string, bytes or a bool, but none is a number.
+    for links in ([{"a": "x", "b": 1}], [{"a": None, "b": 1}], [{"a": "2", "b": 1}],
+                  [{"a": b"2", "b": 1}], [{"a": 1, "b": False}]):
         with pytest.raises(SchemaError, match='link 0 needs numeric "a" and "b"'):
             normalize_network(links)
+    net = normalize_network([{"a": Fraction(1, 2), "b": 1}])
+    assert net.links == (AffineLatency(0.5, 1.0),)
     with pytest.raises(SchemaError, match="link 1 is not an object"):
         normalize_network([{"a": 1, "b": 0}, 3])
 
