@@ -466,6 +466,7 @@ def continuity_no_improvement_check(net: ParallelNetwork,
     for i, f in enumerate(res.profile.flows):
         left = modified[i].value(f)
         right = modified[i].right_liminf(f)
+        # 1e-9 of the value clears the IDENTITY_RTOL a continuous boundary may show.
         if not abs(right - left) <= DEFAULT_TOLERANCE * abs(left):
             raise NotContinuousAtEquilibrium(
                 f"link {i} jumps at its equilibrium flow {f}: {left} -> {right}"

@@ -18,7 +18,7 @@ from itertools import islice
 from operator import is_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .config import DEFAULT_TOLERANCE, IDENTITY_RTOL
+from .config import IDENTITY_RTOL
 from .errors import (
     CertificateFailed,
     CostOverflow,
@@ -233,50 +233,34 @@ def is_user_equilibrium(lats: Sequence[PiecewiseLatency], profile: FlowProfile) 
 
     For every link i with positive flow and every other link g, the latency
     on i must not exceed the latency g would show just above its current
-    flow.  Comparing with the smallest of those right limits, or the second
-    smallest when i itself holds the smallest, covers every pair in O(k).
-    The comparison allows DEFAULT_TOLERANCE * level slack, where level is
-    the largest used latency, so it reads the same at every latency scale.
-
-    A latency near 0 can be the difference of two large terms, slope*x and
-    a negative offset, and is then known only to the rounding of those
-    terms, far more than that slack.  So a pair that fails is compared
-    again, with each latency allowed _ROUNDING times the size of the terms
-    it sums (:meth:`term_sizes`), plus one subnormal, since below the normal
-    range rounding is absolute: link i those of the segment its value
-    reads, link g those of the segment its right limit reads.  Each side
-    gets its own allowance, so a link with large terms widens no other
-    link's comparison.  A failure reports link i and the link it envies
-    most, with the plain value and right limit.  Unequal counts of
-    latencies and flows raise InvalidModelValue.
+    flow.  Each latency sums slope*x and an offset that can be negative, so
+    where those cancel it is known only to the rounding of its terms, not
+    of itself: each side may move by _ROUNDING times the size of the terms
+    it sums (:meth:`~anarchy.model.PiecewiseLatency.limits`), plus one
+    subnormal, since below the normal range rounding is absolute.  Link i
+    gets the allowance of the segment its value reads, link g that of the
+    segment its right limit reads, so a link with large terms widens no
+    other link's comparison; no slack is fixed beyond that.  Comparing with
+    the smallest widened right limit, or the second smallest when i itself
+    holds it, covers every pair in O(k).  A failure reports link i and the
+    link it envies most, with the plain value and right limit.  Unequal
+    counts of latencies and flows raise InvalidModelValue.
     """
     flows = profile.flows
     if len(lats) != len(flows):
         raise InvalidModelValue(f"latency count {len(lats)} differs from flow count {len(flows)}")
-    used, edges, level = [], [], None
+    used, edges = [], []
     for i, f in enumerate(flows):
-        lat = lats[i]
-        edges.append(lat.right_liminf(f))
+        v, v_terms, e, e_terms = lats[i].limits(f)
+        edges.append(e + _allowance(e_terms))
         if f > 0.0:
-            v = lat.value(f)
-            used.append((i, v))
-            if level is None or v > level:
-                level = v
-    if not used:
-        return EquilibriumCheck(True)
-    slack = DEFAULT_TOLERANCE * level if math.isfinite(level) else 0.0
+            used.append((i, v - _allowance(v_terms)))
     first, second = _two_least(edges)
-    loose = None
-    for i, vi in used:
+    for i, low in used:
         g = second if i == first else first
-        if g is None or vi <= edges[g] + slack:
-            continue
-        if loose is None:
-            loose = [e + _allowance(lat.term_sizes(f)[1]) for e, lat, f in zip(edges, lats, flows)]
-            loose_first, loose_second = _two_least(loose)
-        g = loose_second if i == loose_first else loose_first
-        if not vi - _allowance(lats[i].term_sizes(flows[i])[0]) <= loose[g] + slack:
-            return EquilibriumCheck(False, violator=(i, g), lhs=vi, rhs=edges[g])
+        if g is not None and not low <= edges[g]:
+            return EquilibriumCheck(False, violator=(i, g), lhs=lats[i].value(flows[i]),
+                                    rhs=lats[g].right_liminf(flows[g]))
     return EquilibriumCheck(True)
 
 

@@ -174,6 +174,7 @@ def mn_uses_links_no_earlier_than_opt(net: ParallelNetwork,
                 continue  # frozen before ever opening
             first_used = stage.global_start_rate + stage.segment.breakpoints[h - stage.start]
             opt_start = net.breakpoints[h] / 2.0
+            # 1e-9: each side sums up to k terms on its own recurrence, k ulps apart in a tie.
             if first_used < opt_start * (1.0 - DEFAULT_TOLERANCE):
                 return LinkUsageCheck(False, link=h, first_used_rate=first_used,
                                       opt_start_rate=opt_start)
@@ -223,6 +224,7 @@ class PlateauParams(NamedTuple):
         if not (math.isfinite(hold_start) and math.isfinite(hold_end)):
             raise ParamOutOfRange(f"plateau marks must be finite, got {hold_start}, {hold_end}")
         r2 = net.breakpoints[1]
+        # 1e-9 of r2: a range check on given marks, solved or written to ten digits.
         tol = DEFAULT_TOLERANCE * r2
         if not (r2 / 2.0 - tol <= hold_start <= r2 + tol):
             raise ParamOutOfRange(
@@ -256,6 +258,7 @@ def build_plateau_mechanism(
     """
     first, second = _two_links(net)
     ratio = first.slope / second.slope
+    # 1e-9: the same network gives the ratio to the bit, a rescaled copy a few ulps off.
     if abs(params.slope_ratio - ratio) > DEFAULT_TOLERANCE * ratio:
         raise ParamOutOfRange("parameters were built for a different network")
     unchanged = PiecewiseLatency.from_affine(second)

@@ -336,20 +336,23 @@ class PiecewiseLatency(_Checked, _PiecewiseFields):
         idx = max(0, bisect_right(self.starts, x) - 1)
         return self.slopes[idx] * x + self.offsets[idx]
 
-    def term_sizes(self, x: float) -> tuple[float, float]:
-        """|slope*x| + |offset| of the segment :meth:`value` reads at x, and of
-        the one :meth:`right_liminf` reads.
+    def limits(self, x: float) -> tuple[float, float, float, float]:
+        """:meth:`value` and :meth:`right_liminf` at x, each followed by
+        slope*x + |offset| of the segment it reads.
 
         Each latency is the sum of those two terms, so where they cancel it
-        is known only to a few ulps of this size, not of its own.  Below the
+        is known only to a few ulps of that size, not of its own.  Below the
         normal range a flow is known only to one subnormal, not relative to
-        itself, so x counts as at least the least normal double.
+        itself, so x counts there as the least normal double.
         """
-        left = max(0, bisect_left(self.starts, x) - 1)
-        right = max(0, bisect_right(self.starts, x) - 1)
-        x = max(x, _LEAST_NORMAL)
-        return (abs(self.slopes[left] * x) + abs(self.offsets[left]),
-                abs(self.slopes[right] * x) + abs(self.offsets[right]))
+        starts, slopes, offsets, cap = self[:4]
+        # starts[0] is 0, so searching from index 1 finds segment 0 at x = 0.
+        i = bisect_left(starts, x, 1) - 1
+        j = bisect_right(starts, x, 1) - 1
+        m, c, mr, cr = slopes[i], offsets[i], slopes[j], offsets[j]
+        n = x if x > _LEAST_NORMAL else _LEAST_NORMAL
+        return (m * x + c if x <= cap else INF, m * n + abs(c),
+                mr * x + cr if x < cap else INF, mr * n + abs(cr))
 
     def dominates(self, base: AffineLatency) -> bool:
         """True when this latency never undercuts the base affine latency.
@@ -386,9 +389,9 @@ class FlowProfile(_Checked, _FlowFields):
     """Per-link flows for one demand rate.
 
     ``latency_family`` records which latencies the profile was computed
-    against ("original" or "modified").  Flows must be non-negative and sum
-    to the rate within DEFAULT_TOLERANCE relative, plus one subnormal per
-    flow.
+    against ("original" or "modified").  The rate must pass :func:`check_rate`;
+    flows must be non-negative, not NaN, and sum to the rate within
+    DEFAULT_TOLERANCE relative, plus one subnormal per flow.
     """
 
     __slots__ = ()
@@ -396,13 +399,15 @@ class FlowProfile(_Checked, _FlowFields):
     def __new__(cls, rate: float, flows: Iterable[float],
                 latency_family: str = "original") -> FlowProfile:
         rate = float(rate)
+        check_rate(rate)
         flows = [float(f) for f in flows]
-        # DEFAULT_TOLERANCE of the rate, and one subnormal per flow: below
-        # the normal range each flow is rounded to an absolute unit.
-        slack = DEFAULT_TOLERANCE * abs(rate) + len(flows) * math.ulp(0.0)
+        # DEFAULT_TOLERANCE of the rate, not a few ulps: water_fill's flows have
+        # summed 5 ulps above it.  One subnormal per flow: below the normal
+        # range each flow is rounded to an absolute unit.
+        slack = DEFAULT_TOLERANCE * rate + len(flows) * math.ulp(0.0)
         for i, f in enumerate(flows):
-            if f < -slack:
-                raise InvalidModelValue(f"flow {i} is negative: {f}")
+            if not f >= -slack:
+                raise InvalidModelValue(f"flow {i} is negative: {f}" if f == f else f"flow {i} is NaN")
             if f < 0.0:
                 flows[i] = 0.0
         total = math.fsum(flows)

@@ -119,14 +119,9 @@ def test_cost_pieces_match_flow_solvers():
             assert b.lo < b.hi or b.closed  # a one-demand piece holds its demand
         marks = curve_breakpoints(net, mech)
         rates = [rng.uniform(0.0, 3.0 * max(marks, default=1.0)) for _ in range(40)] + list(marks)
-        jump = mech[0].jump_rate if mech is not None and isinstance(mech[0], PlateauParams) else None
         for sample in ratio_curve(net, mech, rates):
             num, den = _solver_costs(net, mech, sample.r)
             assert sample.cost_den == pytest.approx(den, rel=1e-9), (net.to_json_dict(), sample)
-            # Within 1e-9 below a plateau jump the certificate's slack admits a
-            # split just past hold_start, worth the jump's cost.
-            if jump is not None and abs(sample.r - jump) <= 1e-9 * jump:
-                continue
             assert sample.cost_num == pytest.approx(num, rel=1e-9), (net.to_json_dict(), sample)
 
 

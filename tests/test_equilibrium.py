@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 from bisect import bisect_left
 
 import numpy as np
@@ -487,24 +488,57 @@ def test_water_fill_fills_every_interval_to_its_top():
 # ----------------------------------------------------------- equilibrium check
 
 
-def pairwise_equilibrium(lats, flows, tol=1e-9):
-    """Reference certificate: every used link against every other link.
+# A latency may move by this many ulps of the size of the terms it sums.
+ROUNDING = 4.0 * math.ulp(1.0)
 
-    The slack is tol times the largest used latency.
-    """
+
+def rounding_allowance(lat, x, right):
+    """ROUNDING of slope*x + |offset| on the segment that the value (or, with
+    `right`, the right limit) reads at x, plus one subnormal; below the
+    normal range x counts as the least normal double."""
+    k = sum(1 for start in lat.starts[1:] if (start <= x if right else start < x))
+    size = lat.slopes[k] * max(x, sys.float_info.min) + abs(lat.offsets[k])
+    return ROUNDING * size + math.ulp(0.0)
+
+
+def pairwise_equilibrium(lats, flows):
+    """Reference certificate: every used link against every other link,
+    each side widened by its own rounding allowance."""
     used = [i for i, f in enumerate(flows) if f > 0.0]
-    if not used:
-        return True
-    level = max(lats[i].value(flows[i]) for i in used)
-    slack = tol * level if math.isfinite(level) else 0.0
     return all(
-        lats[i].value(flows[i]) <= lats[g].right_liminf(flows[g]) + slack
+        lats[i].value(flows[i]) - rounding_allowance(lats[i], flows[i], False)
+        <= lats[g].right_liminf(flows[g]) + rounding_allowance(lats[g], flows[g], True)
         for i in used for g in range(len(flows)) if g != i
     )
 
 
+def envy_profiles(rng, count):
+    # Two used links, the first at `level` nudged by -16..16 ulps or raised
+    # by 1e-12 of it, the second at `level` exactly, possibly via an offset
+    # of level/2; slopes are powers of two, so each value is exact.  Each
+    # allowance is ROUNDING times about the level, so the two come to 8 to
+    # 16 ulps of the level: 4 ulps either way is no envy and 1e-12 is, while
+    # 16 ulps sits at the edge, where only the reference decides.
+    for _ in range(count):
+        level = rng.uniform(0.1, 5.0)
+        s0, s1 = (2.0 ** rng.randint(-3, 3) for _ in range(2))
+        b1 = rng.choice([0.0, level / 2.0])
+        lats = [PiecewiseLatency.from_affine(AffineLatency(s0, 0.0)),
+                PiecewiseLatency.from_affine(AffineLatency(s1, b1))]
+        for shift, want in ((-16, None), (-4, True), (-1, True), (1, True), (4, True),
+                            (16, None), (1e-12, False)):
+            v = level
+            if shift == 1e-12:
+                v *= 1.0 + shift
+            else:
+                for _ in range(abs(shift)):
+                    v = math.nextafter(v, math.copysign(math.inf, shift))
+            yield lats, (v / s0, (level - b1) / s1), want
+
+
 def test_is_user_equilibrium_matches_pairwise_reference():
     rng = random.Random(77)
+    cases = []
     for _ in range(300):
         k = rng.randint(1, 6)
         rate = rng.uniform(0.1, 5.0)
@@ -520,15 +554,37 @@ def test_is_user_equilibrium_matches_pairwise_reference():
             cuts = sorted(rng.uniform(0.0, rate) for _ in range(k - 1))
             flows = [b - a for a, b in zip([0.0, *cuts], [*cuts, rate])]
             flows = [0.0 if rng.random() < 0.3 else f for f in flows]
-            rate = math.fsum(flows)
-        profile = FlowProfile(rate=rate, flows=tuple(flows))
+        cases.append((lats, flows, None))
+    cases += envy_profiles(rng, 100)
+    for lats, flows, want in cases:
+        profile = FlowProfile(rate=math.fsum(flows), flows=tuple(flows))
         check = is_user_equilibrium(lats, profile)
         assert bool(check) == pairwise_equilibrium(lats, profile.flows)
+        assert want is None or bool(check) == want
         if not check:
             i, g = check.violator
             assert check.lhs == lats[i].value(profile.flows[i])
             assert check.rhs == lats[g].right_liminf(profile.flows[g])
             assert check.lhs > check.rhs
+
+
+@pytest.mark.parametrize("level", [1e-300, 1.0, 1e300])
+def test_certificate_refuses_envy_past_its_rounding(level):
+    # Both links carry latency x at flow x; the first sits above the
+    # second's right limit, the level.  Rounding puts the two a few ulps of
+    # the level apart, so envy of 2 ulps passes, but envy of 1e-14 or 1e-12
+    # of the level does not, whatever the level.
+    line = PiecewiseLatency.from_affine(AffineLatency(1.0, 0.0))
+
+    def certified(x):
+        return bool(is_user_equilibrium([line, line], FlowProfile(x + level, (x, level))))
+
+    assert not certified(level * (1.0 + 1e-12))
+    assert not certified(level * (1.0 + 1e-14))
+    x = level
+    for _ in range(3):
+        assert certified(x)
+        x = math.nextafter(x, math.inf)
 
 
 def test_is_user_equilibrium_flags_envy():

@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from anarchy import (
     FlowProfile,
     InvalidModelValue,
     NegativeCoefficient,
+    NegativeRate,
     PiecewiseLatency,
     SchemaError,
     ZeroSlopeNotLast,
@@ -187,6 +189,22 @@ class TestPiecewiseLatency:
             assert lat.value(x) == pytest.approx(v)
             assert lat.right_liminf(x) == pytest.approx(r)
 
+    def test_limits_read_the_segments_of_value_and_right_limit(self):
+        # At a start the value reads the segment before it and the right
+        # limit the one after; each comes with slope*x + |offset| of its
+        # segment, x at least the least normal double.  A negative offset
+        # counts by its size.
+        lat = PiecewiseLatency(starts=(0.0, 0.9, 1.2), slopes=(1.0, 0.0, 2.0),
+                               offsets=(0.0, 1.3, -1.1), cap=2.0)
+        tiny = sys.float_info.min
+        assert lat.limits(0.0) == (0.0, tiny, 0.0, tiny)
+        assert lat.limits(0.9) == (0.9, 0.9, 1.3, 1.3)
+        assert lat.limits(1.2) == (1.3, 1.3, 2.0 * 1.2 - 1.1, 2.0 * 1.2 + 1.1)
+        assert lat.limits(2.0) == (2.9, 5.1, math.inf, 5.1)
+        assert lat.limits(2.5)[::2] == (math.inf, math.inf)
+        for x in (0.0, 5e-324, 0.45, 0.9, 1.0, 1.2, 1.5, 2.0, 2.5):
+            assert lat.limits(x)[::2] == (lat.value(x), lat.right_liminf(x)), x
+
     def test_rejects_dropping_boundary(self):
         with pytest.raises(ValueError):
             PiecewiseLatency(starts=(0.0, 1.0), slopes=(1.0, 1.0), offsets=(0.0, -0.5))
@@ -268,6 +286,21 @@ def test_flow_profile_validation():
     with pytest.raises(ValueError):
         FlowProfile(rate=1e-12, flows=(1e-12, 5e-10))
     assert FlowProfile(rate=1e-323, flows=(1e-323, 5e-324)).used_count == 2
+
+
+def test_flow_profile_refuses_nan_flows_and_bad_rates():
+    # A NaN flow compared false with every bound, and a NaN sum too.
+    with pytest.raises(InvalidModelValue, match="flow 0 is NaN"):
+        FlowProfile(rate=1.0, flows=(math.nan,))
+    with pytest.raises(InvalidModelValue, match="flow 1 is NaN"):
+        FlowProfile(rate=1.0, flows=(1.0, math.nan))
+    for rate, flows in [(math.nan, (0.5, 0.5)), (math.inf, (math.inf, 0.0)), (-1.0, (0.0,))]:
+        with pytest.raises(NegativeRate, match="finite and >= 0"):
+            FlowProfile(rate=rate, flows=flows)
+    # An infinite flow at a finite rate fails the sum, as a solver's
+    # overflowed split does.
+    with pytest.raises(InvalidModelValue, match="flows sum to inf"):
+        FlowProfile(rate=1.0, flows=(math.inf, 0.0))
 
 
 # Each record type with checked or derived fields: its constructor's
