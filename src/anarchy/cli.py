@@ -20,6 +20,7 @@ import os
 import random
 import sys
 
+from . import __version__
 from .analysis import (
     Mechanism,
     benign_bound,
@@ -51,35 +52,21 @@ from .model import (
 )
 
 
-@functools.cache
-def _version() -> str:
-    """Installed package version, looked up once, when the first manifest is written.
+def _load_json(path: str, inputs: dict[str, bytes]):
+    """Parse the file at `path`, read once, and keep its bytes in `inputs`.
 
-    Importing ``importlib.metadata`` costs more than the rest of this module,
-    and each lookup scans the installed distributions.
+    The manifest digests those bytes, the ones parsed.  Integers are read
+    as floats, so one past the float range becomes inf and meets the same
+    finite checks as 1e400.
     """
-    from importlib.metadata import PackageNotFoundError, version
-
+    with open(path, "rb") as fh:
+        data = inputs[path] = fh.read()
     try:
-        return version("anarchy")
-    except PackageNotFoundError:  # running from a source tree
-        return "0.1.0"
-
-
-def _load_json(path: str):
-    # Integers are read as floats, so one past the float range becomes inf
-    # and meets the same finite checks as 1e400.
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, parse_int=float)
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path} is not UTF-8 text") from exc
-        except RecursionError as exc:
-            raise SchemaError(f"{path} nests too deeply") from exc
-
-
-def _load_network(path: str) -> ParallelNetwork:
-    return network_from_dict(_load_json(path))
+        return json.loads(data.decode("utf-8"), parse_int=float)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path} nests too deeply") from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -95,27 +82,23 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _sha256(path: str) -> str:
+def _sha256(data: bytes) -> str:
+    # hashlib loads OpenSSL, so only a command with inputs to digest imports it.
     import hashlib
 
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
-def _write_manifest(directory: str, argv: list[str], inputs: list[str],
+def _write_manifest(directory: str, argv: list[str], inputs: dict[str, bytes],
                     outputs: list[str]) -> str:
-    # datetime here and hashlib in _sha256 are imported on first use: only
-    # commands that write files need them.
+    # datetime is imported on first use: only commands that write files need it.
     from datetime import datetime, timezone
 
     manifest = {
         "command": ["anarchy", *argv],
-        "version": _version(),
+        "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": {p: _sha256(data) for p, data in inputs.items()},
         "outputs": outputs,
         "tolerances": {"comparison": DEFAULT_TOLERANCE, "identity": IDENTITY_RTOL},
     }
@@ -129,12 +112,13 @@ def _fmt(x: float) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    net = _load_network(args.network)
+    # solve writes no manifest, so the bytes read are dropped.
+    net = network_from_dict(_load_json(args.network, {}))
     rate = args.rate
     if args.which == "mn":
         if args.mechanism is None:
             raise SchemaError("--which mn needs --mechanism")
-        _, lats = mechanism_from_dict(net, _load_json(args.mechanism))
+        _, lats = mechanism_from_dict(net, _load_json(args.mechanism, {}))
         res = water_fill(lats, rate, latency_family="modified")
         latencies = [lats[i].value(f) for i, f in enumerate(res.profile.flows)]
     else:
@@ -165,8 +149,9 @@ def _curve_rows(net: ParallelNetwork, mech: Mechanism | None,
 def cmd_curve(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise SchemaError(f"--samples must be at least 1, got {args.samples}")
-    net = _load_network(args.network)
-    mech = mechanism_from_dict(net, _load_json(args.mechanism)) if args.mechanism else None
+    inputs: dict[str, bytes] = {}
+    net = network_from_dict(_load_json(args.network, inputs))
+    mech = mechanism_from_dict(net, _load_json(args.mechanism, inputs)) if args.mechanism else None
     rows, bps = _curve_rows(net, mech, args.rmax, args.samples)
     samples = ratio_curve(net, mech, rows)
     tail = tail_ratio(net, mech)
@@ -182,8 +167,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         _emit_svg(args.svg, samples, bps)
         outputs.append(args.svg)
 
-    _write_manifest(os.path.dirname(os.path.abspath(args.csv)), args._argv,
-                    [p for p in (args.network, args.mechanism) if p], outputs)
+    _write_manifest(os.path.dirname(os.path.abspath(args.csv)), args._argv, inputs, outputs)
     val, where = ratio_sup(net, mech)
     print(f"wrote {', '.join(outputs)}; ratio peaks at {_fmt(val)} (r = {_fmt(where)})")
     return 0
@@ -192,9 +176,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def _emit_svg(path: str, samples, breakpoints) -> None:
     """Hand-rolled 800x500 line chart: one polyline per regime run, dashed
     verticals at breakpoints, open/closed circle pairs at jumps."""
-    pts = [(s.r, s.ratio, s.regime) for s in samples if math.isfinite(s.r)]
-    if not pts:
-        raise AnarchyError("nothing to plot")
+    pts = [(s.r, s.ratio, s.regime) for s in samples]
     xmax = max(r for r, _, _ in pts)
     ys = [y for _, y, _ in pts]
     ymin, ymax = min(ys), max(ys)
@@ -444,7 +426,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report_path = os.path.join(out_dir, "verify_report.json")
     report = {"suite": args.suite, "seed": args.seed, "results": results}
     _write_text(report_path, json.dumps(report, indent=2) + "\n")
-    _write_manifest(out_dir, args._argv, [], [report_path])
+    _write_manifest(out_dir, args._argv, {}, [report_path])
     print(f"{len(checks) - failures}/{len(checks)} checks passed")
     return 1 if failures else 0
 

@@ -13,6 +13,7 @@ either at a rate is one lookup.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from itertools import islice
 from operator import is_
@@ -29,6 +30,9 @@ from .errors import (
     SegmentMismatch,
 )
 from .model import INF, FlowProfile, ParallelNetwork, PiecewiseLatency, check_rate
+
+# The least positive normal float.
+_NORMAL = sys.float_info.min
 
 
 class EquilibriumResult(NamedTuple):
@@ -98,7 +102,7 @@ def _split(net: ParallelNetwork, rate: float, scale: float) -> tuple[list[float]
     tail = net.has_flat_tail and rate >= scale * net.breakpoints[-1]
     if tail:
         # The zero-slope last link takes all further demand at its intercept.
-        j, top, past = k - 1, links[-1].intercept, 0.0
+        j, top, past, share = k - 1, links[-1].intercept, 0.0, False
     else:
         j = min(_segment_index(net.breakpoints, rate, scale), k)
         eff_j = scale * net.eff_prefix[j - 1]
@@ -109,14 +113,19 @@ def _split(net: ParallelNetwork, rate: float, scale: float) -> tuple[list[float]
                 f"links 0..{i} past the float range, so a split that opens it cannot be computed"
             )
         top = links[j - 1].intercept
-        past = (rate - scale * net.breakpoints[j - 1]) / eff_j
+        demand = rate - scale * net.breakpoints[j - 1]
+        past = demand / eff_j
+        # A subnormal or overflowed past loses the demand that the flows
+        # need not lose: then each link takes its share e_i / E_j of it.
+        share = demand != 0.0 and not _NORMAL <= past < INF
     # The level is top + past, and level - b_i the intercept gap plus the
     # demand past the last breakpoint: subtracting b_i from a level that
     # rounds near it would cancel, and a large efficiency multiplies the
     # rounding error.
     flows = [0.0] * k
     for i in range(j):
-        flows[i] = max(0.0, scale * efficiency[i] * ((top - links[i].intercept) + past))
+        e, gap = scale * efficiency[i], top - links[i].intercept
+        flows[i] = e * gap + e / eff_j * demand if share else max(0.0, e * (gap + past))
     if tail:
         flows[-1] = rate - math.fsum(flows)
     return flows, top + past
@@ -146,7 +155,9 @@ def nash_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
 
     With j links open, the level is the intercept of link j-1 plus the
     demand past its breakpoint over eff_prefix_j, and link i carries eff_i
-    times the level less its own intercept.  A zero-slope final link pins
+    times the level less its own intercept; where that quotient leaves the
+    normal range, link i carries eff_i times the intercept gap plus its
+    share eff_i / eff_prefix_j of the demand.  A zero-slope final link pins
     the level at its intercept once demand reaches the last breakpoint.
     Every user pays the level, so the cost is rate * level; one that does
     not come out finite raises CostOverflow.

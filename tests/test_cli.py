@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import time
 
 import pytest
 
+import anarchy
 import anarchy.cli as cli
 import anarchy.equilibrium
 from anarchy.cli import main
@@ -188,15 +190,24 @@ def test_parser_reused_across_calls(pigou_file, mech_file, tmp_path, capsys, mon
     assert manifest["outputs"] == [str(csv_path)]
 
 
-def test_import_leaves_package_metadata_unloaded(tmp_path):
+def test_import_leaves_package_metadata_unloaded(pigou_file, tmp_path):
+    # verify digests no input, so it must not load hashlib (and OpenSSL);
+    # no command looks the version up in the installed metadata.
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     code = (
         "import sys\n"
         f"sys.path.insert(0, {os.path.abspath(src)!r})\n"
         "import anarchy.cli\n"
-        "for name in ('importlib.metadata', 'fractions', 'hashlib', 'datetime', 'dataclasses',\n"
-        "             'inspect'):\n"
-        "    assert name not in sys.modules, name + ' imported'\n"
+        "def unloaded(*names):\n"
+        "    for name in names:\n"
+        "        assert name not in sys.modules, name + ' imported'\n"
+        "unloaded('importlib.metadata', 'fractions', 'hashlib', 'datetime', 'dataclasses',\n"
+        "         'inspect')\n"
+        f"assert anarchy.cli.main(['verify', '--out', {str(tmp_path / 'v')!r}]) == 0\n"
+        "unloaded('importlib.metadata', 'hashlib')\n"
+        f"assert anarchy.cli.main(['curve', {str(pigou_file)!r}, '--samples', '5',\n"
+        f"                         '--csv', {str(tmp_path / 'c.csv')!r}]) == 0\n"
+        "unloaded('importlib.metadata')\n"
     )
     done = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=120)
@@ -207,14 +218,40 @@ def test_manifest_version_matches_package_metadata(pigou_file, tmp_path):
     from importlib.metadata import PackageNotFoundError, version
 
     try:
-        expected = version("anarchy")
-    except PackageNotFoundError:
-        expected = "0.1.0"
+        installed = version("anarchy")
+    except PackageNotFoundError:  # running from a source tree
+        installed = anarchy.__version__
+    assert installed == anarchy.__version__
     for name in ("a.csv", "b.csv"):
         assert main(["curve", str(pigou_file), "--samples", "5",
                      "--csv", str(tmp_path / name)]) == 0
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-        assert manifest["version"] == expected
+        assert manifest["version"] == anarchy.__version__
+
+
+def test_manifest_digests_the_bytes_parsed(tmp_path):
+    # Line ends are kept as written: the digest is of the file's bytes.
+    net_path = tmp_path / "crlf.json"
+    net_path.write_bytes(json.dumps(PIGOU, indent=2).replace("\n", "\r\n").encode())
+    mech_path = tmp_path / "mech.json"
+    mech_path.write_bytes(b'{"kind": "threshold",\r\n "R": [2.0]}\r\n')
+    assert main(["curve", str(net_path), "--mechanism", str(mech_path), "--samples", "5",
+                 "--csv", str(tmp_path / "c.csv")]) == 0
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["inputs"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in (net_path, mech_path)
+    }
+
+
+@pytest.mark.parametrize("command", [["solve", "--rate", "1"], ["curve", "--csv", "c.csv"]])
+def test_json_error_reads_the_same_with_either_line_end(tmp_path, capsys, command):
+    errors = []
+    for end in ("\n", "\r\n"):
+        path = tmp_path / "broken.json"
+        path.write_bytes(f'{{"links": [{end}  {{"a": 1, "b": 0}},{end}  {{"a": 0 "b": 1}}]}}'.encode())
+        assert main([command[0], str(path), *command[1:]]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: bad JSON at line 3 column 11: Expecting ',' delimiter\n"
 
 
 def test_curve_svg_marks_jump(tmp_path):

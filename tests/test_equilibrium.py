@@ -653,6 +653,19 @@ def test_split_past_an_overflowed_efficiency_raises(links, link, slope):
         assert solve(net, 0.0).profile.flows == (0.0,) * net.k
 
 
+@pytest.mark.parametrize("links, rate", [
+    # The demand past the breakpoint over the summed efficiency is subnormal
+    # (1e-320), underflows to 0, or underflows with the rate well above the
+    # breakpoint.
+    ([{"a": 1e-300, "b": 0}], 1e-20),
+    ([{"a": 1e-300, "b": 0}], 1e-30),
+    ([{"a": 8.2e-264, "b": 0}], 8.1e-214),
+])
+@pytest.mark.parametrize("solve", [nash_flow, opt_flow])
+def test_split_below_the_normal_range_keeps_the_rate(links, rate, solve):
+    assert math.fsum(solve(normalize_network(links), rate).profile.flows) == rate
+
+
 @pytest.mark.parametrize("links, rate, solve, cost", [
     # A form that subtracts the intercept spread cancels or overflows here.
     (TINY_SLOPES, 1.0, opt_flow, 8.75e-301),
@@ -681,6 +694,11 @@ def test_level_near_the_float_range_is_exact(links, rate, level, solve):
     (OVERFLOWING_TAIL, 1e305, opt_flow, "inf"),
     (OVERFLOWING_TAIL, 1e305, nash_flow, "inf"),
     (CLIPPED_TAIL, 6.551735390898654e+233, opt_flow, "inf"),
+    # The demand past the breakpoint over the summed efficiency overflows
+    # where the flows do not: the overflowed level is named, not their sum.
+    ([{"a": 1.0642133541320453e+278, "b": 1.0413033959967652e+279}], 4.147572523715622e+236,
+     nash_flow, "inf"),
+    ([{"a": 1.13371451260391, "b": 0.35291111759193095}], 1.7e308, opt_flow, "inf"),
 ])
 def test_non_finite_closed_form_cost_raises_overflow(links, rate, solve, shown):
     # Past the zero-slope tail, rate times its intercept leaves the float

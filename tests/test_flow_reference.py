@@ -5,8 +5,8 @@ every efficiency halved.  The references below are the separate closed
 forms each solver used to carry, and the flows and used-link count must
 match them bit for bit.  Halving is exact in the normal range, so the
 optimal reference, which solves at twice the demand and halves the flows,
-agrees there; at a subnormal demand, where the doubled form can lose the
-rate, optimal flows that differ from it must sum to the rate exactly.  The
+agrees there; at a subnormal demand, where both former forms can lose
+the rate, flows that differ from them must sum to the rate exactly.  The
 level, the intercept of the last open link plus the demand past its
 breakpoint, and the costs are compared with the exact level and costs of
 the same links, in rational arithmetic.
@@ -165,15 +165,17 @@ def test_flows_match_former_closed_forms():
         exact = exact_solution(net)
         for r in _rates(rng, net):
             nash_cost, nash_level, opt_cost, opt_level = exact(r)
-            assert _same(nash_flow(net, r), nash_reference(net, r), nash_cost, nash_level), (
-                net.to_json_dict(), r)
-            opt, reference = opt_flow(net, r), opt_reference(net, r)
-            if 0.0 < r < sys.float_info.min and opt.profile.flows != reference[0].flows:
-                # The doubled demand of the reference loses bits of the rate.
-                flows = opt.profile.flows
-                assert math.fsum(flows) == r and _near(opt.cost, opt_cost), (net.to_json_dict(), r)
-                assert _level_near(opt.level, opt_level), (net.to_json_dict(), r)
-            else:
-                assert _same(opt, reference, opt_cost, opt_level), (net.to_json_dict(), r)
+            for solve, former, cost, level in ((nash_flow, nash_reference, nash_cost, nash_level),
+                                               (opt_flow, opt_reference, opt_cost, opt_level)):
+                result, reference = solve(net, r), former(net, r)
+                if 0.0 < r < sys.float_info.min and result.profile.flows != reference[0].flows:
+                    # Past the breakpoint the demand over the summed
+                    # efficiency is subnormal, so the former forms lose bits
+                    # of the rate; the share form must keep all of them.
+                    assert math.fsum(result.profile.flows) == r, (net.to_json_dict(), r)
+                    assert _near(result.cost, cost) and _level_near(result.level, level), (
+                        net.to_json_dict(), r)
+                else:
+                    assert _same(result, reference, cost, level), (net.to_json_dict(), r)
             compared += 1
     assert compared >= 5000
