@@ -19,6 +19,8 @@ import math
 import os
 import random
 import sys
+from itertools import groupby
+from operator import attrgetter
 
 from . import __version__
 from .analysis import (
@@ -176,10 +178,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def _emit_svg(path: str, samples, breakpoints) -> None:
     """Hand-rolled 800x500 line chart: one polyline per regime run, dashed
     verticals at breakpoints, open/closed circle pairs at jumps."""
-    pts = [(s.r, s.ratio, s.regime) for s in samples]
-    xmax = max(r for r, _, _ in pts)
-    ys = [y for _, y, _ in pts]
-    ymin, ymax = min(ys), max(ys)
+    xmax = max(s.r for s in samples)
+    ymin, ymax = min(s.ratio for s in samples), max(s.ratio for s in samples)
     if ymax - ymin < 1e-9:
         ymin, ymax = ymin - 0.05, ymax + 0.05
     pad = 0.05 * (ymax - ymin)
@@ -210,22 +210,16 @@ def _emit_svg(path: str, samples, breakpoints) -> None:
                 f'stroke="gray" stroke-dasharray="4 3"/>'
             )
 
-    runs: list[list[tuple[float, float]]] = []
-    current_regime = None
-    for r, v, regime in pts:
-        if regime != current_regime:
-            runs.append([])
-            current_regime = regime
-        runs[-1].append((r, v))
+    runs = [list(run) for _, run in groupby(samples, key=attrgetter("regime"))]
     for run in runs:
         if len(run) == 1:
-            r, v = run[0]
-            parts.append(f'<circle cx="{X(r):.2f}" cy="{Y(v):.2f}" r="2" fill="steelblue"/>')
+            parts.append(f'<circle cx="{X(run[0].r):.2f}" cy="{Y(run[0].ratio):.2f}" r="2" '
+                         f'fill="steelblue"/>')
             continue
-        coords = " ".join(f"{X(r):.2f},{Y(v):.2f}" for r, v in run)
+        coords = " ".join(f"{X(s.r):.2f},{Y(s.ratio):.2f}" for s in run)
         parts.append(f'<polyline points="{coords}" fill="none" stroke="steelblue" stroke-width="1.5"/>')
     for a, b in zip(runs, runs[1:]):
-        (ra, va), (rb, vb) = a[-1], b[0]
+        (ra, va), (rb, vb) = (a[-1].r, a[-1].ratio), (b[0].r, b[0].ratio)
         if rb == math.nextafter(ra, INF) and abs(vb - va) > DEFAULT_TOLERANCE * abs(va):
             parts.append(
                 f'<circle cx="{X(ra):.2f}" cy="{Y(va):.2f}" r="3.5" '

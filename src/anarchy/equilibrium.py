@@ -275,7 +275,8 @@ def is_user_equilibrium(lats: Sequence[PiecewiseLatency], profile: FlowProfile) 
     return EquilibriumCheck(True)
 
 
-def _flow_bounds(lat, corner: float, past: float = 0.0) -> tuple[float, float]:
+def _flow_bounds(lat, corner: float, past: float = 0.0,
+                 demand: float = 0.0, a2: float = 0.0) -> tuple[float, float]:
     """Least and greatest flow a link can carry in an equilibrium at a level.
 
     The level is ``corner + past``: a corner level plus, when the level lies
@@ -287,16 +288,24 @@ def _flow_bounds(lat, corner: float, past: float = 0.0) -> tuple[float, float]:
     levels, so a flow at a segment end comes out as that end, never as a
     recomputed neighbour.  On a rising segment the flow is
     lo + ((corner - v_lo) + past) / slope, which keeps the rounding of the
-    level itself out of it.
+    level itself out of it.  A positive ``demand`` is the flow past the
+    corner whose rise ``past`` = demand * a2 left the normal range: the level
+    then lies above the corner, and a rising link takes its share
+    (a2 / slope) * demand on top of its corner flow.
     """
     level = corner + past
     least = most = 0.0
     for lo, hi, m, v_lo, v_hi in lat.segments:
         if level < v_lo:
             break
-        x = hi if level >= v_hi else min(hi, lo + ((corner - v_lo) + past) / m)
+        if level >= v_hi:
+            x = hi
+        elif demand:
+            x = min(hi, lo + (corner - v_lo) / m + a2 / m * demand)
+        else:
+            x = min(hi, lo + ((corner - v_lo) + past) / m)
         most = x
-        if level > v_lo:
+        if level > v_lo or demand:
             least = x
     return least, most
 
@@ -316,7 +325,10 @@ def water_fill(lats: Sequence, rate: float, *,
     segments.  Per-link flow intervals at L follow from comparing L with
     segment corner levels; on rising segments the flow past the last corner
     is the rest of the rate shared in proportion to 1/slope, the difference
-    form :func:`nash_flow` uses, so the rounding of L stays out of the flows.
+    form :func:`nash_flow` uses, so the rounding of L stays out of the flows;
+    where that rest's rise of L leaves the normal range, each rising link
+    takes its share of the rest itself, and a summed 1/slope past the float
+    range raises InvalidModelValue naming a rising link and its slope.
     The canonical profile spreads the rate across the intervals
     proportionally to their widths and is verified to be an equilibrium;
     a profile that fails raises CertificateFailed.
@@ -326,15 +338,29 @@ def water_fill(lats: Sequence, rate: float, *,
     """
     lats = tuple(lats)
     seg = _piece_at(lats, rate)
-    corner, past = seg.low, (rate - seg.anchor) * seg.a2
+    demand = rate - seg.anchor
+    corner, past = seg.low, demand * seg.a2
+    # The demand is kept only where its rise of the level, past, loses it:
+    # a positive demand whose past is 0 or subnormal.
     if corner + past >= seg.top:
-        corner, past = seg.top, 0.0
+        corner, past, demand = seg.top, 0.0, 0.0
+    elif past >= _NORMAL or not demand > 0.0:
+        demand = 0.0
+    elif not seg.a2 > 0.0:
+        # The rising links' summed 1/slope overflowed, so each share reads
+        # 0; name the rising link with the least slope.
+        m, i = min((m, i) for i, lat in enumerate(lats)
+                   for _, _, m, v_lo, v_hi in lat.segments if m > 0.0 and v_lo <= corner < v_hi)
+        raise InvalidModelValue(
+            f"link {i} (slope {m!r}) takes the summed supply slope 1/slope of the links "
+            f"rising at level {corner!r} past the float range, so their flows cannot be computed"
+        )
     level = corner + past
     if not level < INF:
         raise CostOverflow(f"the water-fill level overflows at demand {rate!r}")
     intervals = []
     for lat in lats:
-        least, most = _flow_bounds(lat, corner, past)
+        least, most = _flow_bounds(lat, corner, past, demand, seg.a2)
         hi_f = min(most, rate)
         intervals.append((min(least, hi_f), hi_f))
     total_lo = math.fsum(lo for lo, _ in intervals)

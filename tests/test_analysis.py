@@ -11,6 +11,7 @@ from anarchy import (
     BoundReport,
     CostOverflow,
     CostUnderflow,
+    CurveSample,
     NegativeRate,
     NotContinuousAtEquilibrium,
     ParamTooSmall,
@@ -56,6 +57,7 @@ def test_two_affine_links_sup():
 
 def test_ratio_curve_pigou_values(pigou):
     rows = ratio_curve(pigou, None, [0.5, 1.0, 1.5, 2.5])
+    assert CurveSample._fields == ("r", "cost_num", "cost_den", "ratio", "regime")
     assert [s.ratio for s in rows] == pytest.approx([1.0, 4 / 3, 1.2, 10 / 9])
     assert rows[0].regime == "nash1/opt2"
     assert rows[1].regime == "nash2/opt2"

@@ -254,7 +254,7 @@ def test_json_error_reads_the_same_with_either_line_end(tmp_path, capsys, comman
     assert errors[0] == errors[1] == "error: bad JSON at line 3 column 11: Expecting ',' delimiter\n"
 
 
-def test_curve_svg_marks_jump(tmp_path):
+def test_curve_svg_marks_jump(tmp_path, capsys):
     net_path = tmp_path / "two.json"
     net_path.write_text(json.dumps(TWO))
     mech_path = tmp_path / "mech.json"
@@ -267,6 +267,7 @@ def test_curve_svg_marks_jump(tmp_path):
     ])
     assert rc == 0
     assert "circle" in svg_path.read_text()
+    assert "ratio peaks at 1.19165" in capsys.readouterr().out
 
 
 def test_curve_keeps_narrow_hold_window(tmp_path):
@@ -282,6 +283,30 @@ def test_curve_keeps_narrow_hold_window(tmp_path):
     regimes = [line.rsplit(",", 1)[1] for line in csv_path.read_text().splitlines()[1:]]
     assert any(r.startswith("hold/") for r in regimes)
     assert any(r.startswith("jump/") for r in regimes)
+    assert "jump/opt2" in regimes
+
+
+@pytest.mark.parametrize("links, mech, samples, digest", [
+    pytest.param(PIGOU, None, "50",
+                 "5c9b62b3cd48f42d387727dbefe06a7acfdd45d5fd022b44ff610fdf6edea307", id="pigou"),
+    pytest.param(TWO, {"kind": "plateau"}, "120",
+                 "4dff59e42db1272dde5f0f37b568ebb783c7c64ffb9944a4451c2e12b8c00744", id="plateau"),
+    pytest.param(TWO, {"kind": "plateau", "x1": 0.5, "x2": 0.50000000000005}, "200",
+                 "928ab882fafd25537a920de70da85d8bc468f4b6f3072f1d0090a048b0f6fd42",
+                 id="narrow-hold"),
+])
+def test_curve_svg_bytes(tmp_path, links, mech, samples, digest):
+    # The chart is pinned to the byte: its regime runs, jump marks and
+    # coordinate rounding.
+    net_path, mech_path = tmp_path / "net.json", tmp_path / "mech.json"
+    net_path.write_text(json.dumps(links))
+    argv = ["curve", str(net_path), "--samples", samples, "--csv", str(tmp_path / "c.csv"),
+            "--svg", str(tmp_path / "c.svg")]
+    if mech is not None:
+        mech_path.write_text(json.dumps(mech))
+        argv += ["--mechanism", str(mech_path)]
+    assert main(argv) == 0
+    assert hashlib.sha256((tmp_path / "c.svg").read_bytes()).hexdigest() == digest
 
 
 def test_bounds_simple2(capsys):
@@ -469,7 +494,8 @@ def test_package_runs_without_numpy(tmp_path):
         f"sys.exit(main(['verify', '--suite', 'core', '--out', {str(tmp_path)!r}]))\n"
     )
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    # No setting is read from the environment, so a malformed one is harmless.
+    env = dict(os.environ, PYTHONPATH=src, ANARCHY_TOL="abc")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -653,6 +653,24 @@ def test_split_past_an_overflowed_efficiency_raises(links, link, slope):
         assert solve(net, 0.0).profile.flows == (0.0,) * net.k
 
 
+@pytest.mark.parametrize("affine, rate, link, slope", [
+    ([(5e-324, 7.735481218467218e+282)], 2.1933874496024237e+204, 0, "5e-324"),
+    ([(1.0, 0.0), (3e-315, 1.0)], 3.0, 1, "3e-315"),
+])
+def test_water_fill_past_an_overflowed_supply_slope_raises(affine, rate, link, slope):
+    # 1/slope overflows, so past the corner the level cannot rise and each
+    # rising link's share reads 0; the rising link with the least slope is
+    # named, not the flows' sum.
+    lats = [PiecewiseLatency.from_affine(AffineLatency(a, b)) for a, b in affine]
+    with pytest.raises(InvalidModelValue, match=f"link {link} \\(slope {slope}\\)") as caught:
+        water_fill(lats, rate)
+    assert "flows sum to" not in str(caught.value)
+
+
+def _fill(net, rate):
+    return water_fill(as_pieces(net), rate)
+
+
 @pytest.mark.parametrize("links, rate", [
     # The demand past the breakpoint over the summed efficiency is subnormal
     # (1e-320), underflows to 0, or underflows with the rate well above the
@@ -660,8 +678,10 @@ def test_split_past_an_overflowed_efficiency_raises(links, link, slope):
     ([{"a": 1e-300, "b": 0}], 1e-20),
     ([{"a": 1e-300, "b": 0}], 1e-30),
     ([{"a": 8.2e-264, "b": 0}], 8.1e-214),
+    # The same past a positive intercept, where the level is that intercept.
+    ([{"a": 9.781472718775307e-96, "b": 2.601214026106118e-257}], 1.021874933126039e-269),
 ])
-@pytest.mark.parametrize("solve", [nash_flow, opt_flow])
+@pytest.mark.parametrize("solve", [nash_flow, opt_flow, _fill])
 def test_split_below_the_normal_range_keeps_the_rate(links, rate, solve):
     assert math.fsum(solve(normalize_network(links), rate).profile.flows) == rate
 

@@ -160,8 +160,6 @@ def test_mechanisms_stay_in_bounds(faults):
     assert not _summary(faults, MECHANISMS)
 
 
-@pytest.mark.xfail(strict=True, reason="water_fill's flows past the corner can miss the "
-                   "rate past FlowProfile's tolerance (ROADMAP item 1)")
 def test_no_flow_sum_escapes(faults):
     # A network that normalizes splits every rate, or raises a typed error
     # that names the cause; FlowProfile's own sum check is no such error.

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -23,6 +24,7 @@ from anarchy import (
     ratio_curve,
     solve_plateau_params,
 )
+from anarchy.cli import main
 from anarchy.mechanisms import MIN_PLATEAU_RATIO, _hold_peak, _jump_peak
 from conftest import random_network
 
@@ -187,12 +189,13 @@ def test_threshold_build_matches_brute_force_on_planted_chains():
     assert frozen_stages >= 100
 
 
-def test_all_trigger_chain_stages_hold_their_own_links():
+def test_all_trigger_chain_stages_hold_their_own_links(tmp_path):
     # The all-trigger chain: every link of a_t = 3.5^-(t - k/2), b_t = t
     # triggers at R = 2.  Stage 0 keeps the network; each later stage keeps
     # only its own links, so the build stays linear in k.
     k = 400
-    net = normalize_network([{"a": 3.5 ** -(t - k / 2), "b": float(t)} for t in range(k)])
+    links = [{"a": 3.5 ** -(t - k / 2), "b": float(t)} for t in range(k)]
+    net = normalize_network(links)
     params, _ = build_threshold_mechanism(net, [2.0] * (k - 1))
     starts = [s.start for s in params.stages]
     assert starts == list(range(k))
@@ -201,6 +204,13 @@ def test_all_trigger_chain_stages_hold_their_own_links():
     assert sizes == [end - start for start, end in zip(starts[1:], [*starts[2:], k])]
     assert sum(sizes) == k - starts[1]
     assert mn_uses_links_no_earlier_than_opt(net, params)
+    # The command line solves and sweeps it too.
+    net_path, mech_path = tmp_path / "chain.json", tmp_path / "mech.json"
+    net_path.write_text(json.dumps({"links": links}))
+    mech_path.write_text(json.dumps({"kind": "threshold", "R": [2] * (k - 1)}))
+    mech = ["--mechanism", str(mech_path)]
+    assert main(["solve", str(net_path), "--rate", "1", "--which", "mn", *mech]) == 0
+    assert main(["curve", str(net_path), "--csv", str(tmp_path / "chain.csv"), *mech]) == 0
 
 
 def test_usage_order_seeded():

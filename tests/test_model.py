@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import anarchy
 from anarchy import (
     AffineLatency,
     AnarchyError,
@@ -339,6 +340,8 @@ def test_copies_go_through_the_constructor(cls, args, change, bad, error):
 def test_bad_values_raise_one_typed_error():
     assert issubclass(InvalidModelValue, AnarchyError)
     assert issubclass(InvalidModelValue, ValueError)
+    # Errors no longer raised are no longer exported.
+    assert not hasattr(anarchy, "TooManyLinks") and not hasattr(anarchy, "RatioTooSmall")
     with pytest.raises(InvalidModelValue):
         PiecewiseLatency(starts=(0.0,), slopes=(1.0,), offsets=(math.inf,))
     with pytest.raises(InvalidModelValue):
