@@ -39,7 +39,7 @@ from .mechanisms import (
     _jump_peak,
     balanced_alpha,
 )
-from .model import INF, ParallelNetwork, PiecewiseLatency, _Checked
+from .model import INF, _LEAST_NORMAL, ParallelNetwork, PiecewiseLatency, _Checked
 
 if TYPE_CHECKING:
     # Imported where the exact recurrence runs: `import anarchy` stays lean.
@@ -234,7 +234,7 @@ def _ratio(num: float, den: float, r: float) -> float:
         raise CostUnderflow(f"the optimal cost underflows to 0 at demand {r!r}")
     if not (num < INF and 0.0 < den < INF):
         raise CostOverflow(f"the costs overflow at demand {r!r}: {num!r} / {den!r}")
-    if den < sys.float_info.min:
+    if den < _LEAST_NORMAL:
         raise CostUnderflow(f"the optimal cost {den!r} at demand {r!r} is below the normal range")
     return num / den
 

@@ -401,6 +401,10 @@ SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # The report's directory is made first, so a path that cannot hold it
+    # fails before any check runs.
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
     checks = SUITES[args.suite]
     results = []
     failures = 0
@@ -415,8 +419,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"FAIL {name}: {exc}")
             results.append({"name": name, "ok": False, "witness": str(exc)})
 
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "verify_report.json")
     report = {"suite": args.suite, "seed": args.seed, "results": results}
     _write_text(report_path, json.dumps(report, indent=2) + "\n")
@@ -464,14 +466,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """One parser per process: ``parse_args`` leaves it unchanged, so commands share it."""
-    return build_parser()
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """One parser per process, with its subcommands' parsers by name:
+    ``parse_args`` leaves them unchanged, so commands share them."""
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = _shared_parser().parse_args(argv)
+    # A known command is parsed by its own parser alone, so a usage error
+    # shows that command's usage; -h, a missing command and an unknown one
+    # go to the top-level parser.
+    parser, commands = _shared_parser()
+    if argv and argv[0] in commands:
+        args = commands[argv[0]].parse_args(argv[1:])
+    else:
+        args = parser.parse_args(argv)
     args._argv = argv
     try:
         return args.func(args)

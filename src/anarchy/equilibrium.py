@@ -13,7 +13,6 @@ either at a rate is one lookup.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from itertools import islice
 from operator import is_
@@ -29,10 +28,15 @@ from .errors import (
     SchemaError,
     SegmentMismatch,
 )
-from .model import INF, FlowProfile, ParallelNetwork, PiecewiseLatency, check_rate
-
-# The least positive normal float.
-_NORMAL = sys.float_info.min
+from .model import (
+    INF,
+    _LEAST_NORMAL,
+    FlowProfile,
+    ParallelNetwork,
+    PiecewiseLatency,
+    _allowance,
+    check_rate,
+)
 
 
 class EquilibriumResult(NamedTuple):
@@ -117,7 +121,7 @@ def _split(net: ParallelNetwork, rate: float, scale: float) -> tuple[list[float]
         past = demand / eff_j
         # A subnormal or overflowed past loses the demand that the flows
         # need not lose: then each link takes its share e_i / E_j of it.
-        share = demand != 0.0 and not _NORMAL <= past < INF
+        share = demand != 0.0 and not _LEAST_NORMAL <= past < INF
     # The level is top + past, and level - b_i the intercept gap plus the
     # demand past the last breakpoint: subtracting b_i from a level that
     # rounds near it would cancel, and a large efficiency multiplies the
@@ -211,18 +215,6 @@ def cost_increment(net: ParallelNetwork, s: float, r: float, j: int,
     _, slope, curvature = seg.at(s)
     d = r - s
     return _finite_cost(d * (slope + d * curvature), r)
-
-
-# The rounding of a latency's two terms and of their sum, and that of a
-# flow one double off its exact value, stay well inside this many ulps of
-# the terms' size.
-_ROUNDING = 4.0 * math.ulp(1.0)
-
-
-def _allowance(size: float) -> float:
-    # _ROUNDING of the terms' size, plus one subnormal: below the normal
-    # range rounding is absolute.
-    return _ROUNDING * size + math.ulp(0.0)
 
 
 def _two_least(values: Sequence[float]) -> tuple[int, int | None]:
@@ -344,7 +336,7 @@ def water_fill(lats: Sequence, rate: float, *,
     # a positive demand whose past is 0 or subnormal.
     if corner + past >= seg.top:
         corner, past, demand = seg.top, 0.0, 0.0
-    elif past >= _NORMAL or not demand > 0.0:
+    elif past >= _LEAST_NORMAL or not demand > 0.0:
         demand = 0.0
     elif not seg.a2 > 0.0:
         # The rising links' summed 1/slope overflowed, so each share reads

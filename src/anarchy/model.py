@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple
 
-from .config import DEFAULT_TOLERANCE, IDENTITY_RTOL
+from .config import IDENTITY_RTOL
 from .errors import (
     EmptyNetwork,
     InvalidModelValue,
@@ -25,6 +25,7 @@ from .errors import (
 )
 
 INF = math.inf
+# The least positive normal float: below it rounding is absolute.
 _LEAST_NORMAL = sys.float_info.min
 
 
@@ -379,6 +380,18 @@ def _at_least(v: float, ref: float, size: float) -> bool:
     return v >= ref - IDENTITY_RTOL * size
 
 
+# The rounding of a latency's two terms and of their sum, and that of a
+# flow one double off its exact value, stay well inside this many ulps of
+# the terms' size.
+_ROUNDING = 4.0 * math.ulp(1.0)
+
+
+def _allowance(size: float) -> float:
+    # _ROUNDING of the terms' size, plus one subnormal: below the normal
+    # range rounding is absolute.
+    return _ROUNDING * size + math.ulp(0.0)
+
+
 class _FlowFields(NamedTuple):
     rate: float
     flows: tuple[float, ...]
@@ -390,8 +403,9 @@ class FlowProfile(_Checked, _FlowFields):
 
     ``latency_family`` records which latencies the profile was computed
     against ("original" or "modified").  The rate must pass :func:`check_rate`;
-    flows must be non-negative, not NaN, and sum to the rate within
-    DEFAULT_TOLERANCE relative, plus one subnormal per flow.
+    flows must be non-negative, not NaN, and sum to the rate within the
+    equilibrium certificate's allowance per flow: 4 ulps of the rate plus
+    one subnormal.  A flow below 0 by no more than that is clamped to 0.
     """
 
     __slots__ = ()
@@ -401,10 +415,9 @@ class FlowProfile(_Checked, _FlowFields):
         rate = float(rate)
         check_rate(rate)
         flows = [float(f) for f in flows]
-        # DEFAULT_TOLERANCE of the rate, not a few ulps: water_fill's flows have
-        # summed 5 ulps above it.  One subnormal per flow: below the normal
-        # range each flow is rounded to an absolute unit.
-        slack = DEFAULT_TOLERANCE * rate + len(flows) * math.ulp(0.0)
+        # Each flow rounds within a few ulps of the rate, or one subnormal
+        # below the normal range, so the sum within that per flow.
+        slack = len(flows) * _allowance(rate)
         for i, f in enumerate(flows):
             if not f >= -slack:
                 raise InvalidModelValue(f"flow {i} is negative: {f}" if f == f else f"flow {i} is NaN")

@@ -294,6 +294,10 @@ def test_curve_keeps_narrow_hold_window(tmp_path):
     pytest.param(TWO, {"kind": "plateau", "x1": 0.5, "x2": 0.50000000000005}, "200",
                  "928ab882fafd25537a920de70da85d8bc468f4b6f3072f1d0090a048b0f6fd42",
                  id="narrow-hold"),
+    # A constant ratio is drawn in a band 0.05 either side, padded by 5%:
+    # its y labels read 0.945 and 1.055.
+    pytest.param({"links": [{"a": 1, "b": 0}]}, None, "5",
+                 "d692cb2600f6396810d3f43a52ac7843cebb474182b6f1969a505d39ab11b865", id="flat-band"),
 ])
 def test_curve_svg_bytes(tmp_path, links, mech, samples, digest):
     # The chart is pinned to the byte: its regime runs, jump marks and
@@ -375,6 +379,36 @@ def test_bounds_missing_args(capsys):
     assert main(["bounds", "simple2", "--R", "2", "3"]) == 2
     err = capsys.readouterr().err
     assert "needs --links" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "lower", "--R", "2", "3"], "lower takes one slope ratio"),
+    (["solve", "NET", "--rate", "1", "--which", "mn"], "--which mn needs --mechanism"),
+])
+def test_exit_code_option_conflict(pigou_file, capsys, argv, message):
+    argv = [str(pigou_file) if a == "NET" else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, prog", [
+    (["solve", "NET", "--rate", "1", "--bogus"], "anarchy solve"),
+    (["curve", "NET", "--csv", "c.csv", "--bogus"], "anarchy curve"),
+    (["bounds", "lower", "--R", "2", "--bogus"], "anarchy bounds"),
+    (["verify", "--bogus"], "anarchy verify"),
+    ([], "anarchy"),
+    (["bogus"], "anarchy"),
+])
+def test_usage_error_shows_the_command_usage(pigou_file, capsys, argv, prog):
+    # A known command's usage error shows that command's usage; a missing or
+    # unknown command shows the top-level usage.
+    argv = [str(pigou_file) if a == "NET" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert f"\n{prog}: error: " in err
 
 
 def test_exit_code_bad_json(tmp_path, capsys):
@@ -706,6 +740,16 @@ def test_exit_code_bad_link_count(links, capsys):
 
 def test_exit_code_missing_file(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.json"), "--rate", "1"]) == 4
+
+
+def test_exit_code_verify_out_is_a_file(tmp_path, capsys):
+    # The report's directory is made before any check runs.
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["verify", "--suite", "known", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_verify_core(tmp_path, capsys):

@@ -86,7 +86,7 @@ MECHANISMS = {
     "plateau ratio_sup": lambda sup: _ratio_ok(sup[0]),
 }
 BOUNDS = {**PLAIN, **MECHANISMS}
-# The splits whose flows can miss the rate past FlowProfile's tolerance.
+# The splits whose flows can miss the rate past FlowProfile's rounding allowance.
 ESCAPES = ("nash_flow", "opt_flow", "water_fill", "mn_flow")
 
 

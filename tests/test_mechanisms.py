@@ -299,6 +299,14 @@ def test_plateau_marks_name_its_regions():
                             (params.resume_rate, False, "jump"), (math.inf, False, "post"))
 
 
+def test_plateau_hold_end_below_hold_start():
+    # hold_start lies past r2 within the marks' slack, hold_end at r2 itself.
+    net = normalize_network([{"a": 2, "b": 0}, {"a": 1, "b": 1}])
+    r2 = net.breakpoints[1]
+    with pytest.raises(ParamOutOfRange, match="hold_end must be >= hold_start"):
+        PlateauParams.from_flows(net, r2 * (1 + 5e-10), r2)
+
+
 def test_plateau_identity_below_min_ratio():
     net = normalize_network([{"a": 1.5, "b": 0}, {"a": 1, "b": 1}])
     params = PlateauParams.from_flows(net, 0.8 * net.breakpoints[1], 2 * net.breakpoints[1])

@@ -65,6 +65,14 @@ def test_normalize_merges_equal_intercepts():
     assert net.links[0].intercept == 0.0
 
 
+def test_normalize_merges_into_flat_tail():
+    # Two links tied at intercept 1, one of them constant, merge into one
+    # zero-slope last link.
+    net = normalize_network([{"a": 0, "b": 1}, {"a": 2, "b": 1}, {"a": 1, "b": 0}])
+    assert net.links == (AffineLatency(1.0, 0.0), AffineLatency(0.0, 1.0))
+    assert net.has_flat_tail
+
+
 def test_normalize_is_idempotent():
     net = normalize_network([{"a": 2, "b": 1}, {"a": 0.5, "b": 0}, {"a": 1, "b": 1}])
     again = normalize_network(net.links)
@@ -274,11 +282,21 @@ def test_single_segment_matches_affine(slope, intercept, x):
     assert piece.right_liminf(x) == base.value(x)
 
 
+def test_piecewise_repr_shows_the_constructor_arguments():
+    lat = PiecewiseLatency((0.0, 0.5), (1.0, 0.0), (0.0, 0.5))
+    assert repr(lat) == ("PiecewiseLatency(starts=(0.0, 0.5), slopes=(1.0, 0.0), "
+                         "offsets=(0.0, 0.5), cap=inf)")
+
+
 def test_flow_profile_validation():
     prof = FlowProfile(rate=1.0, flows=(0.4, 0.6))
     assert prof.used_count == 2
-    clamped = FlowProfile(rate=1.0, flows=(1.0 + 1e-12, -1e-12))
+    # A flow one ulp of the rate below 0 is clamped; 1e-12 is past the
+    # rounding allowance.
+    clamped = FlowProfile(rate=1.0, flows=(1.0 + 2**-52, -2**-52))
     assert clamped.flows[1] == 0.0
+    with pytest.raises(InvalidModelValue):
+        FlowProfile(rate=1.0, flows=(1.0 + 1e-12, -1e-12))
     with pytest.raises(ValueError):
         FlowProfile(rate=1.0, flows=(0.4, 0.4))
     with pytest.raises(ValueError):
