@@ -19,7 +19,6 @@ import sys
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .config import DEFAULT_TOLERANCE
 from .equilibrium import _cost_segs, _keep, _Seg, _swept, nash_flow, water_fill
 from .errors import (
     CostOverflow,
@@ -39,7 +38,15 @@ from .mechanisms import (
     _jump_peak,
     balanced_alpha,
 )
-from .model import INF, _LEAST_NORMAL, ParallelNetwork, PiecewiseLatency, _Checked
+from .model import (
+    IDENTITY_RTOL,
+    INF,
+    _LEAST_NORMAL,
+    ParallelNetwork,
+    PiecewiseLatency,
+    _Checked,
+    _allowance,
+)
 
 if TYPE_CHECKING:
     # Imported where the exact recurrence runs: `import anarchy` stays lean.
@@ -459,18 +466,20 @@ def continuity_no_improvement_check(net: ParallelNetwork,
     Solves the modified equilibrium by water-filling, requires each modified
     latency to be continuous at its equilibrium flow (else raises
     NotContinuousAtEquilibrium) and checks the modified equilibrium cost is
-    at least the unmodified one.  Both comparisons allow DEFAULT_TOLERANCE
-    slack relative to the values they compare.
+    at least the unmodified one.  A latency counts as continuous where its
+    two limits differ by no more than the dip its construction accepts,
+    IDENTITY_RTOL of the terms they sum; the costs compare at the rounding
+    allowance of k + 1 terms of the selfish cost.
     """
     res = water_fill(modified, rate, latency_family="modified")
     for i, f in enumerate(res.profile.flows):
-        left = modified[i].value(f)
-        right = modified[i].right_liminf(f)
-        # 1e-9 of the value clears the IDENTITY_RTOL a continuous boundary may show.
-        if not abs(right - left) <= DEFAULT_TOLERANCE * abs(left):
+        left, left_terms, right, right_terms = modified[i].limits(f)
+        # Both limits' terms: the dip PiecewiseLatency's construction accepts.
+        if not abs(right - left) <= IDENTITY_RTOL * (left_terms + right_terms):
             raise NotContinuousAtEquilibrium(
                 f"link {i} jumps at its equilibrium flow {f}: {left} -> {right}"
             )
     base = nash_flow(net, rate).cost
-    ok = res.cost >= base - DEFAULT_TOLERANCE * base
+    # k + 1 terms: k link costs and their sum, each rounded.
+    ok = res.cost >= base - (net.k + 1) * _allowance(base)
     return ContinuityCheck(ok, modified_cost=res.cost, nash_cost=base)

@@ -18,7 +18,6 @@ from itertools import islice
 from operator import is_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .config import IDENTITY_RTOL
 from .errors import (
     CertificateFailed,
     CostOverflow,
@@ -29,6 +28,7 @@ from .errors import (
     SegmentMismatch,
 )
 from .model import (
+    IDENTITY_RTOL,
     INF,
     _LEAST_NORMAL,
     FlowProfile,
@@ -167,6 +167,7 @@ def nash_flow(net: ParallelNetwork, rate: float) -> EquilibriumResult:
     not come out finite raises CostOverflow.
     """
     profile, level = _profile(net, rate, 1.0)
+    rate = profile.rate  # -0.0 reads as 0.0
     return EquilibriumResult(profile, level=level, cost=_finite_cost(rate * level, rate))
 
 

@@ -16,7 +16,6 @@ from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from typing import NamedTuple
 
-from .config import DEFAULT_TOLERANCE
 from .equilibrium import _profile
 from .errors import (
     BadParamCount,
@@ -27,11 +26,13 @@ from .errors import (
     SchemaError,
 )
 from .model import (
+    DEFAULT_TOLERANCE,
     INF,
     AffineLatency,
     FlowProfile,
     ParallelNetwork,
     PiecewiseLatency,
+    _allowance,
     check_rate,
     real_number,
 )
@@ -164,8 +165,8 @@ def mn_uses_links_no_earlier_than_opt(net: ParallelNetwork,
 
     The rate at which the modified flow first loads link h is the stage's
     global start plus the segment breakpoint of h; it must be at least half
-    the global breakpoint of h, less DEFAULT_TOLERANCE of it.  Frozen-at-zero
-    links never open.
+    the global breakpoint of h, less the rounding allowance of k terms of
+    that size.  Frozen-at-zero links never open.
     """
     ends = [stage.start for stage in params.stages[1:]] + [net.k]
     for stage, end in zip(params.stages, ends):
@@ -174,8 +175,8 @@ def mn_uses_links_no_earlier_than_opt(net: ParallelNetwork,
                 continue  # frozen before ever opening
             first_used = stage.global_start_rate + stage.segment.breakpoints[h - stage.start]
             opt_start = net.breakpoints[h] / 2.0
-            # 1e-9: each side sums up to k terms on its own recurrence, k ulps apart in a tie.
-            if first_used < opt_start * (1.0 - DEFAULT_TOLERANCE):
+            # k terms: each side sums at most k non-negative rounded terms.
+            if first_used < opt_start - net.k * _allowance(opt_start):
                 return LinkUsageCheck(False, link=h, first_used_rate=first_used,
                                       opt_start_rate=opt_start)
     return LinkUsageCheck(True)
@@ -224,7 +225,7 @@ class PlateauParams(NamedTuple):
         if not (math.isfinite(hold_start) and math.isfinite(hold_end)):
             raise ParamOutOfRange(f"plateau marks must be finite, got {hold_start}, {hold_end}")
         r2 = net.breakpoints[1]
-        # 1e-9 of r2: a range check on given marks, solved or written to ten digits.
+        # Given marks: solved, or written by a user to ten digits.
         tol = DEFAULT_TOLERANCE * r2
         if not (r2 / 2.0 - tol <= hold_start <= r2 + tol):
             raise ParamOutOfRange(
@@ -258,8 +259,8 @@ def build_plateau_mechanism(
     """
     first, second = _two_links(net)
     ratio = first.slope / second.slope
-    # 1e-9: the same network gives the ratio to the bit, a rescaled copy a few ulps off.
-    if abs(params.slope_ratio - ratio) > DEFAULT_TOLERANCE * ratio:
+    # One term: the same network gives the ratio to the bit, a rescaled copy within 2 ulps.
+    if abs(params.slope_ratio - ratio) > _allowance(ratio):
         raise ParamOutOfRange("parameters were built for a different network")
     unchanged = PiecewiseLatency.from_affine(second)
     if ratio <= MIN_PLATEAU_RATIO or params.hold_end <= params.hold_start:

@@ -14,7 +14,6 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple
 
-from .config import IDENTITY_RTOL
 from .errors import (
     EmptyNetwork,
     InvalidModelValue,
@@ -374,6 +373,15 @@ class PiecewiseLatency(_Checked, _PiecewiseFields):
         return True
 
 
+# Computed values compare at _allowance below, times the terms they sum.
+# These two bound what is given instead.  DEFAULT_TOLERANCE: marks a user
+# writes, and the SVG's jump marks.  IDENTITY_RTOL: latencies built from
+# given coefficients (monotonicity, dominance and continuity) and the given
+# rates of a cost increment.
+DEFAULT_TOLERANCE = 1e-9
+IDENTITY_RTOL = 1e-12
+
+
 def _at_least(v: float, ref: float, size: float) -> bool:
     # v >= ref up to IDENTITY_RTOL of `size`, the terms the two values sum:
     # where they cancel, each is known only to the rounding of those terms.
@@ -402,7 +410,8 @@ class FlowProfile(_Checked, _FlowFields):
     """Per-link flows for one demand rate.
 
     ``latency_family`` records which latencies the profile was computed
-    against ("original" or "modified").  The rate must pass :func:`check_rate`;
+    against ("original" or "modified").  The rate must pass :func:`check_rate`
+    and is kept as 0.0 when it is -0.0, so every solver reports 0.0 there;
     flows must be non-negative, not NaN, and sum to the rate within the
     equilibrium certificate's allowance per flow: 4 ulps of the rate plus
     one subnormal.  A flow below 0 by no more than that is clamped to 0.
@@ -412,7 +421,7 @@ class FlowProfile(_Checked, _FlowFields):
 
     def __new__(cls, rate: float, flows: Iterable[float],
                 latency_family: str = "original") -> FlowProfile:
-        rate = float(rate)
+        rate = float(rate) + 0.0  # -0.0 + 0.0 is 0.0
         check_rate(rate)
         flows = [float(f) for f in flows]
         # Each flow rounds within a few ulps of the rate, or one subnormal

@@ -39,6 +39,7 @@ from anarchy import (
     worst_equilibrium_cost,
 )
 from anarchy.mechanisms import MIN_PLATEAU_RATIO, PLATEAU_TARGET, PlateauParams, ThresholdParams
+from anarchy.model import IDENTITY_RTOL
 from conftest import NEGATIVE_OPT, OVERFLOWED_EFFICIENCY, OVERFLOWED_SUM, SUBNORMAL_OPT, random_network
 
 
@@ -362,6 +363,24 @@ def test_continuity_check_rejects_jump_at_equilibrium():
     flat = PiecewiseLatency.from_affine(net.links[1])
     with pytest.raises(NotContinuousAtEquilibrium):
         continuity_no_improvement_check(net, [jumpy, flat], 1.0)
+
+
+@pytest.mark.parametrize("step, continuous", [
+    # A step up of 1e-11 of the value is no rounding of the two terms.
+    (1e-11, False),
+    # A dip that the latency's own construction accepts.
+    (-IDENTITY_RTOL, True),
+])
+def test_continuity_check_reads_the_construction_dip(step, continuous):
+    # The first latency steps by `step` at flow 1, where the equilibrium sits.
+    net = normalize_network([{"a": 1, "b": 0}, {"a": 0, "b": 1}])
+    stepped = PiecewiseLatency((0.0, 1.0), (1.0, 1.0), (0.0, step))
+    flat = PiecewiseLatency.from_affine(net.links[1])
+    if continuous:
+        assert continuity_no_improvement_check(net, [stepped, flat], 1.0)
+    else:
+        with pytest.raises(NotContinuousAtEquilibrium):
+            continuity_no_improvement_check(net, [stepped, flat], 1.0)
 
 
 def test_underflowing_costs_raise_typed_error():

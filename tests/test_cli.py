@@ -475,19 +475,25 @@ def test_solve_mn_plateau_on_hold_window(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "rate,which,code,message",
+    "args,code,message",
     [
-        ("nan", "nash", 3, "finite"),
-        ("inf", "opt", 3, "finite"),
-        ("-inf", "mn", 3, "finite"),
+        (["solve", "--rate=nan", "--which", "nash"], 3, "finite"),
+        (["solve", "--rate=inf", "--which", "opt"], 3, "finite"),
+        (["solve", "--rate=-inf", "--which", "mn"], 3, "finite"),
+        # An --rmax outside (0, inf) is a domain error, as a bad --rate is.
+        *((["curve", "--rmax", rmax], 3, f"error: --rmax must be positive and finite, got {shown}")
+          for rmax, shown in [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")]),
     ],
-    ids=["nan-nash-None-3-finite", "inf-opt-None-3-finite", "-inf-mn-None-3-finite"],
+    ids=["nan-nash-None-3-finite", "inf-opt-None-3-finite", "-inf-mn-None-3-finite",
+         "rmax-0", "rmax-negative", "rmax-nan", "rmax-inf"],
 )
-def test_exit_code_bad_numbers(pigou_file, mech_file, capsys, rate, which, code, message):
-    argv = ["solve", str(pigou_file), f"--rate={rate}", "--which", which,
-            "--mechanism", str(mech_file)]
-    assert main(argv) == code
+def test_exit_code_bad_numbers(pigou_file, mech_file, capsys, args, code, message):
+    command, *rest = args
+    csv = pigou_file.parent / "curve.csv"
+    argv = [command, str(pigou_file), *rest, "--mechanism", str(mech_file)]
+    assert main([*argv, "--csv", str(csv)] if command == "curve" else argv) == code
     assert message in capsys.readouterr().err
+    assert not csv.exists()
 
 
 @pytest.mark.parametrize("mech, code", [
@@ -625,6 +631,10 @@ def test_exit_code_overflow(tmp_path, capsys, links, mech, args, message):
     (CANCELLING_OPT, "5.371637362363765e-171", "opt", "3.55819e-223"),
     # Twice the demand overflows; the optimal split never forms it.
     ([{"a": 1, "b": 0}, {"a": 0, "b": 0.5}], "9e307", "opt", "4.5e+307"),
+    # A rate of -0 is reported as 0, in the header and in the cost.
+    (PIGOU["links"], "-0", "nash", "0"),
+    (PIGOU["links"], "-0", "opt", "0"),
+    (PIGOU["links"], "-0", "mn", "0"),
 ])
 def test_solve_finite_cost_near_the_float_range(tmp_path, capsys, links, rate, which, cost):
     net_path, mech_path = tmp_path / "net.json", tmp_path / "mech.json"
@@ -632,7 +642,9 @@ def test_solve_finite_cost_near_the_float_range(tmp_path, capsys, links, rate, w
     mech_path.write_text(json.dumps({"kind": "threshold", "R": [2]}))
     argv = ["solve", str(net_path), "--rate", rate, "--which", which]
     assert main([*argv, "--mechanism", str(mech_path)] if which == "mn" else argv) == 0
-    assert f"cost {cost} " in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"cost {cost} " in out
+    assert "rate -" not in out
 
 
 @pytest.mark.parametrize("links, code, shown", [
@@ -801,6 +813,33 @@ def test_verify_random_seeded(tmp_path, capsys):
                          ids=[f"{suite}-{fn.__name__}" for suite, fns in cli.SUITES.items() for fn in fns])
 def test_verify_check_passes(check, seed):
     check(seed)
+
+
+def _cost_off(res):
+    # A cost 1e-12 off: far past the rounding of k + 1 terms.
+    return res._replace(cost=res.cost * (1.0 + 1e-12))
+
+
+def _value_off(rep):
+    # A known answer 1e-14 off: past its own rounding.
+    return rep._replace(value=rep.value * (1.0 + 1e-14))
+
+
+@pytest.mark.parametrize("check, name, drift", [
+    pytest.param(check, name, drift, id=check.__name__) for check, name, drift in [
+        (cli.water_fill_matches_closed_form, "water_fill", _cost_off),
+        (cli.random_water_fill_agrees, "water_fill", _cost_off),
+        (cli.pigou_peak_four_thirds, "ratio_sup",
+         lambda peak: (peak[0] * (1.0 + 1e-14), peak[1])),
+        (cli.two_link_bound_meets_at_four, "two_link_simple_bound", _value_off),
+        (cli.benign_two_twos, "benign_bound", _value_off),
+    ]
+])
+def test_verify_check_fails_past_its_rounding(monkeypatch, check, name, drift):
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: drift(real(*args, **kwargs)))
+    with pytest.raises(AssertionError):
+        check(0)
 
 
 def test_verify_suite_names():

@@ -136,6 +136,13 @@ def test_zero_rate(pigou):
     assert res.used_count == 0
 
 
+def test_negative_zero_rate_reads_as_zero(pigou):
+    # Each solver reports a demand of -0.0 as 0.0, in its rate and its cost.
+    for res in (nash_flow(pigou, -0.0), opt_flow(pigou, -0.0),
+                water_fill(as_pieces(pigou), -0.0)):
+        assert math.copysign(1.0, res.profile.rate) == math.copysign(1.0, res.cost) == 1.0
+
+
 # ------------------------------------------------------------------ increments
 
 

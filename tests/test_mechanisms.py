@@ -213,6 +213,20 @@ def test_all_trigger_chain_stages_hold_their_own_links(tmp_path):
     assert main(["curve", str(net_path), "--csv", str(tmp_path / "chain.csv"), *mech]) == 0
 
 
+def test_usage_order_rejects_a_start_below_its_rounding():
+    # Freeze points 0.5 and 11.0 meet the optimum's opening rates to the bit;
+    # a stage that starts 1e-11 of its rate sooner opens its link too early.
+    net = normalize_network([{"a": 1, "b": 0}, {"a": 0.05, "b": 1}, {"a": 0.001, "b": 2}])
+    params, _ = build_threshold_mechanism(net, [2.0, 2.0])
+    assert params.freeze_points == (0.5, 11.0)
+    assert mn_uses_links_no_earlier_than_opt(net, params)
+    first, stage, *rest = params.stages
+    early = stage._replace(global_start_rate=stage.global_start_rate * (1.0 - 1e-11))
+    check = mn_uses_links_no_earlier_than_opt(net, params._replace(stages=(first, early, *rest)))
+    assert not check
+    assert check.link == 1
+
+
 def test_usage_order_seeded():
     rng = random.Random(31)
     for _ in range(60):
@@ -339,6 +353,26 @@ def test_plateau_validation():
     for target in (net, low):  # low: a slope ratio below 96/53
         with pytest.raises(ParamOutOfRange):
             build_plateau_mechanism(target, params)
+
+
+def test_plateau_refuses_a_slope_ratio_past_its_rounding():
+    net = normalize_network([{"a": 5, "b": 0}, {"a": 1, "b": 1}])
+    params = solve_plateau_params(net)
+    build_plateau_mechanism(net, params)
+    off = params._replace(slope_ratio=params.slope_ratio * (1.0 + 1e-12))
+    with pytest.raises(ParamOutOfRange, match="different network"):
+        build_plateau_mechanism(net, off)
+
+
+def test_plateau_params_build_on_a_rescaled_copy():
+    # Scaling both slopes by 10^u moves their quotient by at most 2 ulps.
+    rng = random.Random(17)
+    for _ in range(3000):
+        a1, R, b2 = rng.uniform(0.1, 5.0), rng.uniform(MIN_PLATEAU_RATIO, 200.0), rng.uniform(0.01, 3.0)
+        params = solve_plateau_params(normalize_network([{"a": a1, "b": 0}, {"a": a1 / R, "b": b2}]))
+        c = 10.0 ** rng.uniform(-6.0, 6.0)
+        copy = normalize_network([{"a": a1 * c, "b": 0}, {"a": a1 / R * c, "b": b2}])
+        build_plateau_mechanism(copy, params)
 
 
 # ----------------------------------------------------------------- persistence

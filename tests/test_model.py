@@ -24,7 +24,7 @@ from anarchy import (
     network_from_dict,
     normalize_network,
 )
-from anarchy.config import IDENTITY_RTOL
+from anarchy.model import IDENTITY_RTOL
 
 
 def corners_rise(lat):

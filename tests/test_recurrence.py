@@ -14,7 +14,7 @@ from anarchy.analysis import (
     recurrence_bound,
     two_link_simple_bound,
 )
-from anarchy.errors import ParamOutOfRange, ParamTooSmall
+from anarchy.errors import EmptyNetwork, ParamOutOfRange, ParamTooSmall
 
 
 def _benign(Rs):
@@ -83,6 +83,13 @@ def test_greedy_parameters_unchanged(k):
 @pytest.mark.parametrize("k", [8, 9, 1000])
 def test_greedy_parameters_refuse_multipliers_beyond_floats(k):
     with pytest.raises(ParamOutOfRange, match=f"k={k}"):
+        greedy_parameters(k)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_greedy_parameters_refuse_no_links(k):
+    # The command line refuses --links 0 before it calls the library.
+    with pytest.raises(EmptyNetwork, match=f"k={k}"):
         greedy_parameters(k)
 
 
