@@ -39,13 +39,13 @@ from .mechanisms import (
     balanced_alpha,
 )
 from .model import (
-    IDENTITY_RTOL,
     INF,
     _LEAST_NORMAL,
     ParallelNetwork,
     PiecewiseLatency,
     _Checked,
     _allowance,
+    _real,
 )
 
 if TYPE_CHECKING:
@@ -212,9 +212,9 @@ def ratio_curve(net: ParallelNetwork, mechanism: Mechanism | None,
     his = [p.hi for p in pieces]
     samples = []
     for raw in r_grid:
-        r = float(raw)
+        r = _real(raw)
         if not 0.0 < r < INF:
-            raise NegativeRate(f"curve rates must be positive and finite, got {raw!r}")
+            raise NegativeRate(f"curve rates must be positive and finite, got {r!r}")
         i = bisect_left(his, r)
         piece = pieces[i]
         if his[i] == r and not piece.closed:
@@ -434,7 +434,7 @@ def lower_bound_value(R: float) -> BoundReport:
     the plateau mechanism uses (:func:`~anarchy.mechanisms.balanced_alpha`),
     capped at 6/5 (the unmodified ratio at the breakpoint).
     """
-    R = float(R)
+    R = _real(R)
     if not 2.0 <= R <= 4.0:
         raise RatioOutOfRange(f"slope ratio must be in [2, 4], got {R}")
     x1, root_R = balanced_alpha(R), math.sqrt(R)
@@ -467,15 +467,15 @@ def continuity_no_improvement_check(net: ParallelNetwork,
     latency to be continuous at its equilibrium flow (else raises
     NotContinuousAtEquilibrium) and checks the modified equilibrium cost is
     at least the unmodified one.  A latency counts as continuous where its
-    two limits differ by no more than the dip its construction accepts,
-    IDENTITY_RTOL of the terms they sum; the costs compare at the rounding
-    allowance of k + 1 terms of the selfish cost.
+    two limits differ by no more than the rounding allowance of the terms
+    they sum; the costs compare at the allowance of k + 1 terms of the
+    selfish cost.
     """
     res = water_fill(modified, rate, latency_family="modified")
     for i, f in enumerate(res.profile.flows):
         left, left_terms, right, right_terms = modified[i].limits(f)
-        # Both limits' terms: the dip PiecewiseLatency's construction accepts.
-        if not abs(right - left) <= IDENTITY_RTOL * (left_terms + right_terms):
+        # Four terms: each limit sums slope*flow and an offset.
+        if not abs(right - left) <= _allowance(left_terms + right_terms):
             raise NotContinuousAtEquilibrium(
                 f"link {i} jumps at its equilibrium flow {f}: {left} -> {right}"
             )

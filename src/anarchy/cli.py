@@ -47,10 +47,10 @@ from .mechanisms import (
 )
 from .model import (
     DEFAULT_TOLERANCE,
-    IDENTITY_RTOL,
     INF,
     ParallelNetwork,
     PiecewiseLatency,
+    _ROUNDING,
     _allowance,
     network_from_dict,
     normalize_network,
@@ -105,7 +105,7 @@ def _write_manifest(directory: str, argv: list[str], inputs: dict[str, bytes],
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "inputs": {p: _sha256(data) for p, data in inputs.items()},
         "outputs": outputs,
-        "tolerances": {"comparison": DEFAULT_TOLERANCE, "identity": IDENTITY_RTOL},
+        "tolerances": {"comparison": DEFAULT_TOLERANCE, "rounding": _ROUNDING},
     }
     path = os.path.join(directory or ".", "run_manifest.json")
     _write_text(path, json.dumps(manifest, indent=2) + "\n")

@@ -28,7 +28,6 @@ from .errors import (
     SegmentMismatch,
 )
 from .model import (
-    IDENTITY_RTOL,
     INF,
     _LEAST_NORMAL,
     FlowProfile,
@@ -204,11 +203,13 @@ def cost_increment(net: ParallelNetwork, s: float, r: float, j: int,
         raise SchemaError(f"which must be 'nash' or 'opt', got {which!r}")
     if s > r:
         raise SegmentMismatch(f"start rate {s} exceeds end rate {r}")
-    if not 1 <= j <= net.k:
-        raise SegmentMismatch(f"link count {j} outside 1..{net.k}")
+    # islice counts only in integers.
+    if not (hasattr(j, "__index__") and 1 <= j <= net.k):
+        raise SegmentMismatch(f"link count {j} is not an integer in 1..{net.k}")
     seg = next(islice(_cost_segs(net, 1.0 if which == "nash" else 0.5), j - 1, None))
     lo, hi = seg.anchor, seg.hi
-    eps = IDENTITY_RTOL * (hi if math.isfinite(hi) else lo)
+    # A piece end sums at most k non-negative rounded terms.
+    eps = net.k * _allowance(hi if math.isfinite(hi) else lo)
     if s < lo - eps or r > hi + eps:
         raise SegmentMismatch(
             f"rates [{s}, {r}] leave the {which} segment [{lo}, {hi}] for {j} links"
@@ -536,6 +537,7 @@ def _piece_at(lats: Sequence[PiecewiseLatency], rate: float) -> _Seg:
     # piece ends; the one gate of both readers: a bad rate, an empty list,
     # then a rate past the sweep's end (InfeasibleRate) raise, in that order.
     check_rate(rate)
+    lats = tuple(lats)
     if not lats:
         raise EmptyNetwork("water-filling needs at least one link")
     segs, his = _swept(lats)

@@ -33,6 +33,7 @@ from .model import (
     ParallelNetwork,
     PiecewiseLatency,
     _allowance,
+    _real,
     check_rate,
     real_number,
 )
@@ -222,6 +223,7 @@ class PlateauParams(NamedTuple):
         first, second = _two_links(net)
         a1, b1 = first.slope, first.intercept
         a2, b2 = second.slope, second.intercept
+        hold_start, hold_end = _real(hold_start), _real(hold_end)
         if not (math.isfinite(hold_start) and math.isfinite(hold_end)):
             raise ParamOutOfRange(f"plateau marks must be finite, got {hold_start}, {hold_end}")
         r2 = net.breakpoints[1]
@@ -240,10 +242,10 @@ class PlateauParams(NamedTuple):
         if jump_rate < r2 - tol:
             raise ParamOutOfRange(f"induced jump rate {jump_rate} below breakpoint {r2}")
         return cls(
-            hold_start=float(hold_start),
-            hold_end=float(hold_end),
-            jump_rate=float(jump_rate),
-            resume_rate=float(jump_rate - hold_start + hold_end),
+            hold_start=hold_start,
+            hold_end=hold_end,
+            jump_rate=jump_rate,
+            resume_rate=jump_rate - hold_start + hold_end,
             slope_ratio=a1 / a2,
         )
 

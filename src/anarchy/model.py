@@ -28,8 +28,18 @@ INF = math.inf
 _LEAST_NORMAL = sys.float_info.min
 
 
+def _real(value: object) -> float:
+    # float(value), with a number past the float range read as +-inf, as the
+    # JSON reader reads it, so that the finite checks raise their own errors.
+    try:
+        return float(value)
+    except OverflowError:
+        return INF if value > 0 else -INF
+
+
 def check_rate(rate: float) -> None:
     """Reject a demand rate that is negative, infinite or NaN."""
+    rate = _real(rate)
     if not 0.0 <= rate < INF:
         raise NegativeRate(f"rate must be finite and >= 0, got {rate}")
 
@@ -54,11 +64,11 @@ def real_number(value: object) -> float:
     would also read, raises TypeError."""
     if isinstance(value, (str, bytes, bool)):
         raise TypeError(f"not a number: {value!r}")
-    return float(value)
+    return _real(value)
 
 
 def _coefficient(name: str, value: float) -> float:
-    v = float(value)
+    v = _real(value)
     if not math.isfinite(v) or v < 0.0:
         raise NegativeCoefficient(f"{name} must be finite and >= 0, got {v!r}")
     return v
@@ -169,6 +179,11 @@ def normalize_network(raw_links: Iterable[AffineLatency | Mapping[str, float]]) 
                 slope = 0.0
             else:
                 slope = 1.0 / (1.0 / prev.slope + 1.0 / link.slope)
+                if slope == 0.0:
+                    # The summed efficiency overflowed; a / (1 + a/b) with
+                    # a <= b is the same slope, and no term of it overflows.
+                    a, b = sorted((prev.slope, link.slope))
+                    slope = a / (1.0 + a / b)
             merged[-1] = AffineLatency(slope, link.intercept)
         else:
             merged.append(link)
@@ -245,10 +260,11 @@ class PiecewiseLatency(_Checked, _PiecewiseFields):
     unbounded rising segment.  These corner levels are the only places
     where the flow a link absorbs at a given latency changes its form.
     Corner levels never decrease: construction lets the value just after a
-    boundary sit below the value just before it by up to IDENTITY_RTOL of
-    the terms the two values sum, and such a dip is lifted to the earlier
-    level, so that a level equal to one segment's end never counts as above
-    the next segment's start.
+    boundary sit below the highest value before it by up to the rounding
+    allowance of its own two terms, the slack the equilibrium certificate
+    gives that right limit, and such a dip is lifted to that level, so that
+    a level equal to one segment's end never counts as above the next
+    segment's start.
 
     ``supply_events``: the corner levels as (level, jump, rate change, held
     flow, held cost).  The supply, the most flow taken at latency <= L,
@@ -264,10 +280,10 @@ class PiecewiseLatency(_Checked, _PiecewiseFields):
                 offsets: Sequence[float], cap: float = INF) -> PiecewiseLatency:
         if not starts or len(starts) != len(slopes) or len(starts) != len(offsets):
             raise InvalidModelValue("segments need matching starts/slopes/offsets")
-        starts = tuple(map(float, starts))
-        slopes = tuple(map(float, slopes))
-        offsets = tuple(map(float, offsets))
-        cap = float(cap)
+        starts = tuple(map(_real, starts))
+        slopes = tuple(map(_real, slopes))
+        offsets = tuple(map(_real, offsets))
+        cap = _real(cap)
         if starts[0] != 0.0:
             raise InvalidModelValue("first segment must start at 0")
         for a, b in zip(starts, starts[1:]):
@@ -281,14 +297,15 @@ class PiecewiseLatency(_Checked, _PiecewiseFields):
                 raise InvalidModelValue("segment offsets must be finite")
         if math.isnan(cap) or cap < 0.0:
             raise InvalidModelValue("cap must be >= 0")
-        # Non-decreasing across boundaries: left value <= right value, up to
-        # the rounding of the four terms the two values sum.
+        # Non-decreasing across boundaries: the value just after a boundary
+        # may sit below the highest value before it, the level the corner
+        # table lifts it to, by the allowance of its own two terms.
+        top = -INF
         for i in range(1, len(starts)):
-            s = starts[i]
-            m0, c0, m1, c1 = slopes[i - 1], offsets[i - 1], slopes[i], offsets[i]
-            left, right = m0 * s + c0, m1 * s + c1
-            if not _at_least(right, left, m0 * s + abs(c0) + m1 * s + abs(c1)):
-                raise InvalidModelValue(f"value drops at boundary {s}: {left} -> {right}")
+            s, m1, c1 = starts[i], slopes[i], offsets[i]
+            top = max(top, slopes[i - 1] * s + offsets[i - 1])
+            if not _at_least(m1 * s + c1, top, m1 * s + abs(c1)):
+                raise InvalidModelValue(f"value drops at boundary {s}: {top} -> {m1 * s + c1}")
 
         segments = []
         top = -INF
@@ -373,19 +390,15 @@ class PiecewiseLatency(_Checked, _PiecewiseFields):
         return True
 
 
-# Computed values compare at _allowance below, times the terms they sum.
-# These two bound what is given instead.  DEFAULT_TOLERANCE: marks a user
-# writes, and the SVG's jump marks.  IDENTITY_RTOL: latencies built from
-# given coefficients (monotonicity, dominance and continuity) and the given
-# rates of a cost increment.
+# Values compare at _allowance below, times the terms they sum.
+# DEFAULT_TOLERANCE bounds only marks a user writes and the SVG's jump marks.
 DEFAULT_TOLERANCE = 1e-9
-IDENTITY_RTOL = 1e-12
 
 
 def _at_least(v: float, ref: float, size: float) -> bool:
-    # v >= ref up to IDENTITY_RTOL of `size`, the terms the two values sum:
-    # where they cancel, each is known only to the rounding of those terms.
-    return v >= ref - IDENTITY_RTOL * size
+    # v >= ref up to the allowance of `size`, the terms the caller names:
+    # where they cancel, a value is known only to the rounding of those terms.
+    return v >= ref - _allowance(size)
 
 
 # The rounding of a latency's two terms and of their sum, and that of a
@@ -421,9 +434,9 @@ class FlowProfile(_Checked, _FlowFields):
 
     def __new__(cls, rate: float, flows: Iterable[float],
                 latency_family: str = "original") -> FlowProfile:
-        rate = float(rate) + 0.0  # -0.0 + 0.0 is 0.0
         check_rate(rate)
-        flows = [float(f) for f in flows]
+        rate = float(rate) + 0.0  # -0.0 + 0.0 is 0.0
+        flows = [_real(f) for f in flows]
         # Each flow rounds within a few ulps of the rate, or one subnormal
         # below the normal range, so the sum within that per flow.
         slack = len(flows) * _allowance(rate)

@@ -12,6 +12,7 @@ from anarchy import (
     CostOverflow,
     CostUnderflow,
     CurveSample,
+    InvalidModelValue,
     NegativeRate,
     NotContinuousAtEquilibrium,
     ParamTooSmall,
@@ -39,7 +40,7 @@ from anarchy import (
     worst_equilibrium_cost,
 )
 from anarchy.mechanisms import MIN_PLATEAU_RATIO, PLATEAU_TARGET, PlateauParams, ThresholdParams
-from anarchy.model import IDENTITY_RTOL
+from anarchy.model import _ROUNDING
 from conftest import NEGATIVE_OPT, OVERFLOWED_EFFICIENCY, OVERFLOWED_SUM, SUBNORMAL_OPT, random_network
 
 
@@ -369,10 +370,17 @@ def test_continuity_check_rejects_jump_at_equilibrium():
     # A step up of 1e-11 of the value is no rounding of the two terms.
     (1e-11, False),
     # A dip that the latency's own construction accepts.
-    (-IDENTITY_RTOL, True),
+    (-_ROUNDING, True),
+    # A dip of 1e-13 of the value is no rounding either: construction
+    # refuses it.
+    (-1e-13, None),
 ])
 def test_continuity_check_reads_the_construction_dip(step, continuous):
     # The first latency steps by `step` at flow 1, where the equilibrium sits.
+    if continuous is None:
+        with pytest.raises(InvalidModelValue, match="value drops at boundary 1.0"):
+            PiecewiseLatency((0.0, 1.0), (1.0, 1.0), (0.0, step))
+        return
     net = normalize_network([{"a": 1, "b": 0}, {"a": 0, "b": 1}])
     stepped = PiecewiseLatency((0.0, 1.0), (1.0, 1.0), (0.0, step))
     flat = PiecewiseLatency.from_affine(net.links[1])

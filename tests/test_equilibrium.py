@@ -424,11 +424,12 @@ def test_water_fill_infeasible():
 
 
 def test_water_fill_empty_latency_list():
-    with pytest.raises(EmptyNetwork):
-        water_fill([], 0.0)
+    # An empty iterator reads as the empty list it gives.
     for rate in (0.0, 1.0):
-        with pytest.raises(EmptyNetwork):
-            worst_equilibrium_cost([], rate)
+        for solve in (water_fill, worst_equilibrium_cost):
+            for lats in ([], iter([])):
+                with pytest.raises(EmptyNetwork):
+                    solve(lats, rate)
 
 
 def test_water_fill_plateau_interval_is_hold_window():
@@ -773,7 +774,7 @@ def test_worst_equilibrium_cost_past_the_float_range():
         PiecewiseLatency((0.0, 0.0786309891558882, 0.2310313258936454, 0.24201022583103526),
                          (2.38049973516264e+301, 0.0, 2.249471568219311e+301, 5.972693946022616e+300),
                          (2.188203221727081e+297, 2.4336478814063017e+300, -2.742806692837736e+300,
-                          1.2556915187180626e+300), 0.16541370483903395),
+                          1.2556915187181594e+300), 0.16541370483903395),
         PiecewiseLatency((0.0, 2.197645227240988, 2.4704718044987635),
                          (1.1922007272733874e+299, 1.1279661715181184e+299, 0.0),
                          (1.9121793504427416e+300, 2.0587664519649988e+300, 3.681430865039991e+300)),
@@ -788,6 +789,24 @@ def test_worst_equilibrium_cost_past_the_float_range():
         worst_equilibrium_cost(lats, rate)
     with pytest.raises(CertificateFailed):
         water_fill(lats, rate)
+
+
+@pytest.mark.xfail(strict=True, raises=InvalidModelValue,
+                   reason="the running supply slope cancels at unit scale")
+def test_water_fill_supply_slope_cancels_at_unit_scale():
+    # The sweep's supply slope, 1/2.975... + 8.0988... - 8.0988..., ends 14
+    # ulps low, so the one rising link takes the demand times (1 + 14 ulps),
+    # more than FlowProfile allows; worst_equilibrium_cost returns here.
+    lats = [
+        PiecewiseLatency((0.0, 1.1284341780316656, 2.2303297950329277),
+                         (0.0, 0.12347514674117682, 0.35618602534728927),
+                         (0.8564307109317728, 1.3726040869064278, 0.8535820807229244),
+                         cap=2.2088355193945333),
+        PiecewiseLatency.from_affine(AffineLatency(2.9750237710636567, 0.9242488318381163)),
+    ]
+    rate = 7.808211419429642
+    assert math.isfinite(worst_equilibrium_cost(lats, rate))
+    water_fill(lats, rate)
 
 
 def test_water_fill_certifies_level_zero_past_a_flat_end():

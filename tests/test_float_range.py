@@ -14,11 +14,21 @@ import random
 import pytest
 
 from anarchy import (
+    AffineLatency,
     AnarchyError,
+    FlowProfile,
     InvalidModelValue,
+    NegativeCoefficient,
+    NegativeRate,
+    ParamOutOfRange,
     PiecewiseLatency,
+    PlateauParams,
+    RatioOutOfRange,
+    SegmentMismatch,
     build_plateau_mechanism,
     build_threshold_mechanism,
+    cost_increment,
+    lower_bound_value,
     mn_flow,
     nash_flow,
     normalize_network,
@@ -164,3 +174,39 @@ def test_no_flow_sum_escapes(faults):
     # A network that normalizes splits every rate, or raises a typed error
     # that names the cause; FlowProfile's own sum check is no such error.
     assert not _summary(faults, ["flows sum to"])
+
+
+# An integer past the float range, as a library caller may pass it.
+HUGE = 10**400
+_NET = normalize_network([{"a": 1, "b": 0}, {"a": 0.1, "b": 1}])
+_LATS = [PiecewiseLatency.from_affine(link) for link in _NET.links]
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: nash_flow(_NET, HUGE), NegativeRate, id="nash_flow"),
+    pytest.param(lambda: opt_flow(_NET, HUGE), NegativeRate, id="opt_flow"),
+    pytest.param(lambda: water_fill(_LATS, HUGE), NegativeRate, id="water_fill"),
+    pytest.param(lambda: worst_equilibrium_cost(_LATS, HUGE), NegativeRate,
+                 id="worst_equilibrium_cost"),
+    pytest.param(lambda: mn_flow(_NET, build_threshold_mechanism(_NET, [2.0])[0], HUGE),
+                 NegativeRate, id="mn_flow"),
+    pytest.param(lambda: FlowProfile(HUGE, [1.0]), NegativeRate, id="FlowProfile"),
+    pytest.param(lambda: ratio_curve(_NET, None, [HUGE]), NegativeRate, id="ratio_curve"),
+    pytest.param(lambda: AffineLatency(HUGE, 1.0), NegativeCoefficient, id="AffineLatency-slope"),
+    pytest.param(lambda: AffineLatency(1.0, -HUGE), NegativeCoefficient,
+                 id="AffineLatency-intercept"),
+    pytest.param(lambda: normalize_network([{"a": 1, "b": HUGE}]), NegativeCoefficient,
+                 id="normalize_network"),
+    pytest.param(lambda: PiecewiseLatency((0.0,), (HUGE,), (0.0,)), InvalidModelValue,
+                 id="PiecewiseLatency"),
+    pytest.param(lambda: PlateauParams.from_flows(_NET, HUGE, 1.0), ParamOutOfRange,
+                 id="PlateauParams.from_flows"),
+    pytest.param(lambda: lower_bound_value(HUGE), RatioOutOfRange, id="lower_bound_value"),
+    pytest.param(lambda: cost_increment(_NET, 0.0, 1.0, 1.5), SegmentMismatch,
+                 id="cost_increment-link-count"),
+])
+def test_library_inputs_raise_typed_errors(call, error):
+    # The integer reads as inf, as the JSON reader reads it, and meets the
+    # finite checks; a link count must be an integer.
+    with pytest.raises(error):
+        call()

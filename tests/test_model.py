@@ -21,10 +21,12 @@ from anarchy import (
     PiecewiseLatency,
     SchemaError,
     ZeroSlopeNotLast,
+    nash_flow,
     network_from_dict,
     normalize_network,
+    water_fill,
 )
-from anarchy.model import IDENTITY_RTOL
+from anarchy.model import _ROUNDING, _allowance
 
 
 def corners_rise(lat):
@@ -63,6 +65,16 @@ def test_normalize_merges_equal_intercepts():
     # efficiencies add, so the merged slope is 1/2
     assert net.links[0].slope == pytest.approx(0.5)
     assert net.links[0].intercept == 0.0
+
+
+def test_normalize_merges_past_the_summed_efficiency_range():
+    # 1/1e-308 + 1/1e-308 overflows, yet the merged slope is 5e-309, not 0.
+    net = normalize_network([{"a": 1e-308, "b": 0}, {"a": 1e-308, "b": 0}, {"a": 1, "b": 1}])
+    assert net.links == (AffineLatency(5e-309, 0.0), AffineLatency(1.0, 1.0))
+    alone = normalize_network([{"a": 1e-308, "b": 0}, {"a": 1e-308, "b": 0}])
+    assert alone.links == (AffineLatency(5e-309, 0.0),)
+    with pytest.raises(InvalidModelValue, match=re.escape("link 0 (slope 5e-309)")):
+        nash_flow(alone, 1.0)
 
 
 def test_normalize_merges_into_flat_tail():
@@ -395,10 +407,11 @@ def reference_supply_events(lat):
     return tuple(out)
 
 
-def _seeded_latency(rng, scale_x, scale_v):
+def _seeded_latency(rng, scale_x, scale_v, dip=_ROUNDING):
     # Up to five segments with flat ones, upward jumps and boundary dips
-    # within IDENTITY_RTOL; the cap lies inside a segment, exactly at or
-    # one double before a segment start, at 0 or -0.0, or is absent.
+    # within half of `dip` of the value; the cap lies inside a segment,
+    # exactly at or one double before a segment start, at 0 or -0.0, or is
+    # absent.
     starts = [0.0] + sorted(rng.uniform(0.05, 3.0) * scale_x for _ in range(rng.randint(0, 4)))
     slopes, offsets = [], []
     left = rng.uniform(0.0, 2.0) * scale_v
@@ -408,7 +421,7 @@ def _seeded_latency(rng, scale_x, scale_v):
         if i and rng.random() < 0.4:
             v += rng.uniform(0.0, 1.5) * scale_v
         elif i and rng.random() < 0.2:
-            v -= rng.uniform(0.0, 0.5) * IDENTITY_RTOL * abs(left)
+            v -= rng.uniform(0.0, 0.5) * dip * abs(left)
         slopes.append(m)
         offsets.append(v - m * s)
         if i + 1 < len(starts):
@@ -438,6 +451,40 @@ def test_corner_tables_match_reference_walk():
     assert built > 2500 and dipped > 20
     flat_cap = PiecewiseLatency((0.0, 1.0), (1.0, 0.0), (0.0, 1.0), cap=-0.0)
     assert flat_cap.segments == () and flat_cap.supply_events == ()
+
+
+@pytest.mark.parametrize("dip", [_ROUNDING, 1e-12])
+def test_corner_levels_within_the_right_limits_allowance(dip):
+    # The corner table lifts a boundary dip to the highest level before it,
+    # while the certificate reads the unlifted right limit, widened by the
+    # allowance of its terms; construction refuses a dip past that.
+    rng = random.Random(21)
+    scales = (1.0, 10.0, 0.1, 1e8, 1e-8, 1e300, 1e-300)
+    for _ in range(3000):
+        try:
+            lat = _seeded_latency(rng, rng.choice(scales), rng.choice(scales), dip)
+        except InvalidModelValue:
+            continue
+        for lo, _, _, v_lo, _ in lat.segments[1:]:
+            _, _, right, terms = lat.limits(lo)
+            assert right + _allowance(terms) >= v_lo, lat
+
+
+def test_boundary_dip_at_the_rounding_allowance():
+    # Just after flow 1 the latency is 1 + c, two terms summing 1 + |c|, so
+    # it may sit _ROUNDING below 1, eight doubles, and not one double more.
+    at = 1.0 - _ROUNDING
+    past = math.nextafter(at, 0.0)
+    lat = PiecewiseLatency((0.0, 1.0), (1.0, 1.0), (0.0, at - 1.0))
+    with pytest.raises(InvalidModelValue, match=re.escape(f"boundary 1.0: 1.0 -> {past}")):
+        PiecewiseLatency((0.0, 1.0), (1.0, 1.0), (0.0, past - 1.0))
+    # A second dip counts from the level the first is lifted to.
+    with pytest.raises(InvalidModelValue, match=re.escape("boundary 2.0: 1.0 -> ")):
+        PiecewiseLatency((0.0, 1.0, 2.0), (0.0, 0.0, 0.0), (1.0, at, at - _ROUNDING))
+    # water_fill raises CertificateFailed on a split it cannot certify.
+    for partner in (AffineLatency(1.0, 0.5), AffineLatency(0.0, 1.0)):
+        for rate in (1.5, 2.0, 3.0):
+            water_fill([lat, PiecewiseLatency.from_affine(partner)], rate)
 
 
 @pytest.mark.parametrize("starts, slopes, offsets, cap, error, message", [
