@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Seque
 
 from .equilibrium import _cost_segs, _keep, _Seg, _swept, nash_flow, water_fill
 from .errors import (
+    BadParamCount,
     CostOverflow,
     CostUnderflow,
     EmptyNetwork,
@@ -28,6 +29,7 @@ from .errors import (
     NotContinuousAtEquilibrium,
     ParamOutOfRange,
     RatioOutOfRange,
+    SchemaError,
 )
 from .mechanisms import (
     PlateauParams,
@@ -150,16 +152,35 @@ def cost_pieces(net: ParallelNetwork, mechanism: Mechanism | None = None) -> tup
     them, so the curve, its breakpoints, its tail and its supremum on one
     mechanism share one build, and the sweep it reads is the one
     :func:`~anarchy.equilibrium.worst_equilibrium_cost` looks rates up in.
+
+    A mechanism that is not a pair of parameters with ``marks`` and an
+    iterable of latencies raises SchemaError, a latency count other than
+    ``net.k`` BadParamCount, and a latency that is not a PiecewiseLatency
+    SchemaError naming its index.
     """
-    params, lats = (None, ()) if mechanism is None else mechanism
-    return _keep("pieces", (net, params, *lats), lambda: _pieces(net, mechanism))
+    params, lats = (None, ()) if mechanism is None else _parts(net, mechanism)
+    return _keep("pieces", (net, params, *lats), lambda: _pieces(net, params, lats))
 
 
-def _pieces(net: ParallelNetwork, mechanism: Mechanism | None) -> tuple[CostPiece, ...]:
-    if mechanism is None:
+def _parts(net: ParallelNetwork, mechanism: Mechanism) -> Mechanism:
+    # The mechanism's parameters and its latencies, read once as a tuple.
+    try:
+        params, lats = mechanism
+        lats = tuple(lats)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("a mechanism is a pair (parameters, latencies)") from exc
+    if not hasattr(params, "marks"):
+        raise SchemaError(f"mechanism parameters {type(params).__name__} carry no marks")
+    if len(lats) != net.k:
+        raise BadParamCount(f"mechanism has {len(lats)} latencies for {net.k} links")
+    return params, lats
+
+
+def _pieces(net: ParallelNetwork, params: ThresholdParams | PlateauParams | None,
+            lats: tuple[PiecewiseLatency, ...]) -> tuple[CostPiece, ...]:
+    if params is None:
         num = _cost_segs(net, 1.0)
     else:
-        params, lats = mechanism
         num = _cut(iter(_swept(lats)[0]), params.marks)
     nums, dens = list(num), list(_cost_segs(net, 0.5))
     pieces: list[CostPiece] = []

@@ -327,7 +327,8 @@ def water_fill(lats: Sequence, rate: float, *,
     proportionally to their widths and is verified to be an equilibrium;
     a profile that fails raises CertificateFailed.
     A rate above the sweep's end, the sum of the caps when every link is
-    capped, raises InfeasibleRate; an empty latency list raises EmptyNetwork;
+    capped, raises InfeasibleRate; an empty latency list raises EmptyNetwork,
+    and an entry that is not a PiecewiseLatency SchemaError naming its index;
     a level or cost past the float range raises CostOverflow.
     """
     lats = tuple(lats)
@@ -518,11 +519,15 @@ def _swept(lats: Sequence[PiecewiseLatency]) -> tuple[tuple[_Seg, ...], tuple[fl
     """The sweep of `lats` without its empty pieces, and the piece ends.
 
     :func:`water_fill` and :func:`worst_equilibrium_cost` look rates up in
-    it.  Kept for the last latencies, keyed on each of them.
+    it.  Kept for the last latencies, keyed on each of them.  An entry that
+    is not a PiecewiseLatency raises SchemaError naming its index.
     """
     key = tuple(lats)
 
     def build() -> tuple:
+        for i, lat in enumerate(key):
+            if not isinstance(lat, PiecewiseLatency):
+                raise SchemaError(f"latency {i} is not a PiecewiseLatency: {type(lat).__name__}")
         segs: list[_Seg] = []
         for seg in _equilibrium_segs(key):
             if not segs or seg.hi > segs[-1].hi:

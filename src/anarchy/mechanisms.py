@@ -138,7 +138,10 @@ def mn_flow(net: ParallelNetwork, params: ThresholdParams, rate: float) -> FlowP
     Demand fills each stage's segment selfishly until the stage freezes,
     then spills into the next segment; below the first freeze point this is
     the unmodified selfish flow.  Links past the segment carry nothing.
+    Parameters other than ThresholdParams raise SchemaError, and those
+    built for another link count BadParamCount.
     """
+    _check_threshold_params(net, params)
     check_rate(rate)
     # Stage s holds the demands in (freeze_points[s-1], freeze_points[s]],
     # the same cut that cost_pieces makes; the links before it are frozen.
@@ -146,6 +149,14 @@ def mn_flow(net: ParallelNetwork, params: ThresholdParams, rate: float) -> FlowP
     inner = _profile(stage.segment, rate - stage.global_start_rate, 1.0)[0].flows
     flows = params.thresholds[:stage.start] + inner + (0.0,) * (net.k - stage.start - len(inner))
     return FlowProfile(rate=rate, flows=flows, latency_family="modified")
+
+
+def _check_threshold_params(net: ParallelNetwork, params: object) -> None:
+    if not isinstance(params, ThresholdParams):
+        raise SchemaError(f"threshold mechanism needs ThresholdParams, got {type(params).__name__}")
+    if len(params.thresholds) != net.k:
+        raise BadParamCount(f"parameters built for {len(params.thresholds)} links, "
+                            f"network has {net.k}")
 
 
 class LinkUsageCheck(NamedTuple):
@@ -167,8 +178,10 @@ def mn_uses_links_no_earlier_than_opt(net: ParallelNetwork,
     The rate at which the modified flow first loads link h is the stage's
     global start plus the segment breakpoint of h; it must be at least half
     the global breakpoint of h, less the rounding allowance of k terms of
-    that size.  Frozen-at-zero links never open.
+    that size.  Frozen-at-zero links never open.  Parameters are checked
+    as in :func:`mn_flow`.
     """
+    _check_threshold_params(net, params)
     ends = [stage.start for stage in params.stages[1:]] + [net.k]
     for stage, end in zip(params.stages, ends):
         for h in range(stage.start, end):
@@ -257,8 +270,11 @@ def build_plateau_mechanism(
 
     When the slope ratio is at most 96/53 the unmodified instance already
     meets the target, so both latencies are returned as-is.  Either way the
-    parameters must have been built for this network's slope ratio.
+    parameters must have been built for this network's slope ratio;
+    parameters other than PlateauParams raise SchemaError.
     """
+    if not isinstance(params, PlateauParams):
+        raise SchemaError(f"plateau mechanism needs PlateauParams, got {type(params).__name__}")
     first, second = _two_links(net)
     ratio = first.slope / second.slope
     # One term: the same network gives the ratio to the bit, a rescaled copy within 2 ulps.
@@ -410,10 +426,13 @@ def solve_plateau_params(net: ParallelNetwork) -> PlateauParams:
 
 
 def mechanism_to_dict(params: ThresholdParams | PlateauParams) -> dict:
-    """JSON shape for a mechanism; derived fields are intentionally dropped."""
+    """JSON shape for a mechanism; derived fields are intentionally dropped.
+    Parameters of any other type raise SchemaError."""
     if isinstance(params, ThresholdParams):
         return {"kind": "threshold", "R": list(params.R)}
-    return {"kind": "plateau", "x1": params.hold_start, "x2": params.hold_end}
+    if isinstance(params, PlateauParams):
+        return {"kind": "plateau", "x1": params.hold_start, "x2": params.hold_end}
+    raise SchemaError(f"no JSON shape for mechanism parameters {type(params).__name__}")
 
 
 def mechanism_from_dict(net: ParallelNetwork, obj: object):

@@ -148,11 +148,12 @@ def normalize_network(raw_links: Iterable[AffineLatency | Mapping[str, float]]) 
     """Sort by intercept, merge equal-intercept links, cache aggregates.
 
     Merging adds efficiencies: two links with intercepts tied at b behave
-    like one link with slope 1 / (1/a1 + 1/a2).  After merging, a zero-slope
-    link is only allowed in the last position; earlier ones could never be
-    cheapest and are rejected rather than silently dropped.  An entry that
-    is neither an AffineLatency nor a mapping with numeric "a" and "b"
-    raises SchemaError naming its index.
+    like one link with slope 1 / (1/a1 + 1/a2), computed with a <= b as
+    a / (1 + a/b), or 0 when a is 0; none of its terms overflows.  After
+    merging, a zero-slope link is only allowed in the last position; earlier
+    ones could never be cheapest and are rejected rather than silently
+    dropped.  An entry that is neither an AffineLatency nor a mapping with
+    numeric "a" and "b" raises SchemaError naming its index.
     """
     links: list[AffineLatency] = []
     for i, item in enumerate(raw_links):
@@ -174,17 +175,8 @@ def normalize_network(raw_links: Iterable[AffineLatency | Mapping[str, float]]) 
     merged: list[AffineLatency] = []
     for link in links:
         if merged and merged[-1].intercept == link.intercept:
-            prev = merged[-1]
-            if prev.slope == 0.0 or link.slope == 0.0:
-                slope = 0.0
-            else:
-                slope = 1.0 / (1.0 / prev.slope + 1.0 / link.slope)
-                if slope == 0.0:
-                    # The summed efficiency overflowed; a / (1 + a/b) with
-                    # a <= b is the same slope, and no term of it overflows.
-                    a, b = sorted((prev.slope, link.slope))
-                    slope = a / (1.0 + a / b)
-            merged[-1] = AffineLatency(slope, link.intercept)
+            a, b = sorted((merged[-1].slope, link.slope))
+            merged[-1] = AffineLatency(a / (1.0 + a / b) if a > 0.0 else 0.0, link.intercept)
         else:
             merged.append(link)
 
@@ -341,21 +333,16 @@ class PiecewiseLatency(_Checked, _PiecewiseFields):
 
     def value(self, x: float) -> float:
         """Latency at flow x (the left limit at segment boundaries)."""
-        if x > self.cap:
-            return INF
-        idx = max(0, bisect_left(self.starts, x) - 1)
-        return self.slopes[idx] * x + self.offsets[idx]
+        return self.limits(x)[0]
 
     def right_liminf(self, x: float) -> float:
         """Limit of the latency from the right of x."""
-        if x >= self.cap:
-            return INF
-        idx = max(0, bisect_right(self.starts, x) - 1)
-        return self.slopes[idx] * x + self.offsets[idx]
+        return self.limits(x)[2]
 
     def limits(self, x: float) -> tuple[float, float, float, float]:
         """:meth:`value` and :meth:`right_liminf` at x, each followed by
-        slope*x + |offset| of the segment it reads.
+        slope*x + |offset| of the segment it reads.  Those two methods are
+        reads of this one, the only place a flow finds its segment.
 
         Each latency is the sum of those two terms, so where they cancel it
         is known only to a few ulps of that size, not of its own.  Below the
@@ -368,8 +355,8 @@ class PiecewiseLatency(_Checked, _PiecewiseFields):
         j = bisect_right(starts, x, 1) - 1
         m, c, mr, cr = slopes[i], offsets[i], slopes[j], offsets[j]
         n = x if x > _LEAST_NORMAL else _LEAST_NORMAL
-        return (m * x + c if x <= cap else INF, m * n + abs(c),
-                mr * x + cr if x < cap else INF, mr * n + abs(cr))
+        return (INF if x > cap else m * x + c, m * n + abs(c),
+                INF if x >= cap else mr * x + cr, mr * n + abs(cr))
 
     def dominates(self, base: AffineLatency) -> bool:
         """True when this latency never undercuts the base affine latency.

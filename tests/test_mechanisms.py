@@ -2,13 +2,18 @@ import json
 import math
 import random
 
+from types import SimpleNamespace
+
 import pytest
 
 from anarchy import (
+    AffineLatency,
+    AnarchyError,
     BadParamCount,
     NotTwoLinks,
     ParamOutOfRange,
     ParamTooSmall,
+    PiecewiseLatency,
     PlateauParams,
     RatioOutOfRange,
     SchemaError,
@@ -22,7 +27,9 @@ from anarchy import (
     nash_flow,
     normalize_network,
     ratio_curve,
+    ratio_sup,
     solve_plateau_params,
+    water_fill,
 )
 from anarchy.cli import main
 from anarchy.mechanisms import MIN_PLATEAU_RATIO, _hold_peak, _jump_peak
@@ -409,3 +416,61 @@ def test_mechanism_from_dict_rejects_unknown(pigou):
         mechanism_from_dict(pigou, {"R": [2.0]})
     with pytest.raises(SchemaError):
         mechanism_from_dict(pigou, {"kind": "threshold"})
+
+
+# ------------------------------------------------------------- mismatched input
+
+# A plateau mechanism for two links, and threshold mechanisms built for two
+# and for three links, each read with the other network.
+_NET2 = normalize_network([{"a": 1, "b": 0}, {"a": 0.1, "b": 1}])
+_NET3 = normalize_network([{"a": 1, "b": 0}, {"a": 0.1, "b": 1}, {"a": 0.001, "b": 5}])
+_PLATEAU = solve_plateau_params(_NET2)
+_LATS = build_plateau_mechanism(_NET2, _PLATEAU)
+_T2 = build_threshold_mechanism(_NET2, [2.0])
+_T3 = build_threshold_mechanism(_NET3, [2.0, 2.0])
+_AFFINE = [AffineLatency(1.0, 0.0)] * 2
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: ratio_sup(_NET2, _PLATEAU), SchemaError, id="sup-bare-params"),
+    pytest.param(lambda: ratio_sup(_NET2, _T2[0]), SchemaError, id="sup-bare-threshold-params"),
+    pytest.param(lambda: ratio_curve(_NET2, _PLATEAU, [1.0]), SchemaError, id="curve-bare-params"),
+    pytest.param(lambda: ratio_sup(_NET2, _LATS), SchemaError, id="sup-latencies-alone"),
+    pytest.param(lambda: ratio_sup(_NET2, (_LATS, _PLATEAU)), SchemaError, id="sup-swapped"),
+    pytest.param(lambda: ratio_sup(_NET2, (None, _LATS)), SchemaError, id="sup-no-params"),
+    pytest.param(lambda: ratio_sup(_NET2, (_PLATEAU, 1.0)), SchemaError, id="sup-latencies-not-iterable"),
+    pytest.param(lambda: ratio_sup(_NET2, (_PLATEAU, _AFFINE)), SchemaError, id="sup-affine"),
+    pytest.param(lambda: water_fill(_AFFINE[:1], 1.0), SchemaError, id="water_fill-affine"),
+    pytest.param(lambda: ratio_sup(_NET2, (_PLATEAU, _LATS[:1])), BadParamCount, id="sup-one-latency"),
+    pytest.param(lambda: ratio_sup(_NET2, (_PLATEAU, [*_LATS, _LATS[1]])), BadParamCount,
+                 id="sup-three-latencies"),
+    pytest.param(lambda: ratio_sup(_NET3, _T2), BadParamCount, id="sup-threshold-2-on-3"),
+    pytest.param(lambda: mn_flow(_NET3, _T2[0], 5.0), BadParamCount, id="mn_flow-2-on-3"),
+    pytest.param(lambda: mn_flow(_NET2, _T3[0], 5.0), BadParamCount, id="mn_flow-3-on-2"),
+    pytest.param(lambda: mn_uses_links_no_earlier_than_opt(_NET3, _T2[0]), BadParamCount,
+                 id="usage-2-on-3"),
+    pytest.param(lambda: mn_uses_links_no_earlier_than_opt(_NET2, _T3[0]), BadParamCount,
+                 id="usage-3-on-2"),
+    pytest.param(lambda: mn_flow(_NET2, _PLATEAU, 1.0), SchemaError, id="mn_flow-plateau"),
+    pytest.param(lambda: mn_uses_links_no_earlier_than_opt(_NET2, _PLATEAU), SchemaError,
+                 id="usage-plateau"),
+    pytest.param(lambda: build_plateau_mechanism(_NET2, _T2[0]), SchemaError,
+                 id="build_plateau-threshold-params"),
+    pytest.param(lambda: mechanism_to_dict(None), SchemaError, id="to_dict-none"),
+])
+def test_mismatched_mechanism_raises_typed_error(call, error):
+    # A mechanism or latency list that does not fit the network, or
+    # parameters of the wrong kind, raise a typed error, never an untyped
+    # one or a number.
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, AnarchyError)
+
+
+def test_parameters_with_marks_are_accepted():
+    # Any parameters carrying marks cut the sweep: one mark at inf reads
+    # the whole equilibrium cost as one regime.
+    stub = SimpleNamespace(marks=((math.inf, False, "eq"),))
+    lats = [PiecewiseLatency.from_affine(link) for link in _NET2.links]
+    value, _ = ratio_sup(_NET2, (stub, lats))
+    assert value == pytest.approx(ratio_sup(_NET2)[0], rel=1e-12)

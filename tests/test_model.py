@@ -4,6 +4,7 @@ import pickle
 import random
 import re
 import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,26 @@ def test_normalize_merges_past_the_summed_efficiency_range():
     assert alone.links == (AffineLatency(5e-309, 0.0),)
     with pytest.raises(InvalidModelValue, match=re.escape("link 0 (slope 5e-309)")):
         nash_flow(alone, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e-3, 1e30, 1e-30, 1e300, 1e-300])
+def test_normalize_merges_within_two_ulps(scale):
+    # Tied slopes a and b merge to the exact 1/(1/a + 1/b) within 2 ulps.
+    rng = random.Random(44)
+    for _ in range(10000):
+        a, b = (scale * 2.0 ** rng.uniform(-4.0, 4.0) for _ in range(2))
+        merged = normalize_network([AffineLatency(a, 1.0), AffineLatency(b, 1.0)]).links[0].slope
+        exact = 1 / (1 / Fraction(a) + 1 / Fraction(b))
+        assert abs(Fraction(merged) - exact) <= 2 * Fraction(math.ulp(float(exact))), (a, b)
+
+
+@pytest.mark.parametrize("a, b, slope", [
+    (0.0, 2.0, 0.0), (2.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1e-308, 1e-308, 5e-309),
+])
+def test_normalize_merge_rows(a, b, slope):
+    merged = normalize_network([AffineLatency(a, 1.0), AffineLatency(b, 1.0)]).links
+    assert merged == (AffineLatency(slope, 1.0),)
+    assert math.copysign(1.0, merged[0].slope) == 1.0
 
 
 def test_normalize_merges_into_flat_tail():
@@ -432,6 +453,50 @@ def _seeded_latency(rng, scale_x, scale_v, dip=_ROUNDING):
         math.nextafter(rng.choice(inner), -math.inf), 0.0, -0.0,
     ])
     return PiecewiseLatency(tuple(starts), tuple(slopes), tuple(offsets), cap=cap)
+
+
+def _reference_value(lat, x):
+    # PiecewiseLatency.value as it was written before it read limits.
+    if x > lat.cap:
+        return math.inf
+    idx = max(0, bisect_left(lat.starts, x) - 1)
+    return lat.slopes[idx] * x + lat.offsets[idx]
+
+
+def _reference_right_liminf(lat, x):
+    # PiecewiseLatency.right_liminf as it was written before it read limits.
+    if x >= lat.cap:
+        return math.inf
+    idx = max(0, bisect_right(lat.starts, x) - 1)
+    return lat.slopes[idx] * x + lat.offsets[idx]
+
+
+def _same(u, v):
+    # Equal to the bit: NaN as NaN, and the sign of zero kept.
+    return (u != u and v != v) or (u == v and math.copysign(1.0, u) == math.copysign(1.0, v))
+
+
+def test_readers_match_their_reference_bodies():
+    # value and right_liminf read limits; at every segment start, the cap,
+    # the special flows and one double either side of each finite flow,
+    # they give what their own bisections gave.
+    rng = random.Random(44)
+    scales = (1.0, 10.0, 0.1, 1e8, 1e-8, 1e300, 1e-300)
+    probes = 0
+    for _ in range(3000):
+        try:
+            lat = _seeded_latency(rng, rng.choice(scales), rng.choice(scales))
+        except InvalidModelValue:
+            continue
+        flows = {*lat.starts, lat.cap, 0.0, -0.0, math.inf, -math.inf, 5e-324}
+        for x in [f for f in flows if math.isfinite(f)]:
+            flows.update((math.nextafter(x, -math.inf), math.nextafter(x, math.inf)))
+        for x in [*flows, math.nan]:
+            assert _same(lat.value(x), _reference_value(lat, x)), (lat, x)
+            assert _same(lat.right_liminf(x), _reference_right_liminf(lat, x)), (lat, x)
+            probes += 1
+    assert probes > 35000
+    assert math.isnan(PiecewiseLatency.from_affine(AffineLatency(1.0, 0.0), cap=1.0).value(math.nan))
 
 
 def test_corner_tables_match_reference_walk():
