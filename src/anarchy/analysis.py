@@ -25,6 +25,7 @@ from .errors import (
     CostOverflow,
     CostUnderflow,
     EmptyNetwork,
+    InvalidModelValue,
     NegativeRate,
     NotContinuousAtEquilibrium,
     ParamOutOfRange,
@@ -78,7 +79,10 @@ class _BoundFields(NamedTuple):
 
 
 class BoundReport(_Checked, _BoundFields):
-    """A named worst-case bound with the inputs that produced it."""
+    """A named worst-case bound with the inputs that produced it.
+
+    A value below 1, or NaN, raises InvalidModelValue.
+    """
 
     __slots__ = ()
 
@@ -86,7 +90,7 @@ class BoundReport(_Checked, _BoundFields):
                 details: Mapping[str, object] | None = None,
                 strictly_below_four_thirds: bool | None = None) -> BoundReport:
         if not value >= 1.0:
-            raise ValueError(f"bound {name} below 1: {value}")
+            raise InvalidModelValue(f"bound {name} below 1: {value}")
         return tuple.__new__(cls, (name, value, inputs, formula, details,
                                    strictly_below_four_thirds))
 

@@ -313,8 +313,9 @@ def water_fill(lats: Sequence, rate: float, *,
     segments.  The least L with S(L) >= rate is a lookup on the pieces of
     the kept supply-event sweep, the one :func:`worst_equilibrium_cost`
     reads: a bisection over the piece ends, then the piece's corner level
-    at its anchor plus (rate - anchor) / (the supply's slope), or the corner
-    at its end once that is reached; on a jump the level is the jump's.  The
+    at its anchor plus (rate - anchor) / (the supply's slope, the sum of
+    1/slope over the links rising at that corner), or the corner at its end
+    once that is reached; on a jump the level is the jump's.  The
     first call on new latencies costs one sweep, O(n log n) in their n
     segments.  Per-link flow intervals at L follow from comparing L with
     segment corner levels; on rising segments the flow past the last corner
@@ -333,19 +334,24 @@ def water_fill(lats: Sequence, rate: float, *,
     """
     lats = tuple(lats)
     seg = _piece_at(lats, rate)
-    demand = rate - seg.anchor
-    corner, past = seg.low, demand * seg.a2
+    corner, demand, a2 = seg.low, rate - seg.anchor, seg.a2
+    if corner < seg.top and demand > 0.0:
+        # The supply's slope past the corner, summed afresh over the links
+        # rising there: the sweep's running sum of 1/slope can cancel.
+        rising = [(m, i) for i, lat in enumerate(lats)
+                  for _, _, m, v_lo, v_hi in lat.segments if m > 0.0 and v_lo <= corner < v_hi]
+        a2 = 1.0 / _cost_sum(1.0 / m for m, _ in rising)
+    past = demand * a2
     # The demand is kept only where its rise of the level, past, loses it:
     # a positive demand whose past is 0 or subnormal.
     if corner + past >= seg.top:
         corner, past, demand = seg.top, 0.0, 0.0
     elif past >= _LEAST_NORMAL or not demand > 0.0:
         demand = 0.0
-    elif not seg.a2 > 0.0:
+    elif not a2 > 0.0:
         # The rising links' summed 1/slope overflowed, so each share reads
         # 0; name the rising link with the least slope.
-        m, i = min((m, i) for i, lat in enumerate(lats)
-                   for _, _, m, v_lo, v_hi in lat.segments if m > 0.0 and v_lo <= corner < v_hi)
+        m, i = min(rising)
         raise InvalidModelValue(
             f"link {i} (slope {m!r}) takes the summed supply slope 1/slope of the links "
             f"rising at level {corner!r} past the float range, so their flows cannot be computed"
@@ -355,7 +361,7 @@ def water_fill(lats: Sequence, rate: float, *,
         raise CostOverflow(f"the water-fill level overflows at demand {rate!r}")
     intervals = []
     for lat in lats:
-        least, most = _flow_bounds(lat, corner, past, demand, seg.a2)
+        least, most = _flow_bounds(lat, corner, past, demand, a2)
         hi_f = min(most, rate)
         intervals.append((min(least, hi_f), hi_f))
     total_lo = math.fsum(lo for lo, _ in intervals)
@@ -430,6 +436,23 @@ def _cost_segs(net: ParallelNetwork, scale: float) -> Iterator[_Seg]:
         cost += w * (slope + w * inv)
 
 
+def _supply_events(lat: PiecewiseLatency) -> Iterator[tuple[float, float, float, float, float]]:
+    # The corner levels of `lat` as (level, jump, rate change, held flow,
+    # held cost), read off its corner table.  The supply, the most flow
+    # taken at latency <= L, rises at 1/slope on a rising segment and jumps
+    # by a flat segment's width.  Past a segment's end the link holds that
+    # flow at that end's latency until its next segment starts, if that
+    # start lies higher or there is none.
+    segments, release = lat.segments, (0.0, 0.0)
+    for (lo, hi, m, v_lo, v_hi), nxt in zip(segments, segments[1:] + (None,)):
+        rate = 1.0 / m if m > 0.0 else 0.0
+        yield (v_lo, 0.0 if rate else hi - lo, rate, *release)
+        if hi < INF:
+            held = (hi, hi * v_hi) if nxt is None or nxt[3] > v_hi else (0.0, 0.0)
+            yield (v_hi, 0.0, -rate, *held)
+            release = (-held[0], -held[1])
+
+
 def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
     # The costliest equilibrium, swept once over the water-fill level L.
     # Links past a segment's end hold flow D at cost C and every other used
@@ -445,7 +468,7 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
     # sums and link counts, which snap to 0 once their counts do.  A last
     # level at inf ends the last rising piece, or, when every link is capped,
     # ends the sweep at the sum of their caps.
-    events = sorted(ev for lat in lats for ev in lat.supply_events) + [(INF, 0.0, 0.0, 0.0, 0.0)]
+    events = sorted(ev for lat in lats for ev in _supply_events(lat)) + [(INF, 0.0, 0.0, 0.0, 0.0)]
     r = prev = growth = held = cost = 0.0
     rising = n_held = 0
     piece = (True, "", 0.0, 0.0, 0.0, 0.0, events[0][0], events[0][0])

@@ -232,7 +232,6 @@ class _PiecewiseFields(NamedTuple):
     offsets: tuple[float, ...]
     cap: float
     segments: tuple[tuple[float, float, float, float, float], ...]
-    supply_events: tuple[tuple[float, float, float, float, float], ...]
 
 
 class PiecewiseLatency(_Checked, _PiecewiseFields):
@@ -244,9 +243,8 @@ class PiecewiseLatency(_Checked, _PiecewiseFields):
     Flows strictly above ``cap`` cost +inf; flow exactly at the cap keeps its
     finite value, so a capped link can be loaded to the cap but never past it.
 
-    Construction validates the latency and lists, clipped to the cap:
-
-    ``segments``: the non-empty segments as (lo, hi, slope, v_lo, v_hi).
+    Construction validates the latency and lists its non-empty segments,
+    clipped to the cap, in ``segments`` as (lo, hi, slope, v_lo, v_hi).
     The latency runs linearly from its right limit ``v_lo`` at flow ``lo``
     to its left limit ``v_hi`` at flow ``hi``; ``v_hi`` is infinite for an
     unbounded rising segment.  These corner levels are the only places
@@ -257,13 +255,6 @@ class PiecewiseLatency(_Checked, _PiecewiseFields):
     gives that right limit, and such a dip is lifted to that level, so that
     a level equal to one segment's end never counts as above the next
     segment's start.
-
-    ``supply_events``: the corner levels as (level, jump, rate change, held
-    flow, held cost).  The supply, the most flow taken at latency <= L,
-    rises at 1/slope on a rising segment and jumps by a flat segment's
-    width.  Past a segment's end the link holds that flow at that end's
-    latency until its next segment starts, if that start lies higher or
-    there is none.
     """
 
     __slots__ = ()
@@ -308,18 +299,9 @@ class PiecewiseLatency(_Checked, _PiecewiseFields):
             v_lo = max(top, m * lo + c)
             top = max(v_lo, m * hi + c if math.isfinite(hi) else (INF if m > 0.0 else c))
             segments.append((lo, hi, m, v_lo, top))
-        events, release = [], (0.0, 0.0)
-        for (lo, hi, m, v_lo, v_hi), nxt in zip(segments, segments[1:] + [None]):
-            rate = 1.0 / m if m > 0.0 else 0.0
-            events.append((v_lo, 0.0 if rate else hi - lo, rate, *release))
-            if hi < INF:
-                held = (hi, hi * v_hi) if nxt is None or nxt[3] > v_hi else (0.0, 0.0)
-                events.append((v_hi, 0.0, -rate, *held))
-                release = (-held[0], -held[1])
-        return tuple.__new__(cls, (starts, slopes, offsets, cap, tuple(segments), tuple(events)))
+        return tuple.__new__(cls, (starts, slopes, offsets, cap, tuple(segments)))
 
-    # The derived segments and supply events are neither constructor
-    # arguments nor shown.
+    # The derived segments are neither a constructor argument nor shown.
     def __getnewargs__(self) -> tuple:
         return self[:4]
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from anarchy import (
+    AnarchyError,
     BoundReport,
     CostOverflow,
     CostUnderflow,
@@ -261,8 +262,9 @@ def test_lower_bound_meets_plateau_sup():
 
 
 def test_bound_report_rejects_sub_unit_value():
-    with pytest.raises(ValueError):
-        BoundReport("bogus", 0.5, (), "nothing")
+    for value in (0.5, math.nan):
+        with pytest.raises(AnarchyError, match="bound bogus below 1"):
+            BoundReport("bogus", value, (), "nothing")
 
 
 def test_two_link_certificates_split_by_efficiency():

@@ -39,7 +39,8 @@ from anarchy import (
 )
 import anarchy.analysis
 import anarchy.equilibrium
-from anarchy.equilibrium import EquilibriumCheck, _equilibrium_segs, _flow_bounds, _two_least
+from anarchy.equilibrium import (EquilibriumCheck, _equilibrium_segs, _flow_bounds, _supply_events,
+                                  _two_least)
 from anarchy.mechanisms import MIN_PLATEAU_RATIO
 from conftest import (CANCELLING_OPT, CLIPPED_TAIL, NEGATIVE_OPT, OVERFLOWED_OFFSET,
                       OVERFLOWING_TAIL, SUBNORMAL_OFFSET, TINY_SLOPES, random_network)
@@ -190,6 +191,14 @@ def test_increment_past_an_overflowed_efficiency_raises():
         cost_increment(net, 1.0, 2.0, 2)
 
 
+@pytest.mark.parametrize("which", ["nash", "opt"])
+def test_increment_at_demand_zero_past_an_overflowed_efficiency(which):
+    # 1/5e-324 overflows, so the piece's slope reads NaN; at demand 0
+    # nothing flows and the increment is 0.
+    net = normalize_network([{"a": 5e-324, "b": 0}])
+    assert cost_increment(net, 0.0, 0.0, 1, which=which) == 0.0
+
+
 # ----------------------------------------------------------- brute-force oracle
 
 
@@ -297,7 +306,7 @@ def reference_level(lats, rate):
     if that is reached first.  Returns the level as (corner, part above the
     corner), the form `_flow_bounds` takes.
     """
-    events = sorted(ev for lat in lats for ev in lat.supply_events)
+    events = sorted(ev for lat in lats for ev in _supply_events(lat))
     prev = min(lat.value(0.0) for lat in lats)
     stop = math.inf
     supplied = growth = 0.0
@@ -664,6 +673,8 @@ def test_split_past_an_overflowed_efficiency_raises(links, link, slope):
 @pytest.mark.parametrize("affine, rate, link, slope", [
     ([(5e-324, 7.735481218467218e+282)], 2.1933874496024237e+204, 0, "5e-324"),
     ([(1.0, 0.0), (3e-315, 1.0)], 3.0, 1, "3e-315"),
+    # Each 1/slope is 1e308, their sum is not finite.
+    ([(1e-308, 0.0), (1e-308, 0.0)], 1.0, 0, "1e-308"),
 ])
 def test_water_fill_past_an_overflowed_supply_slope_raises(affine, rate, link, slope):
     # 1/slope overflows, so past the corner the level cannot rise and each
@@ -673,6 +684,32 @@ def test_water_fill_past_an_overflowed_supply_slope_raises(affine, rate, link, s
     with pytest.raises(InvalidModelValue, match=f"link {link} \\(slope {slope}\\)") as caught:
         water_fill(lats, rate)
     assert "flows sum to" not in str(caught.value)
+
+
+@pytest.mark.parametrize("links, R, rate, level", [
+    ([{"a": 5.387781480412552e+198, "b": 0.0},
+      {"a": 7.082082939430929e-167, "b": 2.1183678723555767e-221},
+      {"a": 3.2153282465221276e-219, "b": 1.2318754180244155e+237},
+      {"a": 0.0, "b": 2.463750836048831e+237}], None, 5.35156845036706e+168, 379.00251621541366),
+    ([{"a": 1.1360720795873208e-82, "b": 4.779738875588234e-240},
+      {"a": 2.748805736646695e+286, "b": 1.9714410964306249e-41},
+      {"a": 3.164153602728041e+62, "b": 5.034111693032627e+270},
+      {"a": 5.701674983403202e+23, "b": 0.0}], 2.0, 2.8512537118241086e+156,
+     3.239229733823083e+74),
+], ids=["plain", "threshold"])
+def test_water_fill_needs_both_past_and_share_forms(links, R, rate, level):
+    # The level's rise past the corner is normal here, so each link takes
+    # lo + (rise) / slope; sharing the demand by a2 / slope instead, the
+    # form kept for a rise that leaves the normal range, fails the
+    # certificate on both.
+    net = normalize_network(links)
+    if R is None:
+        lats = as_pieces(net)
+    else:
+        _, lats = build_threshold_mechanism(net, [R] * (net.k - 1))
+    res = water_fill(lats, rate)
+    assert res.level == level
+    assert math.fsum(res.profile.flows) == pytest.approx(rate, rel=1e-15)
 
 
 def _fill(net, rate):
@@ -791,12 +828,10 @@ def test_worst_equilibrium_cost_past_the_float_range():
         water_fill(lats, rate)
 
 
-@pytest.mark.xfail(strict=True, raises=InvalidModelValue,
-                   reason="the running supply slope cancels at unit scale")
 def test_water_fill_supply_slope_cancels_at_unit_scale():
     # The sweep's supply slope, 1/2.975... + 8.0988... - 8.0988..., ends 14
-    # ulps low, so the one rising link takes the demand times (1 + 14 ulps),
-    # more than FlowProfile allows; worst_equilibrium_cost returns here.
+    # ulps low; water_fill sums 1/slope afresh over the one rising link, so
+    # that link takes the demand itself, not the demand times (1 + 14 ulps).
     lats = [
         PiecewiseLatency((0.0, 1.1284341780316656, 2.2303297950329277),
                          (0.0, 0.12347514674117682, 0.35618602534728927),
