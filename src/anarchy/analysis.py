@@ -159,8 +159,10 @@ def cost_pieces(net: ParallelNetwork, mechanism: Mechanism | None = None) -> tup
 
     A mechanism that is not a pair of parameters with ``marks`` and an
     iterable of latencies raises SchemaError, a latency count other than
-    ``net.k`` BadParamCount, and a latency that is not a PiecewiseLatency
-    SchemaError naming its index.
+    ``net.k`` BadParamCount, a latency that is not a PiecewiseLatency
+    SchemaError naming its index, and one that does not dominate its link
+    (:meth:`~anarchy.model.PiecewiseLatency.dominates`) ParamOutOfRange
+    naming its index.
     """
     params, lats = (None, ()) if mechanism is None else _parts(net, mechanism)
     return _keep("pieces", (net, params, *lats), lambda: _pieces(net, params, lats))
@@ -185,6 +187,10 @@ def _pieces(net: ParallelNetwork, params: ThresholdParams | PlateauParams | None
     if params is None:
         num = _cost_segs(net, 1.0)
     else:
+        # A latency that is not a PiecewiseLatency is the sweep's to refuse.
+        for i, (lat, link) in enumerate(zip(lats, net.links)):
+            if isinstance(lat, PiecewiseLatency) and not lat.dominates(link):
+                raise ParamOutOfRange(f"mechanism latency {i} undercuts link {i} of the network")
         num = _cut(iter(_swept(lats)[0]), params.marks)
     nums, dens = list(num), list(_cost_segs(net, 0.5))
     pieces: list[CostPiece] = []

@@ -309,18 +309,6 @@ def _jump_peak(R: float, root_R: float, alpha: float) -> float:
     return 4.0 * b * (R + 1.0) * (b - alpha + R) / (R * (4.0 * b * b + 4.0 * b * R - R))
 
 
-# The float sign of the peak gap is monotone in alpha except in a zone around
-# its root where the gap is below its own rounding error.  Outside a bracket
-# that holds the root, widened by a band at least as wide as that zone, the
-# sign is known without evaluating: a point with gap < 0 lies below the
-# zone's top, one with gap >= 0 above its bottom.  The gap's slope at its
-# root falls as R grows, so the zone widens: up to 33 ulps of alpha0 for R
-# below 200 and about 1,200 at R = 1.5e5, growing slower than R.  The band
-# is 64 ulps times max(1, R/200): nearly twice the widest zone below 200,
-# and ever wider than it above.
-_GAP_BAND_ULPS = 64
-
-
 def _peak_gap(R: float, root_R: float, alpha: float) -> float:
     return _hold_peak(R, alpha) - _jump_peak(R, root_R, alpha)
 
@@ -330,9 +318,9 @@ def _gap_bracket(R: float, root_R: float, lo: float, at_lo: float,
     # Illinois false position on [lo, hi], with gap < 0 at lo (or lo the
     # range's own end) and gap >= 0 at hi, until narrower than width.  A
     # step that would leave the bracket, or divide by a difference that is
-    # not positive (equal values, a NaN), bisects instead.  The replay in
-    # balanced_alpha is exact for any bracket, so the step cap only bounds
-    # the work.
+    # not positive (equal values, a NaN), bisects instead.  The bracket is
+    # only where balanced_alpha's exact search starts, so the step cap only
+    # bounds the work.
     side = 0
     for _ in range(64):
         if hi - lo < width:
@@ -355,6 +343,26 @@ def _gap_bracket(R: float, root_R: float, lo: float, at_lo: float,
     return lo, hi
 
 
+def _sextic(R: float) -> tuple[int, ...]:
+    # Clearing the square root from hold peak = jump peak leaves a sextic
+    # F(alpha) = 0, with F(1/2) = -(3R^2 + 2R - 1)/4 below 0 like the gap.
+    # These are q^4 times its coefficients, from alpha^6 down, at R = p/q.
+    p, q = R.as_integer_ratio()
+    p2, pq, q2 = p * p, p * q, q * q
+    return (16 * q2 * q2, 32 * p2 * q2, 8 * p * (2 * p2 * (p + q) - 6 * pq * q - q2 * q),
+            -8 * p2 * (4 * p2 + 3 * pq - q2), p2 * (24 * p2 + 12 * pq + q2),
+            -2 * p2 * p * (4 * p + q), p2 * p2)
+
+
+def _past_root(terms: Sequence[int], n: int) -> bool:
+    # F >= 0 halfway between the doubles n/2^53 and (n + 1)/2^53, with the
+    # terms scaled so that Horner's rule at 2n + 1 gives 2^324 q^4 F there.
+    acc, x = 0, 2 * n + 1
+    for c in terms:
+        acc = acc * x + c
+    return acc >= 0
+
+
 def balanced_alpha(R: float) -> float:
     """Hold mark, in breakpoint units, that balances the two plateau peaks.
 
@@ -365,42 +373,34 @@ def balanced_alpha(R: float) -> float:
     they overflow there, from R of about 2.4e102 on, it raises
     RatioOutOfRange.
 
-    The answer is that of bisecting the peak gap from [1/2, alpha0] down to
-    adjacent doubles.  A bracketing secant first narrows the root to
-    1e-12 alpha0, or to the band of uncertain signs (_GAP_BAND_ULPS) where
-    that is wider; the bisection is then replayed, evaluating the gap only
-    at midpoints within that band around the bracket, since the gap's sign
-    elsewhere is known.  For R below 200 that takes a median of 22 gap
-    evaluations instead of 53, and never more than the bisection's own.
+    The answer is the balance correctly rounded: the double in [1/2, alpha0]
+    where :func:`_sextic` turns from below 0 to at least 0 halfway to the
+    next double up, or alpha0 if it never does.  For R above 96/53, alpha0
+    is below 1, so those signs are exact integer signs.  They gallop out
+    from the middle of the float secant's 1e-12 alpha0 bracket, then bisect.
     """
     root_R = math.sqrt(R)
     alpha0 = (149.0 * R + 2.0 * math.sqrt(894.0 * R * (R + 1.0))) / (2.0 * (125.0 * R - 24.0))
-    lo, hi = 0.5, alpha0
-    at_lo = _peak_gap(R, root_R, lo)
+    at_lo = _peak_gap(R, root_R, 0.5)
     if not math.isfinite(at_lo):
         raise RatioOutOfRange(f"slope ratio {R} is too large: the plateau peaks overflow")
-    at_hi = _peak_gap(R, root_R, hi)
-    if at_hi < 0.0:
-        return hi
-    if at_lo > 0.0:
-        return lo
-    band = _GAP_BAND_ULPS * math.ulp(alpha0) * max(1.0, R / 200.0)
-    below, above = lo, hi
-    if band < 1e-7 * alpha0:
-        # Past this width, from R of about 2e9 on, the secant's steps and
-        # the replay inside the band cost more calls than bisecting all of
-        # [1/2, alpha0], which the replay then does.
-        below, above = _gap_bracket(R, root_R, lo, at_lo, hi, at_hi, max(1e-12 * alpha0, band))
-    below, above = below - band, above + band
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mid < below or (mid <= above and _peak_gap(R, root_R, mid) < 0.0):
-            lo = mid
+    terms = [c << 54 * i for i, c in enumerate(_sextic(R))]
+    lo, hi = _gap_bracket(R, root_R, 0.5, at_lo, alpha0, _peak_gap(R, root_R, alpha0),
+                          1e-12 * alpha0)
+    # In units of 2^-53, F < 0 halfway above lo (first just below 1/2, as
+    # F(1/2) < 0), and hi is alpha0 or F >= 0 halfway above it.  The probes
+    # gallop out from the bracket's middle n until one crosses the root.
+    n, step = int((lo + hi) * 2.0**52), 1
+    lo, hi = (1 << 52) - 1, int(alpha0 * 2.0**53)
+    while hi - lo > 1:
+        if not lo < n < hi:
+            n = (lo + hi) // 2
+        if _past_root(terms, n):
+            hi, n = n, n - step
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            lo, n = n, n + step
+        step *= 2
+    return hi * 2.0**-53
 
 
 def solve_plateau_params(net: ParallelNetwork) -> PlateauParams:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,12 +17,11 @@ from anarchy import (
     solve_plateau_params,
 )
 from anarchy.mechanisms import (
-    _GAP_BAND_ULPS,
     MIN_PLATEAU_RATIO,
-    _gap_bracket,
     _hold_peak,
     _jump_peak,
     _peak_gap,
+    _past_root,
     balanced_alpha,
 )
 
@@ -78,9 +78,10 @@ def test_lower_bound_is_the_plateau_sup(R):
 
 
 def test_plateau_marks_unchanged_by_shared_solve():
-    # Digest of the marks solve_plateau_params gave for these instances with
-    # its own copy of the bisection; the shared solve must reproduce them bit
-    # for bit.  Every step is IEEE arithmetic or sqrt, so no platform differs.
+    # Digest of the marks solve_plateau_params gives for these instances
+    # from the correctly rounded balance; they must stay bit for bit.  Every
+    # step is IEEE arithmetic, sqrt or integer arithmetic, so no platform
+    # differs.
     rng = random.Random(2012)
     rows = []
     for _ in range(300):
@@ -91,38 +92,7 @@ def test_plateau_marks_unchanged_by_shared_solve():
         params = solve_plateau_params(net)
         rows.append(f"{params.hold_start!r} {params.hold_end!r}")
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
-    assert digest == "ad8b186805d670746548fca4a7718a3cb10577e43ba6ee3fed0c663797799daf"
-
-
-def _alpha0(R):
-    return (149.0 * R + 2.0 * math.sqrt(894.0 * R * (R + 1.0))) / (2.0 * (125.0 * R - 24.0))
-
-
-def reference_balanced_alpha(R):
-    """The plain bisection of the peak gap from [1/2, alpha0] down to
-    adjacent doubles, over the hold and jump peaks."""
-    root_R = math.sqrt(R)
-
-    def gap(alpha):
-        return _hold_peak(R, alpha) - _jump_peak(R, root_R, alpha)
-
-    lo, hi = 0.5, _alpha0(R)
-    at_lo = gap(lo)
-    if not math.isfinite(at_lo):
-        raise RatioOutOfRange(f"slope ratio {R} is too large: the plateau peaks overflow")
-    if gap(hi) < 0.0:
-        return hi
-    if at_lo > 0.0:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    assert digest == "7abaa7089492e78f6b6e11c5621d32935b5e4a656aec7115ba14345740f92273"
 
 
 def _plateau_ratios(seed, n):
@@ -140,75 +110,123 @@ def _log_sweep():
     return [200.0 * 10.0 ** (i / 20) for i in range(2100)]
 
 
-def test_balanced_alpha_matches_reference_bisection():
+def _sextic(R):
+    """The balance's sextic in alpha, from alpha^6 down:
+    16a^6 + 32R^2 a^5 + (16R^4 + 16R^3 - 48R^2 - 8R) a^4
+    - (32R^4 + 24R^3 - 8R^2) a^3 + (24R^4 + 12R^3 + R^2) a^2
+    - (8R^4 + 2R^3) a + R^4, the hold peak = jump peak equation with the
+    square root cleared."""
+    R = Fraction(R)
+    R2 = R * R
+    R3, R4 = R2 * R, R2 * R2
+    return (16, 32 * R2, 16 * R4 + 16 * R3 - 48 * R2 - 8 * R, -(32 * R4 + 24 * R3 - 8 * R2),
+            24 * R4 + 12 * R3 + R2, -(8 * R4 + 2 * R3), R4)
+
+
+def _below(coefficients, alpha):
+    value = Fraction(0)
+    for c in coefficients:
+        value = value * alpha + c
+    return value < 0
+
+
+def _correctly_rounded(R, alpha):
+    # Below 0 at the halfway point under alpha (or at 1/2 itself), at least
+    # 0 at the one above it.
+    sextic, x = _sextic(R), Fraction(alpha)
+    below = (x + Fraction(math.nextafter(alpha, 0.0))) / 2
+    above = (x + Fraction(math.nextafter(alpha, 2.0))) / 2
+    return _below(sextic, max(Fraction(1, 2), below)) and not _below(sextic, above)
+
+
+def _peaks_overflow(R):
+    root_R = math.sqrt(R)
+    return not math.isfinite(_hold_peak(R, 0.5) - _jump_peak(R, root_R, 0.5))
+
+
+def test_balanced_alpha_is_correctly_rounded():
     for R in _plateau_ratios(21, 20000):
-        assert balanced_alpha(R) == reference_balanced_alpha(R), R
+        assert _correctly_rounded(R, balanced_alpha(R)), R
     refused = 0
     for R in _log_sweep():
-        try:
-            want = reference_balanced_alpha(R)
-        except RatioOutOfRange:
+        if _peaks_overflow(R):
             with pytest.raises(RatioOutOfRange):
                 balanced_alpha(R)
             refused += 1
             continue
-        assert balanced_alpha(R) == want, R
+        assert _correctly_rounded(R, balanced_alpha(R)), R
     assert 0 < refused < 200
 
 
-def test_balanced_alpha_gap_evaluations(monkeypatch):
-    count = 0
+def test_balanced_alpha_is_the_peaks_balance():
+    # The sextic's root is where the two peaks meet, to the peaks' own rounding.
+    for R in SLOPE_RATIOS + _plateau_ratios(21, 20000):
+        alpha = balanced_alpha(R)
+        hold = _hold_peak(R, alpha)
+        assert abs(hold - _jump_peak(R, math.sqrt(R), alpha)) <= 8 * math.ulp(hold), R
 
-    def counted(*args):
-        nonlocal count
-        count += 1
+
+# The paper's balanced value: R* is the root of
+# 324R^6 - 756R^5 - 252R^4 + 1177R^3 - 428R^2 - 444R - 64 near 2.097, where
+# the balanced peak reaches its largest value V* (to 22 digits, from a
+# 50-digit evaluation).
+R_STAR = 2.0971634026632358
+V_STAR = Fraction("1.1919531395180097924982")
+
+
+def _paper_poly(R):
+    value = Fraction(0)
+    for c in (324, -756, -252, 1177, -428, -444, -64):
+        value = value * R + c
+    return value
+
+
+def test_paper_value_is_a_known_answer():
+    # R_STAR is the double nearest R*: the polynomial changes sign between
+    # the halfway points around it.
+    x = Fraction(R_STAR)
+    below = (x + Fraction(math.nextafter(R_STAR, 0.0))) / 2
+    above = (x + Fraction(math.nextafter(R_STAR, 3.0))) / 2
+    assert _paper_poly(below) * _paper_poly(above) < 0
+    assert Fraction("1.191") < V_STAR < Fraction("1.192")
+    net = normalize_network([{"a": 1, "b": 0}, {"a": 1 / R_STAR, "b": 1}])
+    params = solve_plateau_params(net)
+    sup, _ = ratio_sup(net, (params, build_plateau_mechanism(net, params)))
+    ulp = Fraction(math.ulp(float(V_STAR)))
+    for value in (lower_bound_value(R_STAR).value, sup):
+        assert abs(Fraction(value) - V_STAR) <= 4 * ulp, value
+
+
+def test_balanced_alpha_gap_evaluations(monkeypatch):
+    gaps = signs = 0
+
+    def counted_gap(*args):
+        nonlocal gaps
+        gaps += 1
         return _peak_gap(*args)
 
-    monkeypatch.setattr(mechanisms, "_peak_gap", counted)
+    def counted_sign(*args):
+        nonlocal signs
+        signs += 1
+        return _past_root(*args)
+
+    monkeypatch.setattr(mechanisms, "_peak_gap", counted_gap)
+    monkeypatch.setattr(mechanisms, "_past_root", counted_sign)
     counts = []
     for R in _plateau_ratios(22, 3000):
-        count = 0
+        gaps = signs = 0
         balanced_alpha(R)
-        counts.append(count)
-    assert max(counts) <= 40
-    assert sorted(counts)[len(counts) // 2] <= 24
-    # Above 200 the band widens with R; past it the replay is the plain
-    # bisection, which takes 53 or 54 calls, and the secant is skipped.
+        counts.append((gaps, signs))
+    gap_counts, sign_counts = sorted(g for g, _ in counts), sorted(s for _, s in counts)
+    # Measured: medians 12 and 6, largest 25 and 26.
+    assert gap_counts[len(counts) // 2] <= 14 and gap_counts[-1] <= 30
+    assert sign_counts[len(counts) // 2] <= 8 and sign_counts[-1] <= 30
+    # Above 200 the float secant's bracket drifts from the root, so the
+    # gallop runs further; the secant stops after 64 steps.
     for R in _log_sweep()[::10]:
-        count = 0
+        gaps = signs = 0
         try:
             balanced_alpha(R)
         except RatioOutOfRange:
             continue
-        assert count <= 54, R
-
-
-def _gap_sign_below(R, alpha):
-    return _peak_gap(R, math.sqrt(R), alpha) < 0.0
-
-
-def test_gap_sign_is_known_outside_the_evaluated_band():
-    # The replay evaluates the gap only within the band around the secant's
-    # bracket.  Just outside it the float sign must already be the one the
-    # bisection assumes, and the zone of mixed signs around the answer must
-    # be no wider than the band.
-    widest = 0
-    for R in _plateau_ratios(24, 2000):
-        root_R, alpha0 = math.sqrt(R), _alpha0(R)
-        at_lo, at_hi = _peak_gap(R, root_R, 0.5), _peak_gap(R, root_R, alpha0)
-        if at_hi < 0.0 or at_lo > 0.0:
-            continue
-        band = _GAP_BAND_ULPS * math.ulp(alpha0)
-        lo, hi = _gap_bracket(R, root_R, 0.5, at_lo, alpha0, at_hi, max(1e-12 * alpha0, band))
-        below, above = lo - band, hi + band
-        for _ in range(64):
-            below = math.nextafter(below, -math.inf)
-            above = math.nextafter(above, math.inf)
-            assert _gap_sign_below(R, below) and not _gap_sign_below(R, above), R
-        alpha, step = balanced_alpha(R), math.ulp(alpha0)
-        signs = [_gap_sign_below(R, alpha + i * step) for i in range(-64, 65)]
-        assert signs[0] and not signs[-1], R
-        last_below = max(i for i, s in enumerate(signs) if s)
-        first_above = min(i for i, s in enumerate(signs) if not s)
-        widest = max(widest, last_below - first_above + 1)
-    assert widest <= _GAP_BAND_ULPS
+        assert gaps <= 48 and signs <= 60, R  # measured: 42 and 52

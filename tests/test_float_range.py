@@ -28,6 +28,7 @@ from anarchy import (
     build_plateau_mechanism,
     build_threshold_mechanism,
     cost_increment,
+    cost_pieces,
     lower_bound_value,
     mn_flow,
     nash_flow,
@@ -174,6 +175,31 @@ def test_no_flow_sum_escapes(faults):
     # A network that normalizes splits every rate, or raises a typed error
     # that names the cause; FlowProfile's own sum check is no such error.
     assert not _summary(faults, ["flows sum to"])
+
+
+def test_self_built_mechanisms_dominate_their_links():
+    # A mechanism built for a network raises its latencies, up to rounding,
+    # so cost_pieces never refuses it as undercutting a link.
+    built = 0
+    for d in (3, 8, 15, 30, 150, 300):
+        for links, _ in _draws(random.Random(1000 + d), 500, d):
+            try:
+                net = normalize_network(links)
+                mechanisms = [build_threshold_mechanism(net, [2.0] * (net.k - 1))]
+                if net.k == 2:
+                    params = solve_plateau_params(net)
+                    mechanisms.append((params, build_plateau_mechanism(net, params)))
+            except AnarchyError:
+                continue
+            for mech in mechanisms:
+                built += 1
+                try:
+                    cost_pieces(net, mech)
+                except ParamOutOfRange:
+                    pytest.fail(f"self-built mechanism refused on {links}")
+                except AnarchyError:
+                    pass
+    assert built > 2000
 
 
 # An integer past the float range, as a library caller may pass it.

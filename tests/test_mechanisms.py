@@ -429,6 +429,8 @@ _LATS = build_plateau_mechanism(_NET2, _PLATEAU)
 _T2 = build_threshold_mechanism(_NET2, [2.0])
 _T3 = build_threshold_mechanism(_NET3, [2.0, 2.0])
 _AFFINE = [AffineLatency(1.0, 0.0)] * 2
+# _NET2's links raised: no modification of them can dominate these.
+_HEAVY2 = normalize_network([{"a": 5, "b": 0}, {"a": 0.1, "b": 3}])
 
 
 @pytest.mark.parametrize("call, error", [
@@ -441,6 +443,8 @@ _AFFINE = [AffineLatency(1.0, 0.0)] * 2
     pytest.param(lambda: ratio_sup(_NET2, (_PLATEAU, 1.0)), SchemaError, id="sup-latencies-not-iterable"),
     pytest.param(lambda: ratio_sup(_NET2, (_PLATEAU, _AFFINE)), SchemaError, id="sup-affine"),
     pytest.param(lambda: water_fill(_AFFINE[:1], 1.0), SchemaError, id="water_fill-affine"),
+    pytest.param(lambda: ratio_sup(_HEAVY2, (_PLATEAU, _LATS)), ParamOutOfRange,
+                 id="sup-plateau-under-heavier-links"),
     pytest.param(lambda: ratio_sup(_NET2, (_PLATEAU, _LATS[:1])), BadParamCount, id="sup-one-latency"),
     pytest.param(lambda: ratio_sup(_NET2, (_PLATEAU, [*_LATS, _LATS[1]])), BadParamCount,
                  id="sup-three-latencies"),
@@ -474,3 +478,20 @@ def test_parameters_with_marks_are_accepted():
     lats = [PiecewiseLatency.from_affine(link) for link in _NET2.links]
     value, _ = ratio_sup(_NET2, (stub, lats))
     assert value == pytest.approx(ratio_sup(_NET2)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("intercept, refused", [
+    (1.0 - 1e-11, True),
+    (math.nextafter(1.0, 0.0), False),
+    (1.0, False),
+])
+def test_mechanism_latency_must_dominate_its_link(intercept, refused):
+    # _NET2's second link is {a: 0.1, b: 1}; a latency below it by 1e-11 of
+    # its value is no modification of it, one within the rounding allowance is.
+    lats = [_LATS[0], PiecewiseLatency.from_affine(AffineLatency(0.1, intercept))]
+    if refused:
+        with pytest.raises(ParamOutOfRange, match="latency 1"):
+            ratio_sup(_NET2, (_PLATEAU, lats))
+    else:
+        value, _ = ratio_sup(_NET2, (_PLATEAU, lats))
+        assert value == pytest.approx(ratio_sup(_NET2, (_PLATEAU, _LATS))[0], rel=1e-9)
