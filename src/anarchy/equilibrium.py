@@ -304,6 +304,13 @@ def _flow_bounds(lat, corner: float, past: float = 0.0,
     return least, most
 
 
+def _rising(lats: Sequence[PiecewiseLatency], level: float) -> list[tuple[float, int]]:
+    # (slope, link) of every segment rising at `level`; the supply's slope
+    # there is the sum of their 1/slope.
+    return [(m, i) for i, lat in enumerate(lats)
+            for _, _, m, v_lo, v_hi in lat.segments if m > 0.0 and v_lo <= level < v_hi]
+
+
 def water_fill(lats: Sequence, rate: float, *,
                latency_family: str = "original") -> EquilibriumResult:
     """Equilibrium of piecewise latencies by filling links up to a common level.
@@ -337,9 +344,8 @@ def water_fill(lats: Sequence, rate: float, *,
     corner, demand, a2 = seg.low, rate - seg.anchor, seg.a2
     if corner < seg.top and demand > 0.0:
         # The supply's slope past the corner, summed afresh over the links
-        # rising there: the sweep's running sum of 1/slope can cancel.
-        rising = [(m, i) for i, lat in enumerate(lats)
-                  for _, _, m, v_lo, v_hi in lat.segments if m > 0.0 and v_lo <= corner < v_hi]
+        # rising there: the sweep's running sum of 1/slope can be a few ulps off.
+        rising = _rising(lats, corner)
         a2 = 1.0 / _cost_sum(1.0 / m for m, _ in rising)
     past = demand * a2
     # The demand is kept only where its rise of the level, past, loses it:
@@ -511,9 +517,13 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
             growth, held, cost = growth + dgrowth, held + dheld, cost + dcost
         if not rising:
             growth = 0.0
+        elif growth != growth:
+            # An overflowed 1/slope entered and left the running sum.
+            raise InvalidModelValue(f"a link whose 1/slope passes the float range stops rising "
+                                    f"by level {level}, so the running supply slope reads {growth}")
         elif not growth > 0.0:
-            raise InvalidModelValue(f"the supply slope cancels to {growth} at level {level}"
-                                    " while links still rise")
+            # The running sum cancelled while links still rise: sum it afresh.
+            growth = _cost_sum(1.0 / m for m, _ in _rising(lats, level))
         if not n_held:
             held = cost = 0.0
         prev, i = level, j

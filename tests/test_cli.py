@@ -586,10 +586,11 @@ def test_exit_code_cost_underflow(tmp_path, capsys, links, extra):
         ([{"a": 2, "b": 0}, {"a": 1, "b": 1}], None, ["curve", "--rmax", "1e200"],
          "costs overflow"),
         # Efficiencies hundreds of orders apart: the sweep's running supply
-        # slope cancels to 0 while a link still rises.
-        (CANCELLING, CANCELLING_MECH, ["solve", "--rate", "1", "--which", "mn"],
-         "supply slope cancels"),
-        (CANCELLING, CANCELLING_MECH, ["curve"], "supply slope cancels"),
+        # slope cancels, and past the level summed afresh the costs pass the
+        # float range.
+        (CANCELLING, CANCELLING_MECH, ["solve", "--rate", "1e110", "--which", "mn"],
+         "cost overflows"),
+        (CANCELLING, CANCELLING_MECH, ["curve"], "costs overflow"),
         # A summed efficiency overflows: the optimal cost past it is NaN.
         *[(links, None, ["curve"], "costs overflow")
           for links in [OVERFLOWED_SUM, *(links for links, _ in OVERFLOWED_EFFICIENCY)]],
@@ -619,6 +620,22 @@ def test_exit_code_overflow(tmp_path, capsys, links, mech, args, message):
     assert main(argv) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "curve.csv").exists()
+
+
+def test_solve_mn_where_the_running_supply_slope_cancels(tmp_path, capsys):
+    # Efficiencies hundreds of orders apart: the sweep's running supply
+    # slope cancels to 0 while a link still rises, so it is summed afresh
+    # over the rising links, and the split is the stage recursion's.
+    net_path, mech_path = tmp_path / "net.json", tmp_path / "mech.json"
+    net_path.write_text(json.dumps({"links": CANCELLING}))
+    mech_path.write_text(json.dumps(CANCELLING_MECH))
+    argv = ["solve", str(net_path), "--rate", "1", "--which", "mn", "--mechanism", str(mech_path)]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[2:5]
+    net = anarchy.normalize_network(CANCELLING)
+    params, _ = anarchy.build_threshold_mechanism(net, CANCELLING_MECH["R"])
+    expected = anarchy.mn_flow(net, params, 1.0).flows
+    assert [row.split()[1] for row in rows] == [f"{f:.6g}" for f in expected]
 
 
 @pytest.mark.parametrize("links, rate, which, cost", [

@@ -844,6 +844,35 @@ def test_water_fill_supply_slope_cancels_at_unit_scale():
     water_fill(lats, rate)
 
 
+@pytest.mark.parametrize("solve", [water_fill, worst_equilibrium_cost])
+def test_sweep_past_an_overflowed_one_over_slope_raises(solve):
+    # 1/5e-324 overflows, so the running supply slope reads inf - inf once
+    # the capped link stops rising; a sum afresh there would drop that
+    # link's width and read a worst cost of 0.
+    lats = [PiecewiseLatency((0.0,), (5e-324,), (0.0,), cap=1.0),
+            PiecewiseLatency.from_affine(AffineLatency(1.0, 0.0))]
+    with pytest.raises(InvalidModelValue, match="running supply slope reads nan"):
+        solve(lats, 1.5)
+
+
+@pytest.mark.xfail(strict=True, raises=InvalidModelValue,
+                   reason="ROADMAP item 2: the sweep's running demand drifts from the corner flows")
+def test_water_fill_staircase_demand_matches_its_corner_flows():
+    # The piece's anchor, carried as r + growth * (level - prev), sits 61e-17
+    # below the sum of the least flows at its corner level 0.5569829027584378,
+    # so the flows sum past the rate.
+    lats = [
+        PiecewiseLatency((0.0, 0.23801905887124997, 0.5301492502614241, 1.77824565120524,
+                          2.0837367205322854),
+                         (0.08028824493107412, 0.1029033106725229, 0.8960633354216337,
+                          0.09564528529268766, 0.0),
+                         (0.5378727702615191, 0.532489953597428, 0.11199676113935425,
+                          2.14445732322938, 2.34375691633954)),
+        PiecewiseLatency.from_affine(AffineLatency(1.164297123305668, 0.47836440153788895)),
+    ]
+    water_fill(lats, 0.30707629789906044)
+
+
 def test_water_fill_certifies_level_zero_past_a_flat_end():
     # Past a flat segment at 0, slope*x - slope*w cancels, so the latency
     # near level 0 is known only to the rounding of slope*w.  The rates sit

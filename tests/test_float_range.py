@@ -16,6 +16,7 @@ import pytest
 from anarchy import (
     AffineLatency,
     AnarchyError,
+    CostOverflow,
     FlowProfile,
     InvalidModelValue,
     NegativeCoefficient,
@@ -36,6 +37,7 @@ from anarchy import (
     opt_flow,
     ratio_curve,
     ratio_sup,
+    recurrence_bound,
     solve_plateau_params,
     water_fill,
     worst_equilibrium_cost,
@@ -200,6 +202,46 @@ def test_self_built_mechanisms_dominate_their_links():
                 except AnarchyError:
                     pass
     assert built > 2000
+
+
+@pytest.mark.parametrize("decades", [15, 30, 150, 300])
+def test_threshold_water_fill_agrees_with_the_stage_recursion(decades):
+    # Wherever mn_flow splits a rate under the threshold mechanism,
+    # water_fill on its latencies splits it too, to 1e-9 of the rate, or
+    # finds the costs past the float range; efficiencies many orders apart
+    # cancel the sweep's running supply slope on some of these draws.
+    compared = 0
+    for links, demand in _draws(random.Random(1000 + decades), 500, decades):
+        try:
+            net = normalize_network(links)
+            params, lats = build_threshold_mechanism(net, [2.0] * (net.k - 1))
+        except AnarchyError:
+            continue
+        for rate in (0.5 * demand, demand, 3.0 * demand):
+            try:
+                expected = mn_flow(net, params, rate).flows
+            except AnarchyError:
+                continue
+            try:
+                flows = water_fill(lats, rate).profile.flows
+            except CostOverflow:
+                continue
+            assert all(abs(f - g) <= 1e-9 * rate for f, g in zip(flows, expected)), \
+                (links, rate, flows, expected)
+            compared += 1
+    assert compared > 1000
+
+
+def test_threshold_three_links_at_the_last_breakpoint():
+    # The running supply slope cancels to 0 at level 1.1641532182693475e20;
+    # the split and the ratio come from the supply slope summed afresh there.
+    net = normalize_network([{"a": 1.5, "b": 0.0}, {"a": 1.929371316848415e16, "b": 1.0},
+                             {"a": 0.5, "b": 2.3283064365386954e20}])
+    mech = build_threshold_mechanism(net, [2.0, 2.0])
+    rate = 1.5522042910257968e20
+    assert water_fill(mech[1], rate).profile.flows == mn_flow(net, mech[0], rate).flows
+    bound = recurrence_bound([2.0, 2.0]).value
+    assert 1.0 - RATIO_RTOL <= ratio_sup(net, mech)[0] <= bound * (1.0 + RATIO_RTOL)
 
 
 # An integer past the float range, as a library caller may pass it.
