@@ -304,13 +304,6 @@ def _flow_bounds(lat, corner: float, past: float = 0.0,
     return least, most
 
 
-def _rising(lats: Sequence[PiecewiseLatency], level: float) -> list[tuple[float, int]]:
-    # (slope, link) of every segment rising at `level`; the supply's slope
-    # there is the sum of their 1/slope.
-    return [(m, i) for i, lat in enumerate(lats)
-            for _, _, m, v_lo, v_hi in lat.segments if m > 0.0 and v_lo <= level < v_hi]
-
-
 def water_fill(lats: Sequence, rate: float, *,
                latency_family: str = "original") -> EquilibriumResult:
     """Equilibrium of piecewise latencies by filling links up to a common level.
@@ -342,11 +335,6 @@ def water_fill(lats: Sequence, rate: float, *,
     lats = tuple(lats)
     seg = _piece_at(lats, rate)
     corner, demand, a2 = seg.low, rate - seg.anchor, seg.a2
-    if corner < seg.top and demand > 0.0:
-        # The supply's slope past the corner, summed afresh over the links
-        # rising there: the sweep's running sum of 1/slope can be a few ulps off.
-        rising = _rising(lats, corner)
-        a2 = 1.0 / _cost_sum(1.0 / m for m, _ in rising)
     past = demand * a2
     # The demand is kept only where its rise of the level, past, loses it:
     # a positive demand whose past is 0 or subnormal.
@@ -354,14 +342,6 @@ def water_fill(lats: Sequence, rate: float, *,
         corner, past, demand = seg.top, 0.0, 0.0
     elif past >= _LEAST_NORMAL or not demand > 0.0:
         demand = 0.0
-    elif not a2 > 0.0:
-        # The rising links' summed 1/slope overflowed, so each share reads
-        # 0; name the rising link with the least slope.
-        m, i = min(rising)
-        raise InvalidModelValue(
-            f"link {i} (slope {m!r}) takes the summed supply slope 1/slope of the links "
-            f"rising at level {corner!r} past the float range, so their flows cannot be computed"
-        )
     level = corner + past
     if not level < INF:
         raise CostOverflow(f"the water-fill level overflows at demand {rate!r}")
@@ -446,17 +426,24 @@ def _supply_events(lat: PiecewiseLatency) -> Iterator[tuple[float, float, float,
     # The corner levels of `lat` as (level, jump, rate change, held flow,
     # held cost), read off its corner table.  The supply, the most flow
     # taken at latency <= L, rises at 1/slope on a rising segment and jumps
-    # by a flat segment's width.  Past a segment's end the link holds that
-    # flow at that end's latency until its next segment starts, if that
-    # start lies higher or there is none.
+    # by the width of a flat one, or of one whose levels round equal.  Past
+    # a segment's end the link holds that flow at that end's latency until
+    # its next segment starts, if that start lies higher or there is none.
     segments, release = lat.segments, (0.0, 0.0)
     for (lo, hi, m, v_lo, v_hi), nxt in zip(segments, segments[1:] + (None,)):
-        rate = 1.0 / m if m > 0.0 else 0.0
+        rate = 1.0 / m if v_lo < v_hi else 0.0
         yield (v_lo, 0.0 if rate else hi - lo, rate, *release)
         if hi < INF:
             held = (hi, hi * v_hi) if nxt is None or nxt[3] > v_hi else (0.0, 0.0)
             yield (v_hi, 0.0, -rate, *held)
             release = (-held[0], -held[1])
+
+
+# Every double is a whole number of 2^-1074, so the sweep keeps its supply
+# slope, a sum of doubles 1/slope, exactly as an int in these units.  An
+# overflowed 1/slope counts as 2^1024, past the float range; a sum there reads
+# NaN, as an overflowed efficiency does in `_cost_segs`, and so does its piece.
+_UNIT = 1 << 1074
 
 
 def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
@@ -471,12 +458,12 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
     # the demand reached then.  Each level's events[i:j] are read twice: for
     # the flats' widths and releases, and whether any link releases a held
     # flow, before the pieces that end there; then, in event order, for the
-    # sums and link counts, which snap to 0 once their counts do.  A last
+    # sums and the held count, the held sums snapping to 0 with it.  A last
     # level at inf ends the last rising piece, or, when every link is capped,
     # ends the sweep at the sum of their caps.
     events = sorted(ev for lat in lats for ev in _supply_events(lat)) + [(INF, 0.0, 0.0, 0.0, 0.0)]
     r = prev = growth = held = cost = 0.0
-    rising = n_held = 0
+    units, n_held, units_of = 0, 0, {}
     piece = (True, "", 0.0, 0.0, 0.0, 0.0, events[0][0], events[0][0])
     i, n = 0, len(events)
     while i < n:
@@ -490,15 +477,16 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
                 width, freed, freed_cost = width + w, freed + dheld, freed_cost + dcost
             release |= dheld < 0.0
             j += 1
-        if width > 0.0 or release:
-            end = math.fsum([_flow_bounds(lat, level)[0] for lat in lats])
-        elif rising:
+        # Past an overflowed supply slope the demand's step is unknown: read it.
+        if width > 0.0 or release or growth != growth:
+            end = _cost_sum([_flow_bounds(lat, level)[0] for lat in lats])
+        elif growth:
             end = r + growth * (level - prev)
         elif level < INF:
             end = held
         else:
             end = math.fsum([lat.cap for lat in lats])
-        if rising:
+        if growth:
             yield _Seg(r, *piece)
             piece = (True, "", r, cost + prev * (r - held), prev + (r - held) / growth,
                      1.0 / growth, prev, level)
@@ -510,20 +498,21 @@ def _equilibrium_segs(lats: Sequence[PiecewiseLatency]) -> Iterator[_Seg]:
             r += width
             if r == INF:
                 break
+        was = units
         for m in range(i, j):
             _, _, dgrowth, dheld, dcost = events[m]
-            rising += (dgrowth > 0.0) - (dgrowth < 0.0)
+            if dgrowth > 0.0:
+                p, q = dgrowth.as_integer_ratio() if dgrowth < INF else (1 << 1024, 1)
+                units += units_of.setdefault(dgrowth, p << (1075 - q.bit_length()))
+            elif dgrowth:
+                units -= units_of[-dgrowth]
             n_held += (dheld > 0.0) - (dheld < 0.0)
-            growth, held, cost = growth + dgrowth, held + dheld, cost + dcost
-        if not rising:
-            growth = 0.0
-        elif growth != growth:
-            # An overflowed 1/slope entered and left the running sum.
-            raise InvalidModelValue(f"a link whose 1/slope passes the float range stops rising "
-                                    f"by level {level}, so the running supply slope reads {growth}")
-        elif not growth > 0.0:
-            # The running sum cancelled while links still rise: sum it afresh.
-            growth = _cost_sum(1.0 / m for m, _ in _rising(lats, level))
+            held, cost = held + dheld, cost + dcost
+        if units != was:
+            try:
+                growth = units / _UNIT
+            except OverflowError:
+                growth = math.nan
         if not n_held:
             held = cost = 0.0
         prev, i = level, j
@@ -572,8 +561,8 @@ def _swept(lats: Sequence[PiecewiseLatency]) -> tuple[tuple[_Seg, ...], tuple[fl
 
 def _piece_at(lats: Sequence[PiecewiseLatency], rate: float) -> _Seg:
     # The piece of the kept sweep that holds `rate`, by bisection over the
-    # piece ends; the one gate of both readers: a bad rate, an empty list,
-    # then a rate past the sweep's end (InfeasibleRate) raise, in that order.
+    # piece ends; the one gate of both readers: a bad rate, an empty list, a
+    # rate past the sweep's end, then one where the supply slope overflows raise.
     check_rate(rate)
     lats = tuple(lats)
     if not lats:
@@ -581,7 +570,16 @@ def _piece_at(lats: Sequence[PiecewiseLatency], rate: float) -> _Seg:
     segs, his = _swept(lats)
     if rate > his[-1]:
         raise InfeasibleRate(f"total capacity {his[-1]} below rate {rate}")
-    return segs[bisect_left(his, rate)]
+    seg = segs[bisect_left(his, rate)]
+    if seg.a2 != seg.a2:
+        # Name the rising link with the least slope.
+        m, i = min((m, i) for i, lat in enumerate(lats) for _, _, m, v_lo, v_hi in lat.segments
+                   if m > 0.0 and v_lo <= seg.low < v_hi)
+        raise InvalidModelValue(
+            f"link {i} (slope {m!r}) takes the summed supply slope 1/slope of the links "
+            f"rising at level {seg.low!r} past the float range, so their flows cannot be computed"
+        )
+    return seg
 
 
 def worst_equilibrium_cost(lats: Sequence[PiecewiseLatency], rate: float) -> float:
@@ -594,8 +592,9 @@ def worst_equilibrium_cost(lats: Sequence[PiecewiseLatency], rate: float) -> flo
     each latency object, so further rates on them cost no new sweep, while
     new or replaced latencies, even equal ones, are swept anew.  A rate
     above the sum of the caps, when every link is capped, raises
-    InfeasibleRate and an empty list EmptyNetwork, as in :func:`water_fill`;
-    a cost past the float range raises CostOverflow.
+    InfeasibleRate, an empty list EmptyNetwork and a rate where the summed
+    1/slope overflows InvalidModelValue, as in :func:`water_fill`; a cost
+    past the float range raises CostOverflow.
     """
     return _finite_cost(_piece_at(lats, rate).at(rate)[0], rate)
 

@@ -585,9 +585,9 @@ def test_exit_code_cost_underflow(tmp_path, capsys, links, extra):
         # Costs past a demand of about 1e154 overflow.
         ([{"a": 2, "b": 0}, {"a": 1, "b": 1}], None, ["curve", "--rmax", "1e200"],
          "costs overflow"),
-        # Efficiencies hundreds of orders apart: the sweep's running supply
-        # slope cancels, and past the level summed afresh the costs pass the
-        # float range.
+        # Efficiencies hundreds of orders apart, where a running float sum of
+        # the supply slope cancels; past the level the exact sum gives, the
+        # costs pass the float range.
         (CANCELLING, CANCELLING_MECH, ["solve", "--rate", "1e110", "--which", "mn"],
          "cost overflows"),
         (CANCELLING, CANCELLING_MECH, ["curve"], "costs overflow"),
@@ -623,9 +623,9 @@ def test_exit_code_overflow(tmp_path, capsys, links, mech, args, message):
 
 
 def test_solve_mn_where_the_running_supply_slope_cancels(tmp_path, capsys):
-    # Efficiencies hundreds of orders apart: the sweep's running supply
-    # slope cancels to 0 while a link still rises, so it is summed afresh
-    # over the rising links, and the split is the stage recursion's.
+    # Efficiencies hundreds of orders apart: a running float sum of the
+    # supply slope cancels to 0 while a link still rises; the sweep's exact
+    # sum does not, and the split is the stage recursion's.
     net_path, mech_path = tmp_path / "net.json", tmp_path / "mech.json"
     net_path.write_text(json.dumps({"links": CANCELLING}))
     mech_path.write_text(json.dumps(CANCELLING_MECH))

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -806,7 +807,8 @@ def test_water_fill_past_the_float_range():
 
 def test_worst_equilibrium_cost_past_the_float_range():
     # Latencies near 1e300 at a demand of 4e291: the costliest equilibrium
-    # overflows, and water_fill fails its own certificate, by 3.6e-9.
+    # overflows, and so does the cost of water_fill's certified split, about
+    # 1.3e591 when its flows are priced exactly.
     lats = [
         PiecewiseLatency((0.0, 0.0786309891558882, 0.2310313258936454, 0.24201022583103526),
                          (2.38049973516264e+301, 0.0, 2.249471568219311e+301, 5.972693946022616e+300),
@@ -824,14 +826,15 @@ def test_worst_equilibrium_cost_past_the_float_range():
     rate = 4.188959020557902e+291
     with pytest.raises(CostOverflow, match=re.escape(f"demand {rate!r}: inf")):
         worst_equilibrium_cost(lats, rate)
-    with pytest.raises(CertificateFailed):
+    with pytest.raises(CostOverflow, match=re.escape(f"demand {rate!r}: inf")):
         water_fill(lats, rate)
 
 
 def test_water_fill_supply_slope_cancels_at_unit_scale():
-    # The sweep's supply slope, 1/2.975... + 8.0988... - 8.0988..., ends 14
-    # ulps low; water_fill sums 1/slope afresh over the one rising link, so
-    # that link takes the demand itself, not the demand times (1 + 14 ulps).
+    # A running float sum of the supply slope, 1/2.975... + 8.0988... -
+    # 8.0988..., ends 14 ulps low; the sweep's exact sum is 1/2.975..., so
+    # the one rising link takes the demand itself, not the demand times
+    # (1 + 14 ulps).
     lats = [
         PiecewiseLatency((0.0, 1.1284341780316656, 2.2303297950329277),
                          (0.0, 0.12347514674117682, 0.35618602534728927),
@@ -844,15 +847,84 @@ def test_water_fill_supply_slope_cancels_at_unit_scale():
     water_fill(lats, rate)
 
 
-@pytest.mark.parametrize("solve", [water_fill, worst_equilibrium_cost])
-def test_sweep_past_an_overflowed_one_over_slope_raises(solve):
-    # 1/5e-324 overflows, so the running supply slope reads inf - inf once
-    # the capped link stops rising; a sum afresh there would drop that
-    # link's width and read a worst cost of 0.
-    lats = [PiecewiseLatency((0.0,), (5e-324,), (0.0,), cap=1.0),
+def _water_fill_cost(lats, rate):
+    return water_fill(lats, rate).cost
+
+
+_READERS = [pytest.param(_water_fill_cost, id="water_fill"), worst_equilibrium_cost]
+
+
+@pytest.mark.parametrize("solve", _READERS)
+@pytest.mark.parametrize("slope, capped, rate, cost", [
+    # 1/5e-324 overflows; it leaves the supply slope once the link is full.
+    pytest.param(5e-324, 1, 1.5, 0.25, id="one-5e-324"),
+    # 1/1e-308 does not overflow, but two of them sum past the float range.
+    pytest.param(1e-308, 2, 3.0, 1.0, id="two-1e-308"),
+])
+def test_sweep_past_an_overflowed_one_over_slope_prices_the_split(solve, slope, capped, rate, cost):
+    # The capped links fill to 1 at latency `slope` at once, and `x` takes
+    # the rest at its own latency; the supply slope reads inf while the
+    # capped links rise, and the demand they take is read off their flows.
+    lats = [PiecewiseLatency((0.0,), (slope,), (0.0,), cap=1.0)] * capped
+    lats.append(PiecewiseLatency.from_affine(AffineLatency(1.0, 0.0)))
+    rest = Fraction(rate) - capped
+    exact = capped * Fraction(slope) + rest * rest
+    got = solve(lats, rate)
+    assert got == cost
+    assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+    assert water_fill(lats, rate).profile.flows == (1.0,) * capped + (float(rest),)
+
+
+def test_sweep_reads_past_the_float_range_off_the_links():
+    # Each 1/6e-309 is finite and their sum is not, so the supply slope reads
+    # inf and the demand at level 1, where the third link opens, is read off
+    # the links: each of the first two holds 1.7e308 there, and their sum
+    # passes the float range.  water_fill names a link that rises past it.
+    lats = [PiecewiseLatency.from_affine(AffineLatency(6e-309, 0.0))] * 2
+    lats.append(PiecewiseLatency.from_affine(AffineLatency(1.0, 1.0)))
+    with pytest.raises(InvalidModelValue, match="link 0 \\(slope 6e-309\\)"):
+        water_fill(lats, 1e300)
+
+
+@pytest.mark.parametrize("solve", _READERS)
+@pytest.mark.parametrize("lats, rate, link, slope", [
+    # 1/5e-309 overflows while the capped link's latency rises from 1e-10 to
+    # 2e-10, so its piece reads NaN; the parent priced it at 1e-10.
+    pytest.param([PiecewiseLatency((0.0,), (5e-309,), (1e-10,), cap=2e298),
+                  PiecewiseLatency.from_affine(AffineLatency(1.0, 0.0))], 1e298, 0, "5e-309",
+                 id="one-5e-309"),
+    # Each 1/6e-309 is finite and their sum is not; the parent priced it at 0.
+    pytest.param([PiecewiseLatency.from_affine(AffineLatency(6e-309, 0.0))] * 2
+                 + [PiecewiseLatency.from_affine(AffineLatency(1.0, 1.0))], 1e300, 0, "6e-309",
+                 id="two-6e-309"),
+])
+def test_rate_inside_an_overflowed_supply_slope_raises(solve, lats, rate, link, slope):
+    # Both readers refuse a rate whose piece the level rises over at a
+    # summed 1/slope past the float range, naming the same link.
+    with pytest.raises(InvalidModelValue, match=f"link {link} \\(slope {slope}\\)"):
+        solve(lats, rate)
+
+
+@pytest.mark.parametrize("solve", _READERS)
+@pytest.mark.parametrize("slope, offset, rate", [
+    (1e-20, 1.0, 1.5),
+    (1e-20, 1.0, 3.0),
+    # 1/5e-324 overflows, but the link's levels do not rise.
+    (5e-324, 0.0, 1.0),
+])
+def test_rising_segment_whose_corner_levels_round_equal_jumps(solve, slope, offset, rate):
+    # The capped link's latency rises by slope * 0.4 over its one segment,
+    # less than half an ulp of its offset, so its corner levels are equal:
+    # the supply jumps by 0.4 there, as at a flat segment, and `x` takes
+    # the rest.
+    lats = [PiecewiseLatency((0.0,), (slope,), (offset,), cap=0.4),
             PiecewiseLatency.from_affine(AffineLatency(1.0, 0.0))]
-    with pytest.raises(InvalidModelValue, match="running supply slope reads nan"):
-        solve(lats, 1.5)
+    assert lats[0].segments[0][3] == lats[0].segments[0][4]
+    cap, rest = Fraction(0.4), Fraction(rate) - Fraction(0.4)
+    exact = cap * (Fraction(slope) * cap + Fraction(offset)) + rest * rest
+    got = solve(lats, rate)
+    assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+    assert water_fill(lats, rate).profile.flows == (0.4, float(rest))
 
 
 @pytest.mark.xfail(strict=True, raises=InvalidModelValue,

@@ -42,6 +42,8 @@ from anarchy import (
     water_fill,
     worst_equilibrium_cost,
 )
+from anarchy.equilibrium import _swept
+from anarchy.mechanisms import MIN_PLATEAU_RATIO
 
 # Rounding of a few ulps in either cost.
 RATIO_RTOL = 1e-12
@@ -209,7 +211,7 @@ def test_threshold_water_fill_agrees_with_the_stage_recursion(decades):
     # Wherever mn_flow splits a rate under the threshold mechanism,
     # water_fill on its latencies splits it too, to 1e-9 of the rate, or
     # finds the costs past the float range; efficiencies many orders apart
-    # cancel the sweep's running supply slope on some of these draws.
+    # cancel a running float sum of the supply slope on some of these draws.
     compared = 0
     for links, demand in _draws(random.Random(1000 + decades), 500, decades):
         try:
@@ -233,8 +235,8 @@ def test_threshold_water_fill_agrees_with_the_stage_recursion(decades):
 
 
 def test_threshold_three_links_at_the_last_breakpoint():
-    # The running supply slope cancels to 0 at level 1.1641532182693475e20;
-    # the split and the ratio come from the supply slope summed afresh there.
+    # A running float sum of the supply slope cancels to 0 at level
+    # 1.1641532182693475e20; the split and the ratio come from the exact sum.
     net = normalize_network([{"a": 1.5, "b": 0.0}, {"a": 1.929371316848415e16, "b": 1.0},
                              {"a": 0.5, "b": 2.3283064365386954e20}])
     mech = build_threshold_mechanism(net, [2.0, 2.0])
@@ -242,6 +244,53 @@ def test_threshold_three_links_at_the_last_breakpoint():
     assert water_fill(mech[1], rate).profile.flows == mn_flow(net, mech[0], rate).flows
     bound = recurrence_bound([2.0, 2.0]).value
     assert 1.0 - RATIO_RTOL <= ratio_sup(net, mech)[0] <= bound * (1.0 + RATIO_RTOL)
+
+
+def _rising_slope_draws():
+    # Threshold mechanisms on the draws, and two-link plateau mechanisms on
+    # seeded unit-scale networks.
+    for d in (3, 15, 30, 150, 300):
+        for links, _ in _draws(random.Random(1000 + d), 500, d):
+            try:
+                net = normalize_network(links)
+                yield build_threshold_mechanism(net, [2.0] * (net.k - 1))[1]
+            except AnarchyError:
+                continue
+    rng = random.Random(55)
+    for _ in range(500):
+        a1 = rng.uniform(0.1, 5.0)
+        net = normalize_network([{"a": a1, "b": 0.0},
+                                 {"a": a1 / rng.uniform(MIN_PLATEAU_RATIO, 200.0),
+                                  "b": rng.uniform(0.01, 3.0)}])
+        yield build_plateau_mechanism(net, solve_plateau_params(net))
+
+
+def test_sweep_supply_slope_is_correctly_rounded():
+    # On every rising piece of the sweep the level rises by the demand
+    # times a2, one over the sum of 1/slope over the segments rising at the
+    # piece's corner, rounded once; a running float sum of +1/slope and
+    # -1/slope would drift from it on efficiencies many orders apart.
+    def summed(corner):
+        try:
+            return math.fsum(1.0 / m for lat in lats for _, _, m, v_lo, v_hi in lat.segments
+                             if m > 0.0 and v_lo <= corner < v_hi)
+        except OverflowError:
+            return math.inf
+
+    pieces = 0
+    off = []
+    for lats in _rising_slope_draws():
+        try:
+            segs = _swept(lats)[0]
+        except AnarchyError:
+            continue
+        for seg in segs:
+            if seg.low < seg.top:
+                pieces += 1
+                if seg.a2 != 1.0 / summed(seg.low):
+                    off.append((lats, seg))
+    assert pieces > 7000
+    assert not off, (len(off), off[:2])
 
 
 # An integer past the float range, as a library caller may pass it.

@@ -415,11 +415,15 @@ def reference_segments(lat):
 
 
 def reference_supply_events(lat):
-    """Supply events of a latency, read off its reference corner table."""
+    """Supply events of a latency, read off its reference corner table.
+
+    A rising segment whose corner levels round equal adds no supply slope:
+    the supply jumps there by its width, as at a flat segment.
+    """
     out, release = [], (0.0, 0.0)
     segs = reference_segments(lat)
     for (lo, hi, m, v_lo, v_hi), nxt in zip(segs, segs[1:] + (None,)):
-        rate = 1.0 / m if m > 0.0 else 0.0
+        rate = 1.0 / m if m > 0.0 and v_hi > v_lo else 0.0
         out.append((v_lo, 0.0 if rate else hi - lo, rate, *release))
         if hi < math.inf:
             held = (hi, hi * v_hi) if nxt is None or nxt[3] > v_hi else (0.0, 0.0)
